@@ -17,9 +17,6 @@ Supported inputs (auto-detected from the JSON shape):
       metrics: wall seconds per (threads, shards) grid point (p99 latency
       is informational and not gated — a percentile on a busy box is far
       noisier than a whole-series wall clock)
-  - bench_cost_drift:         {"bench": "cost_drift", "runs": [...]}
-      metrics: learn-on/off wall seconds per snapshot (drift columns are
-      informational and not gated)
   - bench_matchers_micro:     google-benchmark --benchmark_format=json
       metrics: real_time per benchmark (normalized to nanoseconds)
 
@@ -77,18 +74,6 @@ def add_peak_rss(doc, prefix, out):
         out["%s_peak_rss_bytes" % prefix] = float(value)
 
 
-def metrics_cost_drift(doc):
-    """on/off wall seconds per snapshot, lower is better. The drift
-    columns are intentionally NOT gated — drift measures model quality,
-    not speed, and re-baselining timing must not freeze it."""
-    out = {}
-    for row in doc.get("runs", []):
-        tag = "costdrift_s%02d" % int(row["snapshot"])
-        out[tag + "_on_seconds"] = float(row["on_seconds"])
-        out[tag + "_off_seconds"] = float(row["off_seconds"])
-    return out
-
-
 def metrics_parallel_scaling(doc):
     """Wall seconds per (program, thread count), lower is better."""
     out = {}
@@ -138,8 +123,6 @@ def extract_metrics(doc, path):
     kind = doc.get("bench") if isinstance(doc, dict) else None
     if kind == "identical_fraction":
         return metrics_identical_fraction(doc)
-    if kind == "cost_drift":
-        return metrics_cost_drift(doc)
     if kind == "parallel_scaling":
         return metrics_parallel_scaling(doc)
     if kind == "shard_scaling":

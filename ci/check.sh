@@ -6,8 +6,9 @@
 #             clang-tidy at zero warnings (--warnings-as-errors='*'),
 #             and a clang++ build with -Werror=thread-safety checking
 #             the DELEX_GUARDED_BY/DELEX_REQUIRES annotations.
-#   Release   build + full ctest + bench/obs/metrics smokes + the
-#             perf-regression gate over bench/baselines/.
+#   Release   build + full ctest + the refreshbench self-test +
+#             bench/obs/metrics smokes + the perf-regression gate over
+#             bench/baselines/.
 #   fuzz      extended deterministic mutation budget for every fuzz
 #             harness against the committed corpora (the per-harness
 #             512-run replay already runs inside every ctest leg).
@@ -24,7 +25,8 @@
 #             src/delex or src/common/thread_pool.h.
 #
 # Usage: ci/check.sh [jobs]              (default: nproc)
-#   DELEX_CI_FAST=1 ci/check.sh          # lint + Release build/ctest only
+#   DELEX_CI_FAST=1 ci/check.sh          # lint + Release build/ctest +
+#                                        # refreshbench self-test only
 #   DELEX_CI_TSAN_ONLY=1 ci/check.sh     # skip everything but lint + TSan
 #   DELEX_CI_CLANG=1 ci/check.sh         # force the clang legs even under
 #                                        # DELEX_CI_FAST (skipped per-tool
@@ -114,6 +116,13 @@ if [[ "${DELEX_CI_TSAN_ONLY:-0}" != "1" ]]; then
     echo "FAIL: fast path changed extraction results" >&2
     exit 1
   fi
+
+  # The repo benchmark builds src/ on its own (.bench_build/refreshbench)
+  # and drives it through the public harness API: its tiny-scale
+  # self-test turns an API change that breaks refresh_bench into a CI
+  # failure rather than a failed benchmark run.
+  echo "=== Release: refreshbench self-test ==="
+  python3 refreshbench/selftest.py
 fi
 
 if [[ "${DELEX_CI_FAST:-0}" == "1" ]]; then
@@ -240,7 +249,7 @@ delex_lines = 0
 with open(sys.argv[1]) as f:
     for raw in f:
         line = json.loads(raw)
-        assert line["schema_version"] == 6, line["schema_version"]
+        assert line["schema_version"] == 7, line["schema_version"]
         assert "resources" in line, "missing v6 resources block"
         assert line["resources"]["rss_bytes"] > 0, line["resources"]
         if line["solution"] != "Delex" or line["warmup"]:
@@ -507,12 +516,10 @@ EOF
   env "${bench_env[@]}" ./build-release/bench/bench_matchers_micro \
     --benchmark_format=json --benchmark_min_time=0.05 \
     > "${bench_tmp}/matchers_micro.json" 2>/dev/null
-  env "${bench_env[@]}" ./build-release/bench/bench_cost_drift \
-    > "${bench_tmp}/cost_drift.json"
   env "${bench_env[@]}" ./build-release/bench/bench_shard_scaling \
     > "${bench_tmp}/shard_scaling.json"
   for bench in identical_fraction parallel_scaling matchers_micro \
-               cost_drift shard_scaling; do
+               shard_scaling; do
     python3 ci/bench_compare.py "bench/baselines/${bench}.json" \
       "${bench_tmp}/${bench}.json"
   done

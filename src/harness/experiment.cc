@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <optional>
 
 #include "baseline/plan_extractor.h"
 #include "baseline/runners.h"
@@ -71,9 +69,9 @@ class ShortcutSolution : public Solution {
   ShortcutRunner runner_;
 };
 
-/// Converts the optimizer's last-choice audit into the run report's v5
-/// "decisions" rows (invalid audits — warm-up, forced plans, audit
-/// disabled by env — leave the array empty).
+/// Converts the optimizer's last-choice audit into the run report's
+/// "decisions" rows (invalid audits — warm-up, forced plans — leave the
+/// array empty).
 void FillDecisions(const Optimizer::DecisionAudit& audit,
                    obs::OptimizerReport* optimizer) {
   optimizer->decisions.clear();
@@ -93,12 +91,21 @@ void FillDecisions(const Optimizer::DecisionAudit& audit,
     d.m = audit.m;
     d.a = unit.a;
     d.l = unit.l;
-    d.gain = unit.gain;
-    d.bias = unit.bias;
-    d.samples = unit.samples;
     d.history_window = audit.history_window;
     optimizer->decisions.push_back(std::move(d));
   }
+}
+
+/// The run's cost_drift (CostDrift of its prediction against its measured
+/// per-unit µs); -1 when it has no prediction or the prediction does not
+/// fit the run.
+double DriftOf(const std::string& name, const std::vector<double>& predicted,
+               const RunStats& stats) {
+  Result<double> drift = CostDrift(predicted, stats);
+  if (drift.ok()) return *drift;
+  DELEX_LOG(WARN) << name << ": cost drift skipped: "
+                  << drift.status().ToString();
+  return -1;
 }
 
 /// Shared by Cyclex (wrapped single-blackbox plan) and Delex (full plan):
@@ -124,24 +131,8 @@ class EngineSolution : public Solution {
     Optimizer::Options opt_options;
     opt_options.collector.sample_pages = options_.sample_pages;
     opt_options.history_snapshots = options_.history_snapshots;
-    opt_options.learn_coefficients = options_.learn_coefficients;
     optimizer_ = std::make_unique<Optimizer>(engine_->plan(),
                                              engine_->analysis(), opt_options);
-    // Resume learned coefficients persisted by an earlier process over
-    // this work dir (newest generation wins). A corrupt or missing file
-    // just means a fresh start — never a miscalibrated one.
-    if (optimizer_->LearningEnabled()) {
-      if (auto path = NewestCoefficientFile()) {
-        Status loaded = optimizer_->LoadCoefficients(*path);
-        if (loaded.ok()) {
-          DELEX_LOG(INFO) << name_ << ": resumed cost coefficients from "
-                          << *path;
-        } else {
-          DELEX_LOG(WARN) << name_ << ": ignoring " << *path << ": "
-                          << loaded.ToString();
-        }
-      }
-    }
     return Status::OK();
   }
 
@@ -182,33 +173,11 @@ class EngineSolution : public Solution {
     DELEX_ASSIGN_OR_RETURN(
         std::vector<Tuple> results,
         engine_->RunSnapshot(current, previous, assignment, stats));
+    last_drift_ = -1;
     if (stats != nullptr) {
       stats->phases.opt_us = opt_us;
       stats->phases.total_us += opt_us;
-    }
-    // Close the self-tuning loop: feed the measured per-unit µs back into
-    // the cost model and persist the coefficients for the generation just
-    // completed, next to its reuse files.
-    last_drift_ = -1;
-    if (previous != nullptr && stats != nullptr && optimizer_->HasStats()) {
-      Status observed = optimizer_->ObserveMeasuredCosts(assignment, *stats);
-      if (observed.ok()) {
-        last_drift_ = optimizer_->LastDrift();
-        if (optimizer_->LearningEnabled()) {
-          int completed_gen = engine_->generation() - 1;
-          Status saved =
-              optimizer_->SaveCoefficients(CoefficientPath(completed_gen));
-          if (!saved.ok()) {
-            DELEX_LOG(WARN) << name_ << ": " << saved.ToString();
-          }
-          std::error_code ec;
-          std::filesystem::remove(CoefficientPath(completed_gen - 1), ec);
-        }
-      } else {
-        DELEX_LOG(WARN) << name_
-                        << ": measured-cost feedback skipped: "
-                        << observed.ToString();
-      }
+      last_drift_ = DriftOf(name_, last_predicted_unit_us_, *stats);
     }
     return results;
   }
@@ -232,20 +201,7 @@ class EngineSolution : public Solution {
     }
     optimizer->predicted_unit_us = last_predicted_unit_us_;
     optimizer->predicted_total_us = last_predicted_total_us_;
-    optimizer->learning_enabled = optimizer_->LearningEnabled();
     optimizer->cost_drift = last_drift_;
-    optimizer->learned.clear();
-    for (MatcherKind kind : kAllMatcherKinds) {
-      const CoefficientLearner::KindModel& m = optimizer_->learner().model(kind);
-      if (m.samples == 0) continue;
-      obs::OptimizerReport::LearnedCoefficient row;
-      row.matcher = MatcherKindName(kind);
-      row.gain = m.gain;
-      row.bias = m.bias;
-      row.drift = m.drift;
-      row.samples = m.samples;
-      optimizer->learned.push_back(std::move(row));
-    }
     FillDecisions(optimizer_->LastAudit(), optimizer);
   }
 
@@ -254,26 +210,6 @@ class EngineSolution : public Solution {
     last_predicted_unit_us_ = std::move(predicted);
     last_predicted_total_us_ = 0;
     for (double c : last_predicted_unit_us_) last_predicted_total_us_ += c;
-  }
-
-  std::string CoefficientPath(int generation) const {
-    return work_dir_ + "/coeffs.gen" + std::to_string(generation);
-  }
-
-  /// The coeffs.gen<N> file with the largest N in the work dir, if any.
-  std::optional<std::string> NewestCoefficientFile() const {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(work_dir_, ec);
-    if (ec) return std::nullopt;
-    int best_gen = -1;
-    for (const auto& entry : it) {
-      std::string stem = entry.path().filename().string();
-      if (stem.rfind("coeffs.gen", 0) != 0) continue;
-      int gen = std::atoi(stem.c_str() + std::string_view("coeffs.gen").size());
-      if (gen > best_gen) best_gen = gen;
-    }
-    if (best_gen < 0) return std::nullopt;
-    return CoefficientPath(best_gen);
   }
 
   std::string name_;
@@ -291,9 +227,7 @@ class EngineSolution : public Solution {
 /// Delex over a shard::ShardedEngine: pages hash-partitioned into N
 /// engine shards on one shared pool, with one optimizer PER SHARD. Each
 /// shard observes its own sub-snapshot pair, picks its own assignment,
-/// receives its own measured-cost feedback, and persists its own
-/// `shard<K>/coeffs.gen<G>` — so shards calibrate (and degrade after
-/// state corruption) independently.
+/// and reports its own prediction error against its own measured costs.
 class ShardedEngineSolution : public Solution {
  public:
   ShardedEngineSolution(std::string name, xlog::PlanNodePtr plan,
@@ -318,22 +252,9 @@ class ShardedEngineSolution : public Solution {
     Optimizer::Options opt_options;
     opt_options.collector.sample_pages = options_.sample_pages;
     opt_options.history_snapshots = options_.history_snapshots;
-    opt_options.learn_coefficients = options_.learn_coefficients;
     for (int k = 0; k < engine_->num_shards(); ++k) {
       optimizers_.push_back(std::make_unique<Optimizer>(
           engine_->plan(), engine_->analysis(), opt_options));
-      Optimizer* optimizer = optimizers_.back().get();
-      if (!optimizer->LearningEnabled()) continue;
-      if (auto path = NewestCoefficientFile(k)) {
-        Status loaded = optimizer->LoadCoefficients(*path);
-        if (loaded.ok()) {
-          DELEX_LOG(INFO) << name_ << ": shard " << k
-                          << " resumed cost coefficients from " << *path;
-        } else {
-          DELEX_LOG(WARN) << name_ << ": shard " << k << " ignoring "
-                          << *path << ": " << loaded.ToString();
-        }
-      }
     }
     return Status::OK();
   }
@@ -348,8 +269,7 @@ class ShardedEngineSolution : public Solution {
         static_cast<size_t>(num_shards),
         MatcherAssignment::Uniform(engine_->NumUnits(), MatcherKind::kDN));
     int64_t opt_us = 0;
-    last_predicted_unit_us_.clear();
-    last_predicted_total_us_ = -1;
+    shard_predicted_unit_us_.assign(static_cast<size_t>(num_shards), {});
     if (previous != nullptr) {
       if (!options_.forced_assignment.per_unit.empty()) {
         for (MatcherAssignment& a : assignments) {
@@ -371,8 +291,6 @@ class ShardedEngineSolution : public Solution {
         }
         std::vector<Snapshot> cur_split =
             shard::SplitSnapshot(current, num_shards);
-        std::vector<double> predicted_totals(static_cast<size_t>(num_shards),
-                                             -1);
         for (int k = 0; k < num_shards; ++k) {
           Optimizer* optimizer = optimizers_[static_cast<size_t>(k)].get();
           const uint64_t seed =
@@ -384,10 +302,9 @@ class ShardedEngineSolution : public Solution {
           DELEX_ASSIGN_OR_RETURN(assignments[static_cast<size_t>(k)],
                                  optimizer->ChooseAssignment());
           DELEX_ASSIGN_OR_RETURN(
-              std::vector<double> predicted,
+              shard_predicted_unit_us_[static_cast<size_t>(k)],
               optimizer->EstimatePerUnitCost(
                   assignments[static_cast<size_t>(k)]));
-          AccumulatePrediction(predicted);
         }
         last_split_ = std::move(cur_split);
         last_split_source_ = &current;
@@ -406,40 +323,6 @@ class ShardedEngineSolution : public Solution {
       stats->phases.total_us += opt_us;
     }
     last_shard_stats_ = std::move(shard_stats);
-    // Close each shard's self-tuning loop with its own measured costs.
-    last_drift_ = -1;
-    if (previous != nullptr) {
-      double drift_sum = 0;
-      int drift_count = 0;
-      for (int k = 0; k < num_shards; ++k) {
-        Optimizer* optimizer = optimizers_[static_cast<size_t>(k)].get();
-        if (!optimizer->HasStats()) continue;
-        Status observed = optimizer->ObserveMeasuredCosts(
-            assignments[static_cast<size_t>(k)],
-            last_shard_stats_.per_shard[static_cast<size_t>(k)]);
-        if (!observed.ok()) {
-          DELEX_LOG(WARN) << name_ << ": shard " << k
-                          << " measured-cost feedback skipped: "
-                          << observed.ToString();
-          continue;
-        }
-        if (optimizer->LastDrift() >= 0) {
-          drift_sum += optimizer->LastDrift();
-          ++drift_count;
-        }
-        if (optimizer->LearningEnabled()) {
-          int completed_gen = engine_->generation() - 1;
-          Status saved =
-              optimizer->SaveCoefficients(CoefficientPath(k, completed_gen));
-          if (!saved.ok()) {
-            DELEX_LOG(WARN) << name_ << ": " << saved.ToString();
-          }
-          std::error_code ec;
-          std::filesystem::remove(CoefficientPath(k, completed_gen - 1), ec);
-        }
-      }
-      if (drift_count > 0) last_drift_ = drift_sum / drift_count;
-    }
     return results;
   }
 
@@ -472,6 +355,10 @@ class ShardedEngineSolution : public Solution {
     meta->num_shards = engine_->num_shards();
     meta->generation = engine_->generation();
     meta->shards.clear();
+    // Each shard's drift compares its own prediction with its own run; the
+    // merged drift is their mean.
+    double drift_sum = 0;
+    int drift_count = 0;
     for (size_t k = 0; k < last_shard_stats_.per_shard.size(); ++k) {
       const RunStats& s = last_shard_stats_.per_shard[k];
       obs::RunReportMeta::ShardSummary summary;
@@ -484,8 +371,12 @@ class ShardedEngineSolution : public Solution {
       if (k < last_assignments_.size() && last_had_previous_) {
         summary.assignment = last_assignments_[k].ToString();
       }
-      if (k < optimizers_.size()) {
-        summary.cost_drift = optimizers_[k]->LastDrift();
+      if (k < shard_predicted_unit_us_.size()) {
+        summary.cost_drift = DriftOf(name_, shard_predicted_unit_us_[k], s);
+      }
+      if (summary.cost_drift >= 0) {
+        drift_sum += summary.cost_drift;
+        ++drift_count;
       }
       meta->shards.push_back(summary);
     }
@@ -498,60 +389,24 @@ class ShardedEngineSolution : public Solution {
     for (MatcherKind kind : last_assignments_[0].per_unit) {
       optimizer->unit_matchers.emplace_back(MatcherKindName(kind));
     }
-    optimizer->predicted_unit_us = last_predicted_unit_us_;
-    optimizer->predicted_total_us = last_predicted_total_us_;
-    optimizer->learning_enabled = optimizers_[0]->LearningEnabled();
-    optimizer->cost_drift = last_drift_;
-    optimizer->learned.clear();
-    for (MatcherKind kind : kAllMatcherKinds) {
-      const CoefficientLearner::KindModel& m =
-          optimizers_[0]->learner().model(kind);
-      if (m.samples == 0) continue;
-      obs::OptimizerReport::LearnedCoefficient row;
-      row.matcher = MatcherKindName(kind);
-      row.gain = m.gain;
-      row.bias = m.bias;
-      row.drift = m.drift;
-      row.samples = m.samples;
-      optimizer->learned.push_back(std::move(row));
+    optimizer->predicted_unit_us.clear();
+    optimizer->predicted_total_us = -1;
+    for (const std::vector<double>& predicted : shard_predicted_unit_us_) {
+      if (predicted.empty()) continue;
+      optimizer->predicted_unit_us.resize(predicted.size(), 0);
+      if (optimizer->predicted_total_us < 0) optimizer->predicted_total_us = 0;
+      for (size_t u = 0; u < predicted.size(); ++u) {
+        optimizer->predicted_unit_us[u] += predicted[u];
+        optimizer->predicted_total_us += predicted[u];
+      }
     }
+    optimizer->cost_drift = drift_count > 0 ? drift_sum / drift_count : -1;
     // Decisions from shard 0's audit, matching the unit_matchers
     // convention above; per-shard divergence shows in meta->shards.
     FillDecisions(optimizers_[0]->LastAudit(), optimizer);
   }
 
  private:
-  void AccumulatePrediction(const std::vector<double>& predicted) {
-    if (last_predicted_unit_us_.size() < predicted.size()) {
-      last_predicted_unit_us_.resize(predicted.size(), 0);
-    }
-    if (last_predicted_total_us_ < 0) last_predicted_total_us_ = 0;
-    for (size_t u = 0; u < predicted.size(); ++u) {
-      last_predicted_unit_us_[u] += predicted[u];
-      last_predicted_total_us_ += predicted[u];
-    }
-  }
-
-  std::string CoefficientPath(int shard, int generation) const {
-    return engine_->ShardWorkDir(shard) + "/coeffs.gen" +
-           std::to_string(generation);
-  }
-
-  std::optional<std::string> NewestCoefficientFile(int shard) const {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(engine_->ShardWorkDir(shard), ec);
-    if (ec) return std::nullopt;
-    int best_gen = -1;
-    for (const auto& entry : it) {
-      std::string stem = entry.path().filename().string();
-      if (stem.rfind("coeffs.gen", 0) != 0) continue;
-      int gen = std::atoi(stem.c_str() + std::string_view("coeffs.gen").size());
-      if (gen > best_gen) best_gen = gen;
-    }
-    if (best_gen < 0) return std::nullopt;
-    return CoefficientPath(shard, best_gen);
-  }
-
   std::string name_;
   DelexSolutionOptions options_;
   std::string work_dir_;
@@ -561,9 +416,7 @@ class ShardedEngineSolution : public Solution {
   shard::ShardedEngine::ShardRunStats last_shard_stats_;
   std::vector<Snapshot> last_split_;
   const Snapshot* last_split_source_ = nullptr;
-  std::vector<double> last_predicted_unit_us_;
-  double last_predicted_total_us_ = -1;
-  double last_drift_ = -1;
+  std::vector<std::vector<double>> shard_predicted_unit_us_;  // per shard
   bool last_had_previous_ = false;
 };
 
@@ -697,7 +550,6 @@ Result<SeriesRun> RunSeries(Solution* solution,
         view.total_us = s.total_us;
         view.reuse_corrupt_drops = s.reuse_corrupt_drops;
         view.has_optimizer = optimizer.has_optimizer;
-        view.learning = optimizer.learning_enabled;
         view.cost_drift = s.cost_drift;
         obs::HistoryStore shard_store(history_dir + "/shard" +
                                           std::to_string(s.shard) + "/" +

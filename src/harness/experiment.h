@@ -85,15 +85,12 @@ struct DelexSolutionOptions {
   bool disable_page_fast_path = false;
   /// Disable σ/π folding — reuse at bare-blackbox level (ablation, §4).
   bool fold_unit_operators = true;
-  /// Learn per-matcher cost coefficients online from measured per-unit µs
-  /// and persist them per generation alongside the reuse files (see
-  /// CoefficientLearner). DELEX_COST_LEARN=0 also forces this off.
-  bool learn_coefficients = true;
   /// Hash-partition pages into this many engine shards sharing one worker
   /// pool (shard::ShardedEngine; DELEX_SHARDS). Each shard gets its own
-  /// optimizer, statistics, and `shard<K>/coeffs.gen<N>` persistence, so
-  /// corrupting one shard's state degrades only that shard. Merged results
-  /// are byte-identical to num_shards = 1 at every setting.
+  /// optimizer and statistics, and keeps its reuse files in its own
+  /// `shard<K>/` dir, so corrupting one shard's state degrades only that
+  /// shard. Merged results are byte-identical to num_shards = 1 at every
+  /// setting.
   int num_shards = 1;
 };
 

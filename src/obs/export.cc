@@ -184,9 +184,8 @@ std::string FormatDouble(double v) {
 /// operator sees the effective configuration without shell access.
 constexpr const char* kStatusKnobs[] = {
     "DELEX_THREADS",          "DELEX_SHARDS",
-    "DELEX_SIMD",             "DELEX_COST_LEARN",
-    "DELEX_HISTORY",          "DELEX_HISTORY_RETAIN",
-    "DELEX_DECISION_AUDIT",   "DELEX_HISTOGRAMS",
+    "DELEX_SIMD",             "DELEX_HISTORY",
+    "DELEX_HISTORY_RETAIN",   "DELEX_HISTOGRAMS",
     "DELEX_TRACE",            "DELEX_STATS_JSON",
     "DELEX_PARANOID",         "DELEX_LOG_LEVEL",
     "DELEX_METRICS_PORT",     "DELEX_METRICS_SNAPSHOT_MS",

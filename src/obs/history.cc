@@ -58,18 +58,10 @@ std::string RecordBody(const HistoryRecord& r) {
       .EndObject();
   if (r.has_optimizer) {
     json.Key("optimizer").BeginObject();
-    json.KV("learning", r.learning);
     if (r.predicted_total_us >= 0) {
       json.KV("predicted_total_us", r.predicted_total_us);
     }
     if (r.cost_drift >= 0) json.KV("cost_drift", r.cost_drift);
-    if (!r.coeffs.empty()) {
-      json.Key("coeffs").BeginArray();
-      for (const OptimizerReport::LearnedCoefficient& row : r.coeffs) {
-        WriteLearnedCoefficient(row, &json);
-      }
-      json.EndArray();
-    }
     if (!r.decisions.empty()) {
       json.Key("decisions").BeginArray();
       for (const OptimizerReport::UnitDecision& d : r.decisions) {
@@ -154,15 +146,6 @@ bool ParseHex16(std::string_view hex, uint64_t* out) {
   return true;
 }
 
-void ParseCoefficient(const JsonValue& v,
-                      OptimizerReport::LearnedCoefficient* row) {
-  row->matcher = v.At("matcher").StringOr("");
-  row->gain = v.At("gain").NumberOr(1.0);
-  row->bias = v.At("bias").NumberOr(0.0);
-  row->drift = v.At("drift").NumberOr(-1.0);
-  row->samples = v.At("samples").IntOr(0);
-}
-
 void ParseDecision(const JsonValue& v, OptimizerReport::UnitDecision* d) {
   d->unit = static_cast<int>(v.At("unit").IntOr(0));
   d->winner = v.At("winner").StringOr("");
@@ -176,9 +159,6 @@ void ParseDecision(const JsonValue& v, OptimizerReport::UnitDecision* d) {
   d->m = in.At("m").NumberOr(0);
   d->a = in.At("a").NumberOr(0);
   d->l = in.At("l").NumberOr(0);
-  d->gain = in.At("gain").NumberOr(1.0);
-  d->bias = in.At("bias").NumberOr(0);
-  d->samples = in.At("samples").IntOr(0);
   d->history_window = static_cast<int>(in.At("history").IntOr(0));
 }
 
@@ -288,10 +268,8 @@ HistoryRecord MakeHistoryRecord(const RunReportMeta& meta,
   r.trace_dropped_events = TraceRecorder::Global().DroppedEventCount();
 
   r.has_optimizer = optimizer.has_optimizer;
-  r.learning = optimizer.learning_enabled;
   r.predicted_total_us = optimizer.predicted_total_us;
   r.cost_drift = optimizer.cost_drift;
-  r.coeffs = optimizer.learned;
   r.decisions = optimizer.decisions;
 
   // The executed plan labels every unit even when the optimizer block is
@@ -415,14 +393,8 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
   if (v.Has("optimizer")) {
     const JsonValue& opt = v.At("optimizer");
     rec->has_optimizer = true;
-    rec->learning = opt.At("learning").BoolOr(false);
     rec->predicted_total_us = opt.At("predicted_total_us").NumberOr(-1);
     rec->cost_drift = opt.At("cost_drift").NumberOr(-1);
-    for (const JsonValue& row : opt.At("coeffs").array) {
-      OptimizerReport::LearnedCoefficient coeff;
-      ParseCoefficient(row, &coeff);
-      rec->coeffs.push_back(std::move(coeff));
-    }
     for (const JsonValue& row : opt.At("decisions").array) {
       OptimizerReport::UnitDecision d;
       ParseDecision(row, &d);
@@ -554,11 +526,6 @@ int HistoryRetainFromEnv() {
   if (v == nullptr || *v == '\0') return 0;
   int n = std::atoi(v);
   return n > 0 ? n : 0;
-}
-
-bool DecisionAuditEnabledFromEnv() {
-  const char* v = std::getenv("DELEX_DECISION_AUDIT");
-  return v == nullptr || std::string_view(v) != "0";
 }
 
 }  // namespace obs

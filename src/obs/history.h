@@ -28,12 +28,14 @@
 //    "counters":{"demote_result_cache":N,"demote_missing_group":N,
 //                "decode_copy_groups":N,"reuse_corrupt_drops":N,
 //                "trace_dropped_events":N},
-//    "optimizer":{"learning":true,"predicted_total_us":..,
-//                 "cost_drift":..,"coeffs":[...],"decisions":[...]},
+//    "optimizer":{"predicted_total_us":..,"cost_drift":..,
+//                 "decisions":[...]},
 //    "units":[{"matcher":"ST","predicted_us":..,"actual_us":..}],
 //    "shards":[{"shard":0,...,"assignment":"ST","cost_drift":..}]}
-// The coeffs / decisions rows are exactly the run-report v5 shapes
-// (obs/run_report.h), so the two artifacts stay diffable.
+// The decisions rows are exactly the run-report shapes (obs/run_report.h),
+// so the two artifacts stay diffable. Records written before schema v7
+// also carry "learning", "coeffs" and decision "gain"/"bias"/"samples";
+// the reader ignores them.
 //
 // Retention: Options::retain_gens > 0 compacts the file on Append to the
 // newest N records (atomic rewrite-and-rename); 0 keeps everything.
@@ -93,10 +95,8 @@ struct HistoryRecord {
 
   // Optimizer view (block omitted from the line when !has_optimizer).
   bool has_optimizer = false;
-  bool learning = false;
   double predicted_total_us = -1;
   double cost_drift = -1;
-  std::vector<OptimizerReport::LearnedCoefficient> coeffs;
   std::vector<OptimizerReport::UnitDecision> decisions;
 
   /// Per-unit plan vs. outcome.
@@ -188,9 +188,6 @@ bool HistoryEnabledFromEnv();
 
 /// DELEX_HISTORY_RETAIN: records kept per store; 0/unset = unlimited.
 int HistoryRetainFromEnv();
-
-/// DELEX_DECISION_AUDIT: optimizer decision audit unless set to "0".
-bool DecisionAuditEnabledFromEnv();
 
 }  // namespace obs
 }  // namespace delex

@@ -37,17 +37,6 @@ void WriteLatencySummary(const char* key, const LocalHistogram& hist,
 
 }  // namespace
 
-void WriteLearnedCoefficient(const OptimizerReport::LearnedCoefficient& row,
-                             JsonWriter* json) {
-  json->BeginObject()
-      .KV("matcher", row.matcher)
-      .KV("gain", row.gain)
-      .KV("bias", row.bias)
-      .KV("drift", row.drift)
-      .KV("samples", row.samples)
-      .EndObject();
-}
-
 void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
                        JsonWriter* json) {
   json->BeginObject()
@@ -66,9 +55,6 @@ void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
       .KV("m", d.m)
       .KV("a", d.a)
       .KV("l", d.l)
-      .KV("gain", d.gain)
-      .KV("bias", d.bias)
-      .KV("samples", d.samples)
       .KV("history", d.history_window)
       .EndObject();
   json->EndObject();
@@ -211,16 +197,8 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
     if (optimizer.predicted_total_us >= 0) {
       json.KV("predicted_total_us", optimizer.predicted_total_us);
     }
-    json.KV("learning", optimizer.learning_enabled);
     if (optimizer.cost_drift >= 0) {
       json.KV("cost_drift", optimizer.cost_drift);
-    }
-    if (!optimizer.learned.empty()) {
-      json.Key("coeffs").BeginArray();
-      for (const OptimizerReport::LearnedCoefficient& row : optimizer.learned) {
-        WriteLearnedCoefficient(row, &json);
-      }
-      json.EndArray();
     }
     if (!optimizer.decisions.empty()) {
       json.Key("decisions").BeginArray();

@@ -73,14 +73,13 @@
 // every per-unit matcher choice:
 //   {"unit":0,"winner":"ST","runner_up":"UD","margin_us":..,
 //    "candidates":{"DN":..,"UD":..,"ST":..,"RU":..},
-//    "inputs":{"f":..,"m":..,"a":..,"l":..,"gain":..,"bias":..,
-//              "samples":..,"history":..}}
+//    "inputs":{"f":..,"m":..,"a":..,"l":..,"history":..}}
 // Candidates are whole-plan estimated µs with only that unit's matcher
 // swapped; margin_us = runner-up − winner (negative means the greedy
 // search accepted a locally suboptimal unit for a globally better plan).
-// The "inputs" block records which statistics and learned coefficients
-// fed the estimate, so every matcher switch across generations is
-// attributable from the reports alone.
+// The "inputs" block records which statistics fed the estimate, so every
+// matcher switch across generations is attributable from the reports
+// alone.
 //
 // v5 → v6: resource observability (layer 4). Every line gains a
 // "resources" block sampled at report time:
@@ -93,6 +92,11 @@
 // The "profile" sub-block appears only when the span profiler observed at
 // least one tick (DELEX_PROFILE); top_spans is self-time (innermost open
 // span per tick), largest first, at most 10 rows.
+//
+// v6 → v7: the learned cost-coefficient layer is gone. The optimizer block
+// drops "learning" and "coeffs", and decision "inputs" drop "gain",
+// "bias" and "samples"; "cost_drift" stays and now measures the analytic
+// model. Readers ignore those keys in older lines.
 
 #include <cstdint>
 #include <cstdio>
@@ -106,7 +110,7 @@
 namespace delex {
 namespace obs {
 
-inline constexpr int kRunReportSchemaVersion = 6;
+inline constexpr int kRunReportSchemaVersion = 7;
 
 /// \brief Run identity and execution-environment metadata for one line.
 struct RunReportMeta {
@@ -155,26 +159,14 @@ struct OptimizerReport {
   /// Cost-model estimate for the whole plan (µs); < 0 when unavailable.
   double predicted_total_us = -1;
 
-  /// One learned-calibration row per matcher kind with samples (v3).
-  struct LearnedCoefficient {
-    std::string matcher;   ///< "DN"/"UD"/"ST"/"RU"
-    double gain = 1.0;     ///< multiplicative correction
-    double bias = 0.0;     ///< additive correction (µs)
-    double drift = -1.0;   ///< EW mean relative error, pre-update
-    int64_t samples = 0;
-  };
-  /// Whether coefficient learning was enabled for this solution (v3).
-  bool learning_enabled = false;
-  /// Mean relative predicted-vs-measured per-unit error of this run,
-  /// computed before the update; < 0 before any feedback (v3).
+  /// Mean relative predicted-vs-measured per-unit error of this run
+  /// (CostDrift); < 0 when the run had no prediction (v3).
   double cost_drift = -1;
-  std::vector<LearnedCoefficient> learned;
 
   /// One audited matcher decision per IE unit (v5): the per-candidate
   /// whole-plan estimates with only this unit's matcher swapped, the
-  /// winner, the margin to the best alternative, and the statistics /
-  /// learned coefficients that fed the estimate. Empty when the audit is
-  /// disabled (DELEX_DECISION_AUDIT=0) or the plan was forced.
+  /// winner, the margin to the best alternative, and the statistics that
+  /// fed the estimate. Empty on warm-up runs and forced plans.
   struct UnitDecision {
     int unit = 0;
     std::string winner;     ///< "DN"/"UD"/"ST"/"RU"
@@ -184,11 +176,8 @@ struct OptimizerReport {
     double margin_us = 0;
     /// (matcher name, estimated whole-plan µs) for every candidate.
     std::vector<std::pair<std::string, double>> candidate_us;
-    // Statistics inputs: snapshot level (f, m), unit level (a, l), and
-    // the learned calibration row of the winner's priced kind.
+    // Statistics inputs: snapshot level (f, m) and unit level (a, l).
     double f = 0, m = 0, a = 0, l = 0;
-    double gain = 1.0, bias = 0;
-    int64_t samples = 0;
     int history_window = 0;  ///< snapshot pairs in the averaged stats
   };
   std::vector<UnitDecision> decisions;
@@ -196,11 +185,9 @@ struct OptimizerReport {
 
 class JsonWriter;
 
-/// Serializes one learned-calibration row / audited decision — shared by
-/// the run-report writer and the generation-history store so the two
-/// artifacts stay field-for-field diffable.
-void WriteLearnedCoefficient(const OptimizerReport::LearnedCoefficient& row,
-                             JsonWriter* json);
+/// Serializes one audited decision — shared by the run-report writer and
+/// the generation-history store so the two artifacts stay field-for-field
+/// diffable.
 void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
                        JsonWriter* json);
 

@@ -1,5 +1,8 @@
 #include "optimizer/cost_model.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace delex {
@@ -59,12 +62,7 @@ double EstimateUnitCost(const CostModelStats& stats, int u,
   cost += stats.w_io_us_per_block * unit.c_blocks +
           stats.w_copy_us * an * m1 * (a1 * m1 * f * h) / stats.v_buckets;
 
-  // Learned affine correction, keyed by the kind the unit is priced as
-  // (RU calibrates as RU). Identity until the feedback loop has run.
-  const size_t ck = MatcherIndex(ru_priced ? MatcherKind::kRU : effective);
-  double calibrated =
-      stats.calibration.gain[ck] * cost + stats.calibration.bias[ck];
-  return calibrated > 0 ? calibrated : 0.0;
+  return cost;
 }
 
 namespace {
@@ -123,6 +121,25 @@ double EstimatePlanCost(const CostModelStats& stats,
   double total = 0;
   for (double c : EstimatePlanUnitCosts(stats, chains, assignment)) total += c;
   return total;
+}
+
+Result<double> CostDrift(const std::vector<double>& predicted_unit_us,
+                         const RunStats& stats) {
+  if (predicted_unit_us.empty()) return -1.0;
+  if (predicted_unit_us.size() != stats.units.size()) {
+    return Status::InvalidArgument("prediction does not match run units");
+  }
+  double err_sum = 0;
+  for (size_t u = 0; u < stats.units.size(); ++u) {
+    const UnitRunStats& unit = stats.units[u];
+    const double measured = static_cast<double>(unit.match_us) +
+                            static_cast<double>(unit.extract_us) +
+                            static_cast<double>(unit.copy_us) +
+                            static_cast<double>(unit.capture_us);
+    err_sum +=
+        std::fabs(predicted_unit_us[u] - measured) / std::max(measured, 1.0);
+  }
+  return err_sum / static_cast<double>(stats.units.size());
 }
 
 double EstimateChainScratchCost(const CostModelStats& stats,

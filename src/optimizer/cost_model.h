@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "delex/ie_unit.h"
 #include "delex/run_stats.h"
 
@@ -45,25 +46,6 @@ struct UnitCostStats {
   double c_blocks = 0;
 };
 
-/// \brief Learned affine correction applied on top of the analytic Fig-7
-/// estimate, one (gain, bias) pair per matcher kind.
-///
-/// The analytic formulas capture the *shape* of each matcher's cost; the
-/// calibration absorbs what they cannot see — the actual hardware (e.g.
-/// which SIMD tier the kernels dispatched to), allocator behavior, cache
-/// effects. Defaults to the identity so an uncalibrated model reproduces
-/// the hand-set constants exactly; the CoefficientLearner refreshes it
-/// from measured per-unit µs after every generation.
-struct CostCalibration {
-  std::array<double, kNumMatcherKinds> gain;
-  std::array<double, kNumMatcherKinds> bias;  ///< µs
-
-  CostCalibration() {
-    gain.fill(1.0);
-    bias.fill(0.0);
-  }
-};
-
 /// \brief Snapshot-level statistics plus calibrated weights.
 struct CostModelStats {
   double f = 0;         ///< fraction of pages with a previous version
@@ -79,12 +61,6 @@ struct CostModelStats {
   double w_find_us = 0.02;          ///< ŵ_{1,find} per tuple comparison
   double w_copy_us = 0.05;          ///< ŵ_{4,copy} per hash-bucket probe
   double v_buckets = 1024;          ///< v: copy-region hash table buckets
-
-  /// Learned per-matcher correction; identity until the optimizer's
-  /// feedback loop has observed at least one generation. Keyed by the
-  /// *priced* kind (an RU-assigned unit calibrates under kRU, not under
-  /// its resolved source), matching how EstimateUnitCost applies it.
-  CostCalibration calibration;
 };
 
 /// \brief Which chain each unit belongs to and whether its input is the
@@ -123,6 +99,14 @@ std::vector<double> EstimatePlanUnitCosts(const CostModelStats& stats,
 double EstimatePlanCost(const CostModelStats& stats,
                         const ChainStructure& chains,
                         const MatcherAssignment& assignment);
+
+/// \brief How far a prediction was from the run it priced: the mean
+/// relative error between `predicted_unit_us` (EstimatePlanUnitCosts) and
+/// each unit's measured match + extract + copy + capture µs in `stats` —
+/// the run report's cost_drift. Negative when there is no prediction; an
+/// error when the prediction and the run disagree on the unit count.
+Result<double> CostDrift(const std::vector<double>& predicted_unit_us,
+                         const RunStats& stats);
 
 /// \brief Estimated from-scratch cost of one chain (used to order chains
 /// in Algorithm 1, step 1).

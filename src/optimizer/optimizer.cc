@@ -1,25 +1,11 @@
 #include "optimizer/optimizer.h"
 
-#include <cmath>
-#include <cstdlib>
-
-#include "obs/history.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace delex {
 
 namespace {
-
-/// DELEX_COST_LEARN=0 is the global off switch for coefficient learning
-/// (e.g. to pin predictions while debugging the analytic model).
-bool LearningAllowedByEnv() {
-  static const bool allowed = [] {
-    const char* env = std::getenv("DELEX_COST_LEARN");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return allowed;
-}
 
 /// Planning latency (stats collection and plan search are the two pieces
 /// of the paper's optimizer overhead — "Opt" in Figure 11).
@@ -41,8 +27,7 @@ Optimizer::Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
     : plan_(std::move(plan)),
       analysis_(analysis),
       options_(options),
-      chains_(ChainStructure::Build(plan_, analysis)),
-      learn_enabled_(options.learn_coefficients && LearningAllowedByEnv()) {}
+      chains_(ChainStructure::Build(plan_, analysis)) {}
 
 Status Optimizer::ObserveSnapshotPair(const Snapshot& current,
                                       const Snapshot& previous,
@@ -66,10 +51,6 @@ Result<CostModelStats> Optimizer::Averaged() {
   }
   averaged_ =
       AverageStats(std::vector<CostModelStats>(history_.begin(), history_.end()));
-  // Plug the learned correction into the stats the plan search consumes,
-  // so matcher *choice* — not just the reported prediction — adapts.
-  averaged_.calibration =
-      learn_enabled_ ? learner_.Calibration() : CostCalibration();
   return averaged_;
 }
 
@@ -81,13 +62,13 @@ Result<MatcherAssignment> Optimizer::ChooseAssignment(double* estimated_cost) {
   double chosen_cost = 0;
   MatcherAssignment chosen = search.Greedy(&chosen_cost);
   if (estimated_cost != nullptr) *estimated_cost = chosen_cost;
-  audit_ = DecisionAudit();
-  if (obs::DecisionAuditEnabledFromEnv()) RecordAudit(chosen, chosen_cost);
+  RecordAudit(chosen, chosen_cost);
   return chosen;
 }
 
 void Optimizer::RecordAudit(const MatcherAssignment& chosen,
                             double chosen_cost) {
+  audit_ = DecisionAudit();
   audit_.valid = true;
   audit_.chosen_plan_us = chosen_cost;
   audit_.f = averaged_.f;
@@ -117,10 +98,6 @@ void Optimizer::RecordAudit(const MatcherAssignment& chosen,
       unit.a = averaged_.units[u].a;
       unit.l = averaged_.units[u].l;
     }
-    const size_t w = MatcherIndex(unit.winner);
-    unit.gain = averaged_.calibration.gain[w];
-    unit.bias = averaged_.calibration.bias[w];
-    unit.samples = learner_.model(unit.winner).samples;
   }
 }
 
@@ -128,54 +105,6 @@ Result<std::vector<double>> Optimizer::EstimatePerUnitCost(
     const MatcherAssignment& assignment) {
   DELEX_RETURN_NOT_OK(Averaged().status());
   return EstimatePlanUnitCosts(averaged_, chains_, assignment);
-}
-
-Result<std::vector<double>> Optimizer::EstimateRawPerUnitCost(
-    const MatcherAssignment& assignment) {
-  DELEX_RETURN_NOT_OK(Averaged().status());
-  CostModelStats raw = averaged_;
-  raw.calibration = CostCalibration();  // identity
-  return EstimatePlanUnitCosts(raw, chains_, assignment);
-}
-
-Status Optimizer::ObserveMeasuredCosts(const MatcherAssignment& assignment,
-                                       const RunStats& stats) {
-  DELEX_TRACE_SPAN("opt_observe_measured", obs::kTraceNoArg, "optimizer");
-  if (assignment.per_unit.size() != analysis_.units.size()) {
-    return Status::InvalidArgument("assignment does not match plan units");
-  }
-  DELEX_ASSIGN_OR_RETURN(std::vector<double> calibrated,
-                         EstimatePerUnitCost(assignment));
-  DELEX_ASSIGN_OR_RETURN(std::vector<double> raw,
-                         EstimateRawPerUnitCost(assignment));
-  double err_sum = 0;
-  size_t counted = 0;
-  for (size_t u = 0; u < assignment.per_unit.size() && u < stats.units.size();
-       ++u) {
-    const UnitRunStats& unit = stats.units[u];
-    const double measured = static_cast<double>(unit.match_us) +
-                            static_cast<double>(unit.extract_us) +
-                            static_cast<double>(unit.copy_us) +
-                            static_cast<double>(unit.capture_us);
-    err_sum += std::fabs(calibrated[u] - measured) / std::max(measured, 1.0);
-    ++counted;
-    if (learn_enabled_) {
-      learner_.Observe(assignment.per_unit[u], raw[u], measured);
-    }
-  }
-  if (counted == 0) {
-    return Status::InvalidArgument("run stats carry no per-unit timings");
-  }
-  last_drift_ = err_sum / static_cast<double>(counted);
-  return Status::OK();
-}
-
-Status Optimizer::SaveCoefficients(const std::string& path) const {
-  return learner_.Save(path);
-}
-
-Status Optimizer::LoadCoefficients(const std::string& path) {
-  return learner_.Load(path);
 }
 
 Result<double> Optimizer::EstimateCost(const MatcherAssignment& assignment) {

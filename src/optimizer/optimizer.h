@@ -4,10 +4,8 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
-#include "optimizer/learned_coeffs.h"
 #include "optimizer/search.h"
 #include "optimizer/stats_collector.h"
 
@@ -22,11 +20,6 @@ class Optimizer {
     /// How many recent snapshot pairs feed the averaged statistics
     /// (Fig 13b's knob).
     int history_snapshots = 3;
-
-    /// Learn per-matcher cost-coefficient calibration online from measured
-    /// per-unit µs (recursive least squares; see CoefficientLearner).
-    /// DELEX_COST_LEARN=0 in the environment forces this off.
-    bool learn_coefficients = true;
   };
 
   Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
@@ -45,11 +38,10 @@ class Optimizer {
 
   /// \brief Audit of the last ChooseAssignment — per unit, every
   /// candidate's whole-plan estimate (only that unit's matcher swapped),
-  /// the winner, the margin to the best alternative, and the statistics /
-  /// learned coefficients that fed the estimate. The raw material of the
-  /// run report's v5 "decisions" array, so matcher switches across
-  /// generations stay attributable. Recording costs 4 plan estimates per
-  /// unit and is on unless DELEX_DECISION_AUDIT=0.
+  /// the winner, the margin to the best alternative, and the statistics
+  /// that fed the estimate. The raw material of the run report's
+  /// "decisions" array, so matcher switches across generations stay
+  /// attributable. Recording costs 4 plan estimates per unit.
   struct DecisionAudit {
     bool valid = false;        ///< a choice was made and recorded
     double chosen_plan_us = 0; ///< Greedy's estimate of the chosen plan
@@ -66,51 +58,23 @@ class Optimizer {
       /// Runner-up plan µs − winner plan µs. Negative when the greedy
       /// search kept a locally suboptimal unit for a globally better plan.
       double margin_us = 0;
-      // Unit-level stats inputs and the winner's calibration row.
+      // Unit-level stats inputs.
       double a = 0, l = 0;
-      double gain = 1.0, bias = 0;
-      int64_t samples = 0;
     };
     std::vector<Unit> units;
   };
 
   /// The audit of the most recent ChooseAssignment; `valid` is false
-  /// before the first choice or when auditing is disabled by env.
+  /// before the first choice.
   const DecisionAudit& LastAudit() const { return audit_; }
 
   /// Cost of an arbitrary assignment under the current statistics.
   Result<double> EstimateCost(const MatcherAssignment& assignment);
 
   /// Predicted per-unit cost (µs, index-aligned with the assignment) under
-  /// the current statistics — the run report's predicted column. Includes
-  /// the learned calibration once the feedback loop has observed a run.
+  /// the current statistics — the run report's predicted column.
   Result<std::vector<double>> EstimatePerUnitCost(
       const MatcherAssignment& assignment);
-
-  /// The uncalibrated analytic per-unit estimate (the RLS regressor);
-  /// exposed for the feedback loop and its tests.
-  Result<std::vector<double>> EstimateRawPerUnitCost(
-      const MatcherAssignment& assignment);
-
-  /// Closes the self-tuning loop: compares the calibrated prediction for
-  /// `assignment` against the measured per-unit µs in `stats`, records the
-  /// mean relative error as LastDrift(), and (when learning is enabled)
-  /// feeds each (raw estimate, measurement) pair to the RLS learner so the
-  /// *next* generation's predictions — and plan choice — adapt.
-  Status ObserveMeasuredCosts(const MatcherAssignment& assignment,
-                              const RunStats& stats);
-
-  /// Mean relative per-unit prediction error of the last observed run
-  /// (pre-update), or a negative value before any ObserveMeasuredCosts.
-  double LastDrift() const { return last_drift_; }
-
-  bool LearningEnabled() const { return learn_enabled_; }
-  const CoefficientLearner& learner() const { return learner_; }
-
-  /// Persists / restores the learned coefficients (see
-  /// CoefficientLearner::Save for the format and corruption handling).
-  Status SaveCoefficients(const std::string& path) const;
-  Status LoadCoefficients(const std::string& path);
 
   /// All 4^n plans (Fig 12); requires few units.
   std::vector<MatcherAssignment> EnumerateAllPlans() const;
@@ -130,9 +94,6 @@ class Optimizer {
   ChainStructure chains_;
   std::deque<CostModelStats> history_;
   CostModelStats averaged_;  // refreshed by Averaged()
-  CoefficientLearner learner_;
-  bool learn_enabled_ = true;
-  double last_drift_ = -1.0;
   DecisionAudit audit_;
 };
 

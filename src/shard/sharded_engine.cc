@@ -207,8 +207,9 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
 
   // Merge step, stats: fold per-shard RunStats (unit counters, io,
   // fast-path tallies, histogram shards) into one view; phase components
-  // sum across shards but total_us is this run's single wall clock — the
-  // overshoot of concurrent shard time past it lands in phase_drift_us.
+  // sum across shards but total_us is this run's single wall clock, taken
+  // once all of the run's work is done (below) — the overshoot of
+  // concurrent shard time past it lands in phase_drift_us.
   if (stats != nullptr) {
     *stats = RunStats();
     for (size_t k = 0; k < n; ++k) {
@@ -219,8 +220,6 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
       stats->phases.opt_us += per_shard[k].phases.opt_us;
       stats->phases.capture_us += per_shard[k].phases.capture_us;
     }
-    stats->phases.total_us = total_watch.ElapsedMicros();
-    stats->phases.FinalizeDrift();
   }
   const int gen = generation();
   for (size_t k = 0; k < n; ++k) {
@@ -243,6 +242,10 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
   }
   last_split_ = std::move(cur_split);
   last_split_source_ = &current;
+  if (stats != nullptr) {
+    stats->phases.total_us = total_watch.ElapsedMicros();
+    stats->phases.FinalizeDrift();
+  }
   return merged_rows;
 }
 

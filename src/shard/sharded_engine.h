@@ -21,9 +21,8 @@ namespace shard {
 /// Partitions each snapshot into N page shards by URL hash (see
 /// partition.h for the invariants) and drives one DelexEngine per shard,
 /// each with its own work_dir subdirectory (`shard<K>/`: reuse files,
-/// `.idx` sidecars, result caches, learned-coefficient files) so a shard
-/// can be inspected, corrupted-and-degraded, or later re-balanced in
-/// isolation.
+/// `.idx` sidecars, result caches) so a shard can be inspected,
+/// corrupted-and-degraded, or later re-balanced in isolation.
 ///
 /// Two-level scheduling: one lightweight driver thread per shard runs that
 /// shard's reader-prefetch and ordered write-back stages (mostly I/O),

@@ -291,8 +291,7 @@ int RunProfile(const HistoryRecord* a, const HistoryRecord* b) {
 
 int RunDecisions(const HistoryRecord* rec) {
   if (!rec->has_optimizer || rec->decisions.empty()) {
-    std::printf("gen %d: no audited decisions (warm-up, forced plan, or "
-                "DELEX_DECISION_AUDIT=0)\n",
+    std::printf("gen %d: no audited decisions (warm-up or forced plan)\n",
                 rec->gen);
     return 0;
   }
@@ -306,10 +305,8 @@ int RunDecisions(const HistoryRecord* rec) {
       std::printf(" %s=%.1f", matcher.c_str(), est_us);
     }
     std::printf("\n");
-    std::printf("    inputs: f=%.3f m=%.0f a=%.2f l=%.1f gain=%.3f "
-                "bias=%.1f samples=%" PRId64 " history=%d\n",
-                d.f, d.m, d.a, d.l, d.gain, d.bias, d.samples,
-                d.history_window);
+    std::printf("    inputs: f=%.3f m=%.0f a=%.2f l=%.1f history=%d\n", d.f,
+                d.m, d.a, d.l, d.history_window);
   }
   return 0;
 }

@@ -55,8 +55,11 @@ class CorruptInputTest : public ::testing::Test {
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     plan_ = program->plan;
 
-    // Clean reference: both generations in a pristine work dir.
-    const std::string dir = FreshDir("baseline");
+    // Clean reference: both generations in a pristine work dir, one per
+    // test so tests running as parallel processes never share it.
+    const std::string dir = FreshDir(
+        std::string("baseline-") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     DelexEngine::Options options;
     options.work_dir = dir;
     DelexEngine engine(plan_, options);

@@ -2,9 +2,10 @@
 // Covers the envelope framing (fixed-offset crc), full-record round
 // trips, every corruption path (framing, checksum, JSON, missing gen,
 // torn tail, out-of-order generations) degrading to Status::Corruption
-// drops — never aborts — retention compaction, the env knobs, and the
-// end-to-end contract: RunSeries appends one record per completed
-// generation (plus per-shard views) across {1,4} shards × {1,8} threads.
+// drops — never aborts — retention compaction, the env knobs, v6-era
+// records still loading under the current schema, and the end-to-end
+// contract: RunSeries appends one record per completed generation (plus
+// per-shard views) across {1,4} shards × {1,8} threads.
 
 #include <gtest/gtest.h>
 
@@ -64,8 +65,17 @@ class ScopedEnv {
   bool had_old_ = false;
 };
 
-/// A record exercising every optional block: optimizer with coeffs and
-/// audited decisions, per-unit summaries, and per-shard rollups.
+/// Wraps a raw "rec" body in a correctly checksummed envelope, the way
+/// any writer of the format (old or new) frames it.
+std::string FrameBody(const std::string& body) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  return "{\"crc\":\"" + std::string(hex) + "\",\"rec\":" + body + "}";
+}
+
+/// A record exercising every optional block: optimizer with audited
+/// decisions, per-unit summaries, and per-shard rollups.
 HistoryRecord FullRecord(int gen) {
   HistoryRecord r;
   r.gen = gen;
@@ -93,16 +103,8 @@ HistoryRecord FullRecord(int gen) {
   r.reuse_corrupt_drops = 4;
   r.trace_dropped_events = 5;
   r.has_optimizer = true;
-  r.learning = true;
   r.predicted_total_us = 3900.5;
   r.cost_drift = 0.125;
-  obs::OptimizerReport::LearnedCoefficient coeff;
-  coeff.matcher = "ST";
-  coeff.gain = 1.25;
-  coeff.bias = 40.5;
-  coeff.drift = 0.0625;
-  coeff.samples = 12;
-  r.coeffs.push_back(coeff);
   obs::OptimizerReport::UnitDecision d;
   d.unit = 0;
   d.winner = "ST";
@@ -113,9 +115,6 @@ HistoryRecord FullRecord(int gen) {
   d.m = 120;
   d.a = 1.5;
   d.l = 640;
-  d.gain = 1.25;
-  d.bias = 40.5;
-  d.samples = 12;
   d.history_window = 3;
   r.decisions.push_back(d);
   HistoryRecord::UnitSummary u0{"ST", 180.5, 200.0};
@@ -189,15 +188,8 @@ TEST(HistoryLine, RoundTripsEveryField) {
   EXPECT_EQ(out.trace_dropped_events, in.trace_dropped_events);
 
   EXPECT_TRUE(out.has_optimizer);
-  EXPECT_TRUE(out.learning);
   EXPECT_DOUBLE_EQ(out.predicted_total_us, in.predicted_total_us);
   EXPECT_DOUBLE_EQ(out.cost_drift, in.cost_drift);
-  ASSERT_EQ(out.coeffs.size(), 1u);
-  EXPECT_EQ(out.coeffs[0].matcher, "ST");
-  EXPECT_DOUBLE_EQ(out.coeffs[0].gain, 1.25);
-  EXPECT_DOUBLE_EQ(out.coeffs[0].bias, 40.5);
-  EXPECT_DOUBLE_EQ(out.coeffs[0].drift, 0.0625);
-  EXPECT_EQ(out.coeffs[0].samples, 12);
   ASSERT_EQ(out.decisions.size(), 1u);
   EXPECT_EQ(out.decisions[0].unit, 0);
   EXPECT_EQ(out.decisions[0].winner, "ST");
@@ -210,9 +202,6 @@ TEST(HistoryLine, RoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(out.decisions[0].m, 120);
   EXPECT_DOUBLE_EQ(out.decisions[0].a, 1.5);
   EXPECT_DOUBLE_EQ(out.decisions[0].l, 640);
-  EXPECT_DOUBLE_EQ(out.decisions[0].gain, 1.25);
-  EXPECT_DOUBLE_EQ(out.decisions[0].bias, 40.5);
-  EXPECT_EQ(out.decisions[0].samples, 12);
   EXPECT_EQ(out.decisions[0].history_window, 3);
 
   ASSERT_EQ(out.units.size(), 2u);
@@ -279,24 +268,14 @@ TEST(HistoryLine, RejectsChecksumMismatchAndBadJson) {
   EXPECT_NE(st.message().find("checksum"), std::string::npos);
 
   // A correctly checksummed envelope whose rec is not valid JSON.
-  std::string body = "{\"gen\":";
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(body)));
-  std::string crafted = "{\"crc\":\"" + std::string(hex) + "\",\"rec\":" +
-                        body + "}";
-  EXPECT_TRUE(HistoryStore::ParseLine(crafted, &rec).IsCorruption());
+  EXPECT_TRUE(
+      HistoryStore::ParseLine(FrameBody("{\"gen\":"), &rec).IsCorruption());
 }
 
 TEST(HistoryLine, RejectsMissingGeneration) {
-  std::string body = "{\"solution\":\"Delex\"}";
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(body)));
-  std::string crafted = "{\"crc\":\"" + std::string(hex) + "\",\"rec\":" +
-                        body + "}";
   HistoryRecord rec;
-  Status st = HistoryStore::ParseLine(crafted, &rec);
+  Status st =
+      HistoryStore::ParseLine(FrameBody("{\"solution\":\"Delex\"}"), &rec);
   EXPECT_TRUE(st.IsCorruption());
   EXPECT_NE(st.message().find("generation"), std::string::npos);
 }
@@ -403,6 +382,79 @@ TEST(HistoryStoreTest, RetentionCompactsToNewestRecords) {
   fs::remove_all(dir);
 }
 
+TEST(HistoryStoreTest, V6LearnerFieldsAreIgnoredOnLoad) {
+  // FullRecord(3) as schema v6 wrote it: the optimizer block still carries
+  // "learning" and "coeffs", decision inputs carry "gain"/"bias"/"samples",
+  // and every record has a resources block.
+  const std::string v6_body =
+      R"({"gen":3,"solution":"Delex","tag":"history-test","warmup":false,)"
+      R"("threads":4,"num_shards":2,"fast_path":true,"assignment":"ST,RU",)"
+      R"("pages":120,"pages_identical":80,"result_tuples":64,)"
+      R"("phases":{"match_us":1000,"extract_us":2000,"copy_us":300,)"
+      R"("opt_us":40,"capture_us":500,"total_us":4000,"others_us":160,)"
+      R"("phase_drift_us":7},"counters":{"demote_result_cache":1,)"
+      R"("demote_missing_group":2,"decode_copy_groups":3,)"
+      R"("reuse_corrupt_drops":4,"trace_dropped_events":5},)"
+      R"("optimizer":{"learning":true,"predicted_total_us":3900.5,)"
+      R"("cost_drift":0.125,"coeffs":[{"matcher":"ST","gain":1.25,)"
+      R"("bias":40.5,"drift":0.0625,"samples":12}],)"
+      R"("decisions":[{"unit":0,"winner":"ST","runner_up":"RU",)"
+      R"("margin_us":17.5,"candidates":{"DN":900,"UD":410,"ST":180.5,)"
+      R"("RU":198},"inputs":{"f":0.25,"m":120,"a":1.5,"l":640,"gain":1.25,)"
+      R"("bias":40.5,"samples":12,"history":3}}]},)"
+      R"("units":[{"matcher":"ST","predicted_us":180.5,"actual_us":200},)"
+      R"({"matcher":"RU","actual_us":350}],)"
+      R"("shards":[{"shard":0,"pages":70,"pages_identical":50,)"
+      R"("result_tuples":40,"total_us":2200,"reuse_corrupt_drops":4,)"
+      R"("assignment":"ST,RU","cost_drift":0.25},{"shard":1,"pages":50,)"
+      R"("pages_identical":30,"result_tuples":24,"total_us":1800,)"
+      R"("reuse_corrupt_drops":0}],)"
+      R"("resources":{"rss_bytes":4096,"vm_bytes":8192,"peak_rss_bytes":4096,)"
+      R"("tracked_bytes":100,"tracked_peak_bytes":200,"subsystems":[)"
+      R"({"tag":"snapshot","current_bytes":100,"peak_bytes":200}]}})";
+  HistoryRecord expected = FullRecord(3);
+  expected.has_resources = true;
+  expected.resources.rss_bytes = 4096;
+  expected.resources.vm_bytes = 8192;
+  expected.resources.peak_rss_bytes = 4096;
+  expected.resources.tracked_bytes = 100;
+  expected.resources.tracked_peak_bytes = 200;
+  expected.resources.subsystems.push_back({"snapshot", 100, 200});
+
+  // Every field the current schema keeps survives the parse: re-framing
+  // the parsed record gives exactly the line a current writer emits.
+  const std::string v6_line = FrameBody(v6_body);
+  HistoryRecord parsed;
+  ASSERT_TRUE(HistoryStore::ParseLine(v6_line, &parsed).ok());
+  EXPECT_EQ(HistoryStore::FormatLine(parsed),
+            HistoryStore::FormatLine(expected));
+
+  // A store holding the v6 line followed by a current one loads both.
+  fs::path dir = FreshDir("v6");
+  const std::string path = (dir / "history.jsonl").string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << v6_line << "\n" << HistoryStore::FormatLine(FullRecord(4)) << "\n";
+  }
+  std::vector<HistoryRecord> records;
+  HistoryLoadInfo info;
+  ASSERT_TRUE(HistoryStore::LoadFile(path, &records, &info).ok());
+  EXPECT_EQ(info.corrupt_dropped, 0);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(HistoryStore::FormatLine(records[0]),
+            HistoryStore::FormatLine(expected));
+  EXPECT_EQ(records[1].gen, 4);
+
+  // The offline reader answers over the mixed store.
+  for (const std::string& args :
+       {std::string("summary"), std::string("decisions"), std::string("diff")}) {
+    std::string cmd = std::string(DELEX_INSPECT_BIN) + " " + args + " " +
+                      path + (args == "decisions" ? " 3" : "") + " >/dev/null";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(HistoryStoreTest, RetentionCompactionDiscardsCorruptLines) {
   fs::path dir = FreshDir("retain-heal");
   std::string path = (dir / "history.jsonl").string();
@@ -428,18 +480,14 @@ TEST(HistoryEnv, KnobsReadFreshFromEnvironment) {
   {
     ScopedEnv history("DELEX_HISTORY", nullptr);
     ScopedEnv retain("DELEX_HISTORY_RETAIN", nullptr);
-    ScopedEnv audit("DELEX_DECISION_AUDIT", nullptr);
     EXPECT_TRUE(obs::HistoryEnabledFromEnv());
     EXPECT_EQ(obs::HistoryRetainFromEnv(), 0);
-    EXPECT_TRUE(obs::DecisionAuditEnabledFromEnv());
   }
   {
     ScopedEnv history("DELEX_HISTORY", "0");
     ScopedEnv retain("DELEX_HISTORY_RETAIN", "7");
-    ScopedEnv audit("DELEX_DECISION_AUDIT", "0");
     EXPECT_FALSE(obs::HistoryEnabledFromEnv());
     EXPECT_EQ(obs::HistoryRetainFromEnv(), 7);
-    EXPECT_FALSE(obs::DecisionAuditEnabledFromEnv());
   }
   {
     ScopedEnv retain("DELEX_HISTORY_RETAIN", "-3");

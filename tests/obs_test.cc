@@ -1287,7 +1287,6 @@ TEST(ExportTest, StatuszVarzAndHistoryEndpoints) {
   // Every operational knob appears, set or "(unset)".
   EXPECT_NE(statusz.find("DELEX_SHARDS"), std::string::npos);
   EXPECT_NE(statusz.find("DELEX_HISTORY_RETAIN"), std::string::npos);
-  EXPECT_NE(statusz.find("DELEX_DECISION_AUDIT"), std::string::npos);
   // The published last-generation summary and store path.
   EXPECT_NE(statusz.find(history_path), std::string::npos);
   EXPECT_NE(statusz.find("statusz-test"), std::string::npos);

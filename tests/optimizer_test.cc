@@ -1,12 +1,16 @@
 // Tests for the optimizer: chain structure, cost-model behaviour
 // (formulas (1)-(4)), Algorithm 1's restricted plan space and greedy
-// search, exhaustive enumeration, and statistics collection/averaging.
+// search, exhaustive enumeration, statistics collection/averaging, the
+// decision audit, and the cost drift the harness reports per run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/programs.h"
@@ -267,7 +271,6 @@ TEST(Optimizer, EndToEndChoosesReusefulPlanOnStableCorpus) {
 }
 
 TEST(Optimizer, ChooseAssignmentRecordsDecisionAudit) {
-  ::unsetenv("DELEX_DECISION_AUDIT");  // default-on
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
   profile.num_sources = 40;
@@ -319,21 +322,79 @@ TEST(Optimizer, ChooseAssignmentRecordsDecisionAudit) {
   }
 }
 
-TEST(Optimizer, DecisionAuditDisabledByEnv) {
-  ::setenv("DELEX_DECISION_AUDIT", "0", 1);
+TEST(CostDrift, MeanRelativeErrorOnlyWithPrediction) {
+  RunStats stats;
+  stats.units.resize(2);
+  stats.units[0].match_us = 50;
+  stats.units[0].extract_us = 150;  // measured 200 µs
+  stats.units[1].copy_us = 100;
+  stats.units[1].capture_us = 200;  // measured 300 µs
+  Result<double> drift = CostDrift({100, 300}, stats);
+  ASSERT_TRUE(drift.ok());
+  EXPECT_DOUBLE_EQ(*drift, (100.0 / 200 + 0.0 / 300) / 2);
+
+  // A run without a prediction reports a negative drift, not an error.
+  Result<double> none = CostDrift({}, stats);
+  ASSERT_TRUE(none.ok());
+  EXPECT_LT(*none, 0);
+}
+
+TEST(CostDrift, RejectsMismatchedUnitCount) {
+  RunStats stats;
+  stats.units.resize(3);
+  EXPECT_FALSE(CostDrift({1.0}, stats).ok());
+  EXPECT_FALSE(CostDrift({1.0, 2.0, 3.0, 4.0}, stats).ok());
+}
+
+/// Runs `solution` over `series` and returns what DescribeRun reported
+/// after each snapshot.
+std::vector<std::pair<obs::RunReportMeta, obs::OptimizerReport>> Describe(
+    Solution* solution, const std::vector<Snapshot>& series) {
+  std::vector<std::pair<obs::RunReportMeta, obs::OptimizerReport>> out;
+  const Snapshot* previous = nullptr;
+  for (const Snapshot& current : series) {
+    RunStats stats;
+    EXPECT_TRUE(solution->RunSnapshot(current, previous, &stats).ok());
+    previous = &current;
+    out.emplace_back();
+    solution->DescribeRun(&out.back().first, &out.back().second);
+  }
+  return out;
+}
+
+TEST(CostDrift, HarnessReportsDriftForPredictedRunsOnly) {
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
-  profile.num_sources = 30;
-  std::vector<Snapshot> series = GenerateSeries(profile, 2, 27);
-  auto analysis = AnalyzeUnits(spec.plan);
-  ASSERT_TRUE(analysis.ok());
-  Optimizer optimizer(spec.plan, *analysis);
-  ASSERT_TRUE(optimizer.ObserveSnapshotPair(series[1], series[0], 1).ok());
-  auto assignment = optimizer.ChooseAssignment();
-  ::unsetenv("DELEX_DECISION_AUDIT");
-  ASSERT_TRUE(assignment.ok());
-  EXPECT_FALSE(optimizer.LastAudit().valid);  // audit skipped, choice kept
-  EXPECT_FALSE(assignment->per_unit.empty());
+  profile.num_sources = 20;
+  std::vector<Snapshot> series = GenerateSeries(profile, 3, 99);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "delex-optimizer-drift")
+          .string();
+  for (int shards : {1, 2}) {
+    std::filesystem::remove_all(dir);
+    DelexSolutionOptions options;
+    options.num_shards = shards;
+    auto solution = MakeDelexSolution(spec, dir, options);
+    auto runs = Describe(solution.get(), series);
+    ASSERT_EQ(runs.size(), 3u);
+    // The warm-up has no prediction; every optimized run has one.
+    EXPECT_LT(runs[0].second.cost_drift, 0) << shards << " shards";
+    for (size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_GE(runs[i].second.cost_drift, 0) << shards << " shards";
+      // Sharded runs: each shard compares its own prediction with its own
+      // measured costs, and the merged drift is their mean.
+      const auto& shard_rows = runs[i].first.shards;
+      if (shard_rows.empty()) continue;
+      double drift_sum = 0;
+      for (const obs::RunReportMeta::ShardSummary& s : shard_rows) {
+        EXPECT_GE(s.cost_drift, 0) << "shard " << s.shard;
+        drift_sum += s.cost_drift;
+      }
+      EXPECT_DOUBLE_EQ(runs[i].second.cost_drift,
+                       drift_sum / static_cast<double>(shard_rows.size()));
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,9 +6,7 @@
 // order/did preservation; (2) merged result rows byte-identical (same
 // rows, same order — not canonicalized) to a single-engine run at every
 // shard count × pool width × fast-path setting; (3) per-shard reuse files
-// byte-identical to a single engine run over that shard's page subset;
-// (4) per-shard coefficient persistence: corrupting one shard's
-// coeffs.gen<N> degrades only that shard's learner.
+// byte-identical to a single engine run over that shard's page subset.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
-#include "optimizer/learned_coeffs.h"
 #include "shard/partition.h"
 #include "shard/sharded_engine.h"
 
@@ -280,107 +277,6 @@ TEST(ShardedEngineTest, ResumeContinuesEachShardAcrossProcesses) {
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_TRUE(ExactRows(reference.per_snapshot[2], *rows));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard coefficient persistence (harness layer)
-// ---------------------------------------------------------------------------
-
-/// The single coeffs.gen<N> path with the largest N in `dir`.
-std::string NewestCoeffFile(const std::string& dir) {
-  std::string best;
-  int best_gen = -1;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::string stem = entry.path().filename().string();
-    if (stem.rfind("coeffs.gen", 0) != 0) continue;
-    int gen = std::atoi(stem.c_str() + std::string("coeffs.gen").size());
-    if (gen > best_gen) {
-      best_gen = gen;
-      best = entry.path().string();
-    }
-  }
-  return best;
-}
-
-int64_t TotalSamples(const std::string& coeff_path) {
-  CoefficientLearner learner;
-  Status loaded = learner.Load(coeff_path);
-  if (!loaded.ok()) return -1;
-  int64_t total = 0;
-  for (MatcherKind kind : kAllMatcherKinds) {
-    total += learner.model(kind).samples;
-  }
-  return total;
-}
-
-TEST(ShardedCoefficientsTest, CorruptingOneShardDegradesOnlyThatShard) {
-  ProgramSpec spec = *MakeProgram("chair");
-  DatasetProfile profile = DatasetProfile::DBLife();
-  profile.num_sources = 30;
-  std::vector<Snapshot> series = GenerateSeries(profile, 5, /*seed=*/13);
-  const std::string dir = FreshDir("coeffs");
-  const int num_shards = 3;
-
-  DelexSolutionOptions options;
-  options.num_shards = num_shards;
-  options.num_threads = 2;
-
-  // Phase 1: four snapshots of learning; every shard persists its own
-  // coeffs.gen<N> in its own subdirectory.
-  {
-    auto solution = MakeDelexSolution(spec, dir, options);
-    const Snapshot* previous = nullptr;
-    for (size_t i = 0; i < 4; ++i) {
-      RunStats stats;
-      ASSERT_TRUE(solution->RunSnapshot(series[i], previous, &stats).ok());
-      previous = &series[i];
-    }
-  }
-  std::vector<int64_t> samples_before;
-  for (int k = 0; k < num_shards; ++k) {
-    std::string path = NewestCoeffFile(dir + "/shard" + std::to_string(k));
-    ASSERT_FALSE(path.empty()) << "shard " << k << " persisted no coeffs";
-    int64_t samples = TotalSamples(path);
-    ASSERT_GT(samples, 0) << path;
-    samples_before.push_back(samples);
-  }
-
-  // Corrupt shard 1's file: flip one payload digit, leave the checksum.
-  {
-    std::string path = NewestCoeffFile(dir + "/shard1");
-    std::string contents = ReadFileBytes(path);
-    size_t digit = contents.find_first_of("0123456789", contents.find('\n'));
-    ASSERT_NE(digit, std::string::npos);
-    contents[digit] = contents[digit] == '9' ? '8' : '9';
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << contents;
-  }
-
-  // Phase 2: a fresh solution over the same work dir. Shards 0 and 2
-  // resume their learned state and keep accumulating; shard 1 rejects the
-  // corrupt file and restarts from zero — one shard degraded, the rest
-  // untouched, and the run itself stays healthy.
-  {
-    auto solution = MakeDelexSolution(spec, dir, options);
-    RunStats stats;
-    ASSERT_TRUE(solution->RunSnapshot(series[3], nullptr, &stats).ok());
-    stats = RunStats();
-    ASSERT_TRUE(solution->RunSnapshot(series[4], &series[3], &stats).ok());
-  }
-  // Phase 2's fresh engine restarts the generation counter, so its one
-  // feedback run persisted coeffs.gen1 (the stale phase-1 coeffs.gen3 is
-  // still on disk) — read the new generation explicitly.
-  for (int k : {0, 2}) {
-    std::string path = dir + "/shard" + std::to_string(k) + "/coeffs.gen1";
-    EXPECT_GT(TotalSamples(path), samples_before[static_cast<size_t>(k)])
-        << "shard " << k << " did not resume its learned state";
-  }
-  std::string shard1 = dir + "/shard1/coeffs.gen1";
-  int64_t shard1_samples = TotalSamples(shard1);
-  ASSERT_GE(shard1_samples, 0) << shard1;
-  EXPECT_LT(shard1_samples, samples_before[1])
-      << "shard 1 should have restarted from zero after corruption";
-  fs::remove_all(dir);
 }
 
 }  // namespace
