@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
   profile.num_sources = pages;
   std::vector<Snapshot> series = GenerateSeries(profile, 2, 7);
   auto stats_or = CollectStats(spec.plan, analysis, series[1], series[0],
-                               StatsCollectorOptions(), 99);
+                               StatsCollectorOptions(), 99,
+                               /*pool=*/nullptr);
   if (!stats_or.ok()) {
     std::fprintf(stderr, "%s\n", stats_or.status().ToString().c_str());
     return 1;

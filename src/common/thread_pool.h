@@ -100,6 +100,19 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
+  /// Runs `task` under the pool's error contract: a throw becomes
+  /// Status::Internal. For tasks that report their status through their
+  /// own settle counter instead of Wait().
+  static Status RunTask(const std::function<Status()>& task) {
+    try {
+      return task();
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("task threw: ") + e.what());
+    } catch (...) {
+      return Status::Internal("task threw a non-std exception");
+    }
+  }
+
  private:
   /// Per queued task: the std::function shell plus deque slot — what the
   /// thread_pool subsystem actually buffers when submitters outrun it.
@@ -132,16 +145,6 @@ class ThreadPool {
         if (!status.ok() && first_error_.ok()) first_error_ = status;
         if (--pending_ == 0) done_cv_.NotifyAll();
       }
-    }
-  }
-
-  static Status RunTask(const std::function<Status()>& task) {
-    try {
-      return task();
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("task threw: ") + e.what());
-    } catch (...) {
-      return Status::Internal("task threw a non-std exception");
     }
   }
 

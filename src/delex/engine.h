@@ -119,6 +119,9 @@ class DelexEngine {
   /// Number of completed runs (also the reuse-file generation counter).
   int generation() const { return generation_; }
 
+  /// Effective worker count of a run (resolves num_threads == 0).
+  int EffectiveThreads() const;
+
   /// Resumes an interrupted stream: positions the engine as if
   /// `generation` runs had completed in this work_dir, so the next
   /// RunSnapshot consumes the reuse files that run left behind. Fails
@@ -130,9 +133,6 @@ class DelexEngine {
   struct PageReuse;
   struct PageSlot;
   struct RunState;
-
-  /// Effective worker count for this run (resolves num_threads == 0).
-  int EffectiveThreads() const;
 
   /// Drains each unit's reuse reader for `q_did` into `*reuse` (one
   /// forward seek per unit — §5.2). Must be called from the single reader

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 
 #include "baseline/plan_extractor.h"
 #include "baseline/runners.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "delex/engine.h"
 #include "obs/export.h"
 #include "obs/history.h"
@@ -158,9 +160,18 @@ class EngineSolution : public Solution {
         }
       } else {
         Stopwatch opt_watch;
-        DELEX_RETURN_NOT_OK(optimizer_->ObserveSnapshotPair(
-            current, *previous, /*seed=*/0xC0FFEE ^ static_cast<uint64_t>(
-                                             engine_->generation())));
+        {
+          // The sample runs on a pool as wide as the engine's, built for
+          // this call only: a pool kept across refreshes holds its idle
+          // workers' memory through the engine run.
+          std::unique_ptr<ThreadPool> pool;
+          const int width = engine_->EffectiveThreads();
+          if (width > 1) pool = std::make_unique<ThreadPool>(width);
+          DELEX_RETURN_NOT_OK(optimizer_->ObserveSnapshotPair(
+              current, *previous,
+              /*seed=*/0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()),
+              pool.get()));
+        }
         DELEX_ASSIGN_OR_RETURN(assignment, optimizer_->ChooseAssignment());
         opt_us = opt_watch.ElapsedMicros();
         DELEX_ASSIGN_OR_RETURN(std::vector<double> predicted,
@@ -277,9 +288,11 @@ class ShardedEngineSolution : public Solution {
         }
       } else {
         // Feed every shard's optimizer the sub-snapshot pair its engine
-        // will actually see. The split of `current` is cached and reused
-        // as the previous split on the next call (consecutive snapshots
-        // are the only legal pattern), saving one corpus copy per run.
+        // will actually see; each samples on the shared pool, which is
+        // idle until the engine runs. The split of `current` is cached and
+        // reused as the previous split on the next call (consecutive
+        // snapshots are the only legal pattern), saving one corpus copy
+        // per run.
         Stopwatch opt_watch;
         std::vector<Snapshot> prev_split;
         const std::vector<Snapshot>* prev_parts = nullptr;
@@ -298,7 +311,7 @@ class ShardedEngineSolution : public Solution {
               (static_cast<uint64_t>(k) * 0x9E3779B97F4A7C15ULL);
           DELEX_RETURN_NOT_OK(optimizer->ObserveSnapshotPair(
               cur_split[static_cast<size_t>(k)],
-              (*prev_parts)[static_cast<size_t>(k)], seed));
+              (*prev_parts)[static_cast<size_t>(k)], seed, engine_->pool()));
           DELEX_ASSIGN_OR_RETURN(assignments[static_cast<size_t>(k)],
                                  optimizer->ChooseAssignment());
           DELEX_ASSIGN_OR_RETURN(

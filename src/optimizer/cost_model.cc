@@ -70,10 +70,8 @@ namespace {
 /// Resolves what matcher an RU-assigned unit actually recycles: the
 /// nearest ST/UD unit *below* it in its own chain, else an eligible
 /// bottom unit of another chain (raw input + ST/UD), else none.
-MatcherKind ResolveRuSource(const CostModelStats& stats,
-                            const ChainStructure& chains,
+MatcherKind ResolveRuSource(const ChainStructure& chains,
                             const MatcherAssignment& assignment, int u) {
-  (void)stats;
   int c = chains.chain_of_unit[static_cast<size_t>(u)];
   int pos = chains.pos_in_chain[static_cast<size_t>(u)];
   const IEChain& chain = chains.chains[static_cast<size_t>(c)];
@@ -104,7 +102,7 @@ std::vector<double> EstimatePlanUnitCosts(const CostModelStats& stats,
     MatcherKind kind = assignment.per_unit[u];
     if (kind == MatcherKind::kRU) {
       MatcherKind source =
-          ResolveRuSource(stats, chains, assignment, static_cast<int>(u));
+          ResolveRuSource(chains, assignment, static_cast<int>(u));
       costs[u] = EstimateUnitCost(stats, static_cast<int>(u), source,
                                   /*ru_priced=*/true);
     } else {

@@ -30,14 +30,14 @@ Optimizer::Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
       chains_(ChainStructure::Build(plan_, analysis)) {}
 
 Status Optimizer::ObserveSnapshotPair(const Snapshot& current,
-                                      const Snapshot& previous,
-                                      uint64_t seed) {
+                                      const Snapshot& previous, uint64_t seed,
+                                      ThreadPool* pool) {
   DELEX_TRACE_SPAN("opt_observe_pair", static_cast<int64_t>(seed), "optimizer");
   obs::ScopedLatencyTimer latency(nullptr, ObserveHistogram());
   DELEX_ASSIGN_OR_RETURN(
       CostModelStats stats,
       CollectStats(plan_, analysis_, current, previous, options_.collector,
-                   seed));
+                   seed, pool));
   history_.push_back(std::move(stats));
   while (static_cast<int>(history_.size()) > options_.history_snapshots) {
     history_.pop_front();

@@ -6,10 +6,13 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "delex/region_derivation.h"
 #include "matcher/matcher.h"
+#include "obs/trace.h"
 
 namespace delex {
 namespace {
@@ -31,6 +34,22 @@ struct UnitAccumulator {
   std::array<int64_t, kNumMatcherKinds> copy_regions = {};
   std::array<int64_t, kNumMatcherKinds> matcher_calls = {};
   std::array<int64_t, kNumMatcherKinds> match_us = {};
+
+  void Add(const UnitAccumulator& other) {
+    input_tuples += other.input_tuples;
+    output_tuples += other.output_tuples;
+    total_region_len += other.total_region_len;
+    extract_chars += other.extract_chars;
+    extract_us += other.extract_us;
+    for (size_t mi = 0; mi < kNumMatcherKinds; ++mi) {
+      matched_inputs[mi] += other.matched_inputs[mi];
+      matched_len[mi] += other.matched_len[mi];
+      leftover_len[mi] += other.leftover_len[mi];
+      copy_regions[mi] += other.copy_regions[mi];
+      matcher_calls[mi] += other.matcher_calls[mi];
+      match_us[mi] += other.match_us[mi];
+    }
+  }
 };
 
 /// Per-unit input regions observed on one page.
@@ -194,7 +213,6 @@ void TrialMatch(const Page& p_page, const Page& q_page,
     if (exact != nullptr) {
       segments.push_back({MatchSegment(region, *exact), *exact, 0});
     } else if (kind == MatcherKind::kUD || kind == MatcherKind::kST) {
-      const Matcher& matcher = GetMatcher(kind);
       for (int64_t offset = 0;
            offset < static_cast<int64_t>(q_regions.size()) &&
            offset < max_candidates;
@@ -210,7 +228,6 @@ void TrialMatch(const Page& p_page, const Page& q_page,
                                     q_region, &ctx)) {
           segments.push_back({seg, q_region, 0});
         }
-        (void)matcher;
       }
     }
 
@@ -225,6 +242,46 @@ void TrialMatch(const Page& p_page, const Page& q_page,
   }
 }
 
+/// Walks one sampled page pair and trial-matches its regions into
+/// `accumulators`, the pair's own set. A walk reads nothing but page
+/// content, and the walk over the previous version accounts nothing, so
+/// when the truncated pages are byte-identical that walk would record
+/// exactly the new page's regions: it is skipped and those are reused.
+Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
+                   const Page& p_full, const Page& q_full,
+                   const StatsCollectorOptions& options,
+                   std::vector<UnitAccumulator>* accumulators) {
+  const size_t num_units = analysis.units.size();
+  Page p = TruncatePage(p_full, options.max_sample_bytes);
+  Page q = TruncatePage(q_full, options.max_sample_bytes);
+
+  PageObservation p_obs;
+  p_obs.unit_inputs.resize(num_units);
+  RecordingEvaluator p_eval(analysis, accumulators,
+                            /*account_extraction=*/true);
+  DELEX_RETURN_NOT_OK(p_eval.Eval(plan, p, &p_obs).status());
+  const bool identical = q.content == p.content;
+  PageObservation q_obs;
+  if (!identical) {
+    q_obs.unit_inputs.resize(num_units);
+    RecordingEvaluator q_eval(analysis, accumulators,
+                              /*account_extraction=*/false);
+    DELEX_RETURN_NOT_OK(q_eval.Eval(plan, q, &q_obs).status());
+  }
+  const PageObservation& q_seen = identical ? p_obs : q_obs;
+
+  for (size_t u = 0; u < num_units; ++u) {
+    const IEUnit& unit = analysis.units[u];
+    for (MatcherKind kind :
+         {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
+      TrialMatch(p, q, p_obs.unit_inputs[u], q_seen.unit_inputs[u], kind,
+                 unit.alpha, unit.beta, options.max_match_candidates,
+                 &(*accumulators)[u]);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
@@ -232,64 +289,83 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                                     const Snapshot& current,
                                     const Snapshot& previous,
                                     const StatsCollectorOptions& options,
-                                    uint64_t seed) {
+                                    uint64_t seed, ThreadPool* pool) {
   CostModelStats stats;
   const size_t num_units = analysis.units.size();
   stats.units.resize(num_units);
   stats.m = static_cast<double>(current.NumPages());
   stats.d_blocks = static_cast<double>(previous.TotalBlocks());
 
-  // f: exact URL overlap.
-  int64_t with_prev = 0;
-  std::vector<size_t> candidates;
+  // f: exact URL overlap. Candidates are (current, previous) page indexes.
+  std::vector<std::pair<size_t, size_t>> candidates;
   for (size_t i = 0; i < current.pages().size(); ++i) {
-    if (previous.FindByUrl(current.pages()[i].url)) {
-      ++with_prev;
-      candidates.push_back(i);
+    if (auto q_idx = previous.FindByUrl(current.pages()[i].url)) {
+      candidates.emplace_back(i, *q_idx);
     }
   }
   stats.f = current.NumPages() == 0
                 ? 0
-                : static_cast<double>(with_prev) /
+                : static_cast<double>(candidates.size()) /
                       static_cast<double>(current.NumPages());
 
   // Sample page pairs.
   Rng rng(seed);
-  std::vector<size_t> sample;
+  std::vector<std::pair<size_t, size_t>> sample;
   for (int draws = 0;
        draws < options.sample_pages && !candidates.empty();
        ++draws) {
     sample.push_back(candidates[rng.Uniform(candidates.size())]);
   }
 
-  std::vector<UnitAccumulator> accumulators(num_units);
-  for (size_t page_idx : sample) {
-    const Page& p_full = current.pages()[page_idx];
-    auto q_idx = previous.FindByUrl(p_full.url);
-    DELEX_CHECK(q_idx.has_value());
-    Page p = TruncatePage(p_full, options.max_sample_bytes);
-    Page q = TruncatePage(previous.pages()[*q_idx], options.max_sample_bytes);
-
-    PageObservation p_obs;
-    p_obs.unit_inputs.resize(num_units);
-    PageObservation q_obs;
-    q_obs.unit_inputs.resize(num_units);
-
-    RecordingEvaluator p_eval(analysis, &accumulators,
-                              /*account_extraction=*/true);
-    DELEX_RETURN_NOT_OK(p_eval.Eval(*plan, p, &p_obs).status());
-    RecordingEvaluator q_eval(analysis, &accumulators,
-                              /*account_extraction=*/false);
-    DELEX_RETURN_NOT_OK(q_eval.Eval(*plan, q, &q_obs).status());
-
-    for (size_t u = 0; u < num_units; ++u) {
-      const IEUnit& unit = analysis.units[u];
-      for (MatcherKind kind :
-           {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
-        TrialMatch(p, q, p_obs.unit_inputs[u], q_obs.unit_inputs[u], kind,
-                   unit.alpha, unit.beta, options.max_match_candidates,
-                   &accumulators[u]);
+  // One task per pair, each with its own accumulators, merged in sample
+  // order below.
+  std::vector<std::vector<UnitAccumulator>> pair_accumulators(
+      sample.size(), std::vector<UnitAccumulator>(num_units));
+  std::vector<Status> pair_status(sample.size());
+  auto observe = [&](size_t i) -> Status {
+    DELEX_TRACE_SPAN("opt_sample_pair", static_cast<int64_t>(i), "optimizer");
+    return ObservePair(*plan, analysis, current.pages()[sample[i].first],
+                       previous.pages()[sample[i].second], options,
+                       &pair_accumulators[i]);
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < sample.size(); ++i) pair_status[i] = observe(i);
+  } else {
+    // Settle on this call's own tasks rather than ThreadPool::Wait(): a
+    // shared pool keeps other work's sticky error, which Wait() would
+    // return here. At most one task per worker is outstanding, so a large
+    // sample never trips the pool's saturation warning.
+    Mutex mu("stats_collector.mu");
+    CondVar cv;
+    const size_t window = static_cast<size_t>(pool->num_threads());
+    size_t submitted = 0;  // guarded by mu
+    size_t finished = 0;   // guarded by mu
+    for (size_t i = 0; i < sample.size(); ++i) {
+      {
+        MutexLock lock(&mu);
+        while (submitted - finished >= window) cv.Wait(&mu);
+        ++submitted;
       }
+      pool->Submit([&, i]() -> Status {
+        Status status = ThreadPool::RunTask([&] { return observe(i); });
+        MutexLock lock(&mu);
+        pair_status[i] = std::move(status);
+        ++finished;
+        // Notify under the lock: the caller tears down mu and cv as soon
+        // as it sees the last task finish.
+        cv.NotifyAll();
+        return Status::OK();
+      });
+    }
+    MutexLock lock(&mu);
+    while (finished != submitted) cv.Wait(&mu);
+  }
+
+  std::vector<UnitAccumulator> accumulators(num_units);
+  for (size_t i = 0; i < sample.size(); ++i) {
+    DELEX_RETURN_NOT_OK(pair_status[i]);
+    for (size_t u = 0; u < num_units; ++u) {
+      accumulators[u].Add(pair_accumulators[i][u]);
     }
   }
 

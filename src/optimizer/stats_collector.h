@@ -11,6 +11,8 @@
 
 namespace delex {
 
+class ThreadPool;
+
 /// \brief Options for statistics estimation (§6.3: "we estimate the
 /// parameters using a small sample S of P_{n+1} as well as the past k
 /// snapshots").
@@ -33,13 +35,19 @@ struct StatsCollectorOptions {
 /// small sample of page pairs, timing every blackbox and trial-matching
 /// every region with each matcher, to estimate the Fig 7 parameters.
 ///
+/// Each sampled pair is one task on `pool`; with a null `pool` the same
+/// tasks run one after another on the calling thread. The sample draw and
+/// every count-derived statistic are the same either way; only the
+/// timer-derived µs-per-character figures can differ. The call waits for
+/// its own tasks only, so `pool` may be shared with other work.
+///
 /// The elapsed time of this call is the "Opt" component of Figure 11.
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                                     const UnitAnalysis& analysis,
                                     const Snapshot& current,
                                     const Snapshot& previous,
                                     const StatsCollectorOptions& options,
-                                    uint64_t seed);
+                                    uint64_t seed, ThreadPool* pool);
 
 /// \brief Element-wise average of per-snapshot statistics over a history
 /// window (the "number of snapshots" knob of Fig 13b).

@@ -78,6 +78,9 @@ class ShardedEngine {
   Status Init();
 
   int num_shards() const { return options_.num_shards; }
+  /// The shared worker pool (null before Init). It is idle between
+  /// RunSnapshot calls, when the per-shard optimizers sample on it.
+  ThreadPool* pool() const { return pool_.get(); }
   const xlog::PlanNodePtr& plan() const { return plan_; }
   /// Unit analysis (identical across shards — same plan).
   const UnitAnalysis& analysis() const;

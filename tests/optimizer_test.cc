@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
 #include "optimizer/optimizer.h"
@@ -219,7 +221,7 @@ TEST(StatsCollector, MeasuresPlausibleParameters) {
   StatsCollectorOptions options;
   options.sample_pages = 8;
   auto stats = CollectStats(spec.plan, *analysis, series[1], series[0],
-                            options, 1);
+                            options, 1, /*pool=*/nullptr);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_NEAR(stats->f, 1.0, 0.1);  // no churn in two snapshots at rate .003
   EXPECT_EQ(stats->m, 20);
@@ -235,6 +237,85 @@ TEST(StatsCollector, MeasuresPlausibleParameters) {
   }
   // On a mostly-identical corpus, matchers should find most content.
   EXPECT_LT(para.g[MatcherIndex(MatcherKind::kST)], 0.5);
+}
+
+/// Compares the count-derived statistics of two CollectStats calls; the
+/// µs-per-character fields come from timers and are left out.
+void ExpectSameCounts(const CostModelStats& a, const CostModelStats& b) {
+  EXPECT_EQ(a.f, b.f);
+  EXPECT_EQ(a.m, b.m);
+  EXPECT_EQ(a.d_blocks, b.d_blocks);
+  ASSERT_EQ(a.units.size(), b.units.size());
+  for (size_t u = 0; u < a.units.size(); ++u) {
+    SCOPED_TRACE("unit " + std::to_string(u));
+    const UnitCostStats& x = a.units[u];
+    const UnitCostStats& y = b.units[u];
+    EXPECT_EQ(x.a, y.a);
+    EXPECT_EQ(x.l, y.l);
+    EXPECT_EQ(x.g, y.g);
+    EXPECT_EQ(x.h, y.h);
+    EXPECT_EQ(x.s, y.s);
+    EXPECT_EQ(x.b_blocks, y.b_blocks);
+    EXPECT_EQ(x.c_blocks, y.c_blocks);
+  }
+}
+
+TEST(StatsCollector, PoolAndInlineAgree) {
+  // DBLife pairs are mostly byte-identical, Wikipedia pairs mostly not, so
+  // both the skipped and the full previous-version walk run here.
+  ThreadPool pool(4);
+  // A failed task nobody drained is the pool's business, not this call's.
+  pool.Submit([] { return Status::Internal("earlier task failed"); });
+  StatsCollectorOptions options;
+  options.sample_pages = 8;
+  for (const auto& [name, pages] :
+       {std::pair<std::string, int>{"chair", 40}, {"play", 12}}) {
+    SCOPED_TRACE(name);
+    ProgramSpec spec = *MakeProgram(name);
+    DatasetProfile profile = spec.Profile();
+    profile.num_sources = pages;
+    std::vector<Snapshot> series = GenerateSeries(profile, 2, 5);
+    auto analysis = AnalyzeUnits(spec.plan);
+    ASSERT_TRUE(analysis.ok());
+    auto inline_stats = CollectStats(spec.plan, *analysis, series[1],
+                                     series[0], options, 3, nullptr);
+    auto pooled_stats = CollectStats(spec.plan, *analysis, series[1],
+                                     series[0], options, 3, &pool);
+    ASSERT_TRUE(inline_stats.ok()) << inline_stats.status().ToString();
+    ASSERT_TRUE(pooled_stats.ok()) << pooled_stats.status().ToString();
+    ExpectSameCounts(*inline_stats, *pooled_stats);
+  }
+}
+
+TEST(StatsCollector, IdenticalPairWalksOnce) {
+  // Paired with itself, every sampled page is byte-identical to its
+  // previous version, so the root extractor sees each drawn page once.
+  ProgramSpec spec = *MakeProgram("chair");
+  DatasetProfile profile = spec.Profile();
+  profile.num_sources = 40;
+  Snapshot snapshot = GenerateSeries(profile, 1, 7)[0];
+  auto analysis = AnalyzeUnits(spec.plan);
+  ASSERT_TRUE(analysis.ok());
+  StatsCollectorOptions options;
+  options.sample_pages = 8;
+  const uint64_t seed = 11;
+
+  // CollectStats's draw: every page has a previous version.
+  Rng rng(seed);
+  int64_t expected_chars = 0;
+  for (int draw = 0; draw < options.sample_pages; ++draw) {
+    const Page& page = snapshot.pages()[rng.Uniform(snapshot.NumPages())];
+    expected_chars += std::min<int64_t>(
+        options.max_sample_bytes, static_cast<int64_t>(page.content.size()));
+  }
+
+  auto paragraph = spec.registry->Lookup("extractParagraph");
+  ASSERT_TRUE(paragraph.ok());
+  const int64_t before = (*paragraph)->stats().chars_processed;
+  auto stats = CollectStats(spec.plan, *analysis, snapshot, snapshot, options,
+                            seed, nullptr);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ((*paragraph)->stats().chars_processed - before, expected_chars);
 }
 
 TEST(StatsCollector, AverageIsElementwiseMean) {
@@ -255,8 +336,10 @@ TEST(Optimizer, EndToEndChoosesReusefulPlanOnStableCorpus) {
   ASSERT_TRUE(analysis.ok());
   Optimizer optimizer(spec.plan, *analysis);
   EXPECT_FALSE(optimizer.ChooseAssignment().ok());  // no stats yet
-  ASSERT_TRUE(optimizer.ObserveSnapshotPair(series[1], series[0], 1).ok());
-  ASSERT_TRUE(optimizer.ObserveSnapshotPair(series[2], series[1], 2).ok());
+  ASSERT_TRUE(
+      optimizer.ObserveSnapshotPair(series[1], series[0], 1, nullptr).ok());
+  ASSERT_TRUE(
+      optimizer.ObserveSnapshotPair(series[2], series[1], 2, nullptr).ok());
   auto assignment = optimizer.ChooseAssignment();
   ASSERT_TRUE(assignment.ok());
   // On a 97%-identical corpus the chosen plan must exploit reuse somehow —
@@ -279,7 +362,8 @@ TEST(Optimizer, ChooseAssignmentRecordsDecisionAudit) {
   ASSERT_TRUE(analysis.ok());
   Optimizer optimizer(spec.plan, *analysis);
   EXPECT_FALSE(optimizer.LastAudit().valid);  // no choice made yet
-  ASSERT_TRUE(optimizer.ObserveSnapshotPair(series[1], series[0], 1).ok());
+  ASSERT_TRUE(
+      optimizer.ObserveSnapshotPair(series[1], series[0], 1, nullptr).ok());
   auto assignment = optimizer.ChooseAssignment();
   ASSERT_TRUE(assignment.ok());
 
