@@ -8,6 +8,8 @@
 // violation: segments must be equal-length, in-bounds, byte-identical;
 // derived copy interiors and extraction regions must be monotone,
 // disjoint, and contained — the invariants Theorem 1's proof leans on.
+// Each segment set is derived twice: by the α + β rule, and by the tile
+// rule over a sentence splitter's tiles of the new region.
 
 #include <cstdint>
 #include <string>
@@ -16,6 +18,7 @@
 #include "common/span.h"
 #include "delex/paranoid.h"
 #include "delex/region_derivation.h"
+#include "extract/segment_extractor.h"
 #include "fuzz/fuzz_util.h"
 #include "matcher/matcher.h"
 
@@ -103,6 +106,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       PickRegion(static_cast<int64_t>(p_text.size()), &cursor);
   const int64_t alpha = cursor.Int(0, 12);
   const int64_t beta = cursor.Int(0, 12);
+  static const delex::SegmentExtractor kSentences(
+      "sentences", {.delimiter = ". ", .work_per_char = 0});
+  const std::vector<TextSpan> tiles = kSentences.Tiles(
+      std::string_view(p_text).substr(static_cast<size_t>(p_region.start),
+                                      static_cast<size_t>(p_region.length())),
+      p_region.start);
 
   MatchContext ctx;
   // RU last: it answers from what UD/ST recorded into the context, so the
@@ -121,8 +130,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       tagged.push_back({seg, q_region, /*old_tid=*/0});
     }
     RegionDerivation derivation =
-        DeriveRegionsTagged(p_region, std::move(tagged), alpha, beta);
+        DeriveRegionsTagged(p_region, tagged, alpha, beta);
     delex::paranoid::CheckDerivation(derivation, p_region);
+    RegionDerivation tiled =
+        DeriveRegionsTagged(p_region, std::move(tagged), alpha, beta, tiles);
+    delex::paranoid::CheckDerivation(tiled, p_region, tiles);
   }
   return 0;
 }

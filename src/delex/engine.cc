@@ -990,6 +990,10 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
 
     // ---- Matching: find reuse opportunities (§5.3). ----
     RegionDerivation derivation;
+    // The blackbox's tiles of this region, scanned only when a matcher
+    // found segments: with none, the residue is the whole region, which is
+    // also its one run.
+    std::vector<TextSpan> tiles;
     bool attempted_reuse = false;
     bool exact_hit = false;
     if (q_page != nullptr && !old_inputs.empty()) {
@@ -1085,10 +1089,13 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
         }
       }
       if (!exact_hit) {
+        if (!segments.empty()) tiles = extractor.Tiles(p_text, region.start);
         derivation = DeriveRegionsTagged(region, std::move(segments),
-                                         unit.alpha, unit.beta);
+                                         unit.alpha, unit.beta, tiles);
       }
-      if (paranoid::Enabled()) paranoid::CheckDerivation(derivation, region);
+      if (paranoid::Enabled()) {
+        paranoid::CheckDerivation(derivation, region, tiles);
+      }
     }
     if (!attempted_reuse) {
       derivation.extraction_regions = IntervalSet({region});
@@ -1139,12 +1146,13 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
           TextSpan envelope = SpanEnvelope(o);
           if (envelope.empty() && HasSpan(o)) continue;  // degenerate
           // Keep rule: the mention's beta-window must lie inside this
-          // sub-region; clipping is allowed only at true region edges
-          // (where the sub-region edge IS the region edge).
+          // sub-region; clipping is allowed only at true edges: the region
+          // edges, or for tiled derivations the run's own edges.
+          const TextSpan edges = tiles.empty() ? region : sub;
           TextSpan window(envelope.start - unit.beta,
                           envelope.end + unit.beta);
-          if (window.start < region.start) window.start = region.start;
-          if (window.end > region.end) window.end = region.end;
+          if (window.start < edges.start) window.start = edges.start;
+          if (window.end > edges.end) window.end = edges.end;
           if (!sub.Contains(window)) continue;
           // Suppression rule: copy-safe mentions were already copied.
           if (!envelope.empty() &&

@@ -45,7 +45,8 @@ void CheckSegments(std::string_view p_content, const TextSpan& p_region,
 }
 
 void CheckDerivation(const RegionDerivation& derivation,
-                     const TextSpan& p_region) {
+                     const TextSpan& p_region,
+                     const std::vector<TextSpan>& tiles) {
   TextSpan prev_copy(p_region.start - 1, p_region.start - 1);
   for (const CopyRegion& copy : derivation.copy_regions) {
     DELEX_CHECK_MSG(p_region.Contains(copy.p_interior),
@@ -71,6 +72,34 @@ void CheckDerivation(const RegionDerivation& derivation,
     DELEX_CHECK_MSG(p_region.Contains(safe),
                     "safe interior escapes region " << p_region << ": "
                                                     << safe);
+  }
+  if (tiles.empty()) return;
+
+  int64_t cursor = p_region.start;
+  std::vector<int64_t> boundaries = {cursor};
+  for (const TextSpan& tile : tiles) {
+    DELEX_CHECK_MSG(tile.start == cursor && !tile.empty(),
+                    "tiles do not partition " << p_region << ": " << tile
+                                              << " at " << cursor);
+    cursor = tile.end;
+    boundaries.push_back(cursor);
+  }
+  DELEX_CHECK_MSG(cursor == p_region.end,
+                  "tiles end at " << cursor << ", not at the end of "
+                                  << p_region);
+  for (const TextSpan& sub : derivation.extraction_regions.spans()) {
+    for (int64_t edge : {sub.start, sub.end}) {
+      DELEX_CHECK_MSG(
+          std::binary_search(boundaries.begin(), boundaries.end(), edge),
+          "extraction region " << sub << " ends mid-tile at " << edge);
+    }
+  }
+  for (const TextSpan& tile : tiles) {
+    // A tile that p_safe does not cover holds a residue character.
+    if (derivation.p_safe.ContainsWithinOne(tile)) continue;
+    DELEX_CHECK_MSG(derivation.extraction_regions.ContainsWithinOne(tile),
+                    "tile " << tile
+                            << " meets the residue but is not re-extracted");
   }
 }
 

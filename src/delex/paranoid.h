@@ -48,8 +48,13 @@ void CheckSegments(std::string_view p_content, const TextSpan& p_region,
 /// Region-derivation postcondition: copy interiors and extraction regions
 /// lie inside `p_region`; the p-side pieces are monotone and
 /// non-overlapping; each copy's p/q interiors agree through its delta.
+/// With the blackbox's `tiles` (a splitter unit), also: the tiles partition
+/// `p_region`, every extraction region starts and ends on a tile boundary,
+/// and every tile that meets the residue p_region \ p_safe lies inside an
+/// extraction region.
 void CheckDerivation(const RegionDerivation& derivation,
-                     const TextSpan& p_region);
+                     const TextSpan& p_region,
+                     const std::vector<TextSpan>& tiles = {});
 
 /// Copy-phase postcondition for one relocated mention: the shifted span
 /// envelope lies inside the copy's safe p-interior (hence inside the

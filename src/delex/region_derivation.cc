@@ -8,7 +8,8 @@ namespace delex {
 
 RegionDerivation DeriveRegionsTagged(const TextSpan& p_region,
                                      std::vector<TaggedSegment> segments,
-                                     int64_t alpha, int64_t beta) {
+                                     int64_t alpha, int64_t beta,
+                                     const std::vector<TextSpan>& tiles) {
   RegionDerivation out;
 
   // Clip segments to the regions (consistently on both sides), drop
@@ -72,21 +73,36 @@ RegionDerivation DeriveRegionsTagged(const TextSpan& p_region,
   }
 
   out.p_safe = IntervalSet(p_interiors);
-  out.extraction_regions =
-      out.p_safe.ComplementWithin(p_region).Expand(alpha + beta, p_region);
+  const IntervalSet residue = out.p_safe.ComplementWithin(p_region);
+  if (tiles.empty()) {
+    out.extraction_regions = residue.Expand(alpha + beta, p_region);
+    return out;
+  }
+  // Keep every tile that meets the residue; IntervalSet merges touching
+  // tiles into maximal runs.
+  std::vector<TextSpan> kept;
+  auto gap = residue.spans().begin();
+  const auto gaps_end = residue.spans().end();
+  for (const TextSpan& tile : tiles) {
+    while (gap != gaps_end && gap->end <= tile.start) ++gap;
+    if (gap == gaps_end) break;
+    if (gap->Overlaps(tile)) kept.push_back(tile);
+  }
+  out.extraction_regions = IntervalSet(std::move(kept));
   return out;
 }
 
 RegionDerivation DeriveRegions(const TextSpan& p_region,
                                const TextSpan& q_region,
                                const std::vector<MatchSegment>& segments,
-                               int64_t alpha, int64_t beta, int64_t old_tid) {
+                               int64_t alpha, int64_t beta,
+                               const std::vector<TextSpan>& tiles) {
   std::vector<TaggedSegment> tagged;
   tagged.reserve(segments.size());
   for (const MatchSegment& seg : segments) {
-    tagged.push_back({seg, q_region, old_tid});
+    tagged.push_back({seg, q_region, /*old_tid=*/0});
   }
-  return DeriveRegionsTagged(p_region, std::move(tagged), alpha, beta);
+  return DeriveRegionsTagged(p_region, std::move(tagged), alpha, beta, tiles);
 }
 
 bool EnvelopeCopyable(const CopyRegion& copy, const TextSpan& e_q,

@@ -38,7 +38,9 @@ struct RegionDerivation {
   /// against this set.
   IntervalSet p_safe;
 
-  /// Maximal sub-regions of the new input region to run the blackbox on.
+  /// Maximal sub-regions of the new input region to run the blackbox on:
+  /// the residue p_region \ p_safe expanded by α + β, or rounded out to
+  /// whole tiles for a blackbox that declares a splitter.
   IntervalSet extraction_regions;
 };
 
@@ -53,27 +55,36 @@ struct RegionDerivation {
 /// Equivalently: e must lie in the segment's interior shrunk by β on every
 /// non-edge-aligned side. Interiors are additionally shrunk by ≥1 so
 /// adjacent interiors never touch — a mention straddling two interiors
-/// must then cross uncovered ground and is guaranteed to be re-extracted.
+/// must then cross uncovered ground, the *residue* p_region \ p_safe, and
+/// is guaranteed to be re-extracted.
 ///
-/// Extraction regions are the complement of the interiors expanded by
-/// α + β: any non-copyable mention (length < α) has a character outside
-/// every interior, hence its whole β-window falls inside one expanded
-/// complement piece, where from-scratch extraction behaves exactly as on
-/// the full region.
+/// Extraction regions, without `tiles`: the residue expanded by α + β. Any
+/// non-copyable mention (length < α) has a character in the residue, hence
+/// its whole β-window falls inside one expanded residue piece, where
+/// from-scratch extraction behaves exactly as on the full region.
+///
+/// Extraction regions, with `tiles` (the blackbox's splitter,
+/// Extractor::Tiles, which must partition p_region): the maximal runs of
+/// consecutive tiles that meet the residue. Theorem 1 still holds: a
+/// non-copyable mention has a character in the residue and lies inside one
+/// tile, so that tile belongs to a run; Extract on the run returns exactly
+/// the full-region mentions inside it (split-correctness), so the mention
+/// is re-extracted once and nothing spurious is. A run edge is therefore a
+/// true edge, and the engine's keep rule clips β-windows to the run.
 ///
 /// Segments are clipped to the regions and made disjoint on the p side;
 /// non-equal-length segments are rejected by DELEX_CHECK.
 RegionDerivation DeriveRegionsTagged(const TextSpan& p_region,
                                      std::vector<TaggedSegment> segments,
-                                     int64_t alpha, int64_t beta);
+                                     int64_t alpha, int64_t beta,
+                                     const std::vector<TextSpan>& tiles = {});
 
-/// \brief Single-old-region convenience wrapper (used by tests and by the
-/// leaf-unit fast path).
+/// \brief Single-old-region convenience wrapper (used by tests).
 RegionDerivation DeriveRegions(const TextSpan& p_region,
                                const TextSpan& q_region,
                                const std::vector<MatchSegment>& segments,
                                int64_t alpha, int64_t beta,
-                               int64_t old_tid = 0);
+                               const std::vector<TextSpan>& tiles = {});
 
 /// \brief True iff the mention envelope `e_q` (old-page coordinates) is
 /// safely copyable through `copy`. Tuples without spans (empty envelope)

@@ -66,6 +66,28 @@ class Extractor {
   /// Context β in characters (Definition 3).
   virtual int64_t ContextWidth() const = 0;
 
+  /// The blackbox's splitter (Doleschal et al., "Split-Correctness in
+  /// Information Extraction"): the *tiles* of `region_text`, in absolute
+  /// page coordinates, or nothing when the blackbox declares no splitter
+  /// (the default).
+  ///
+  /// A declaring blackbox promises, for every region text:
+  ///  - the tiles are non-empty and partition the region, in order;
+  ///  - every output tuple's span envelope is non-empty and lies inside
+  ///    one tile;
+  ///  - Extract on any run of consecutive tiles returns exactly the
+  ///    full-region outputs whose envelopes lie inside that run.
+  ///
+  /// Delex then re-extracts only whole runs of tiles that an edit touches
+  /// instead of an α + β window around it (DeriveRegionsTagged). Tiling
+  /// must be cheap: it does no blackbox work.
+  virtual std::vector<TextSpan> Tiles(std::string_view region_text,
+                                      int64_t region_base) const {
+    (void)region_text;
+    (void)region_base;
+    return {};
+  }
+
   /// Number of output attributes (m in Definition 4).
   virtual int64_t OutputArity() const = 0;
 

@@ -13,9 +13,8 @@ struct SegmentOptions {
   /// "== " for wiki sections).
   std::string delimiter = "\n\n";
 
-  /// Only emit segments whose first characters start with this marker
-  /// (empty = all segments). Lets one blackbox pick out, say, abstract
-  /// paragraphs.
+  /// Only emit segments that start with this marker (empty = all
+  /// segments). Lets one blackbox pick out, say, abstract paragraphs.
   std::string required_prefix;
 
   /// Declared scope α: segments are emitted only if strictly shorter, so
@@ -23,8 +22,6 @@ struct SegmentOptions {
   /// α - 1 characters without hitting a delimiter is truncated to α - 1
   /// (the truncation decision only reads the segment body + β window).
   int64_t max_segment_length = 8192;
-
-  bool truncate_overlong = true;
 
   /// Calibrated per-character CPU cost (see BurnWork).
   int64_t work_per_char = 10;
@@ -43,12 +40,20 @@ struct SegmentOptions {
 /// delimiter immediately before a, the delimiter (or truncation rule)
 /// at b, and the absence of delimiters inside — all within the mention
 /// plus a delimiter-width window.
+///
+/// Split-correct for its own delimiter: each tile is a segment plus the
+/// delimiter after it, exactly as Extract's left-to-right scan finds them,
+/// and each emitted mention is decided by its tile alone. Extract on a run
+/// of consecutive tiles therefore re-finds the same tiles and emits the
+/// same mentions, even where delimiter characters repeat ("\n\n\n").
 class SegmentExtractor : public Extractor {
  public:
   SegmentExtractor(std::string name, SegmentOptions options = SegmentOptions());
 
   std::vector<Tuple> Extract(std::string_view region_text, int64_t region_base,
                              const Tuple& context) const override;
+  std::vector<TextSpan> Tiles(std::string_view region_text,
+                              int64_t region_base) const override;
   int64_t Scope() const override { return options_.max_segment_length; }
   // +1: the truncation decision ("no delimiter within the next α chars")
   // reads one character past the truncated mention's β-window.
@@ -59,6 +64,12 @@ class SegmentExtractor : public Extractor {
   const std::string& Name() const override { return name_; }
 
  private:
+  /// One step of the scan: the tile starting at `start` has the segment
+  /// [start, *segment_end) and ends at the returned offset (past the
+  /// delimiter, or at the end of `text`).
+  int64_t ScanTile(std::string_view text, int64_t start,
+                   int64_t* segment_end) const;
+
   std::string name_;
   SegmentOptions options_;
 };

@@ -177,11 +177,12 @@ Page TruncatePage(const Page& page, int64_t max_bytes) {
 }
 
 /// Trial-matches the sampled regions of one unit with one matcher kind,
-/// mirroring the engine's exact-content fast path and candidate policy.
+/// mirroring the engine's exact-content fast path, candidate policy and
+/// region derivation (tiles included).
 void TrialMatch(const Page& p_page, const Page& q_page,
                 const std::vector<TextSpan>& p_regions,
                 const std::vector<TextSpan>& q_regions, MatcherKind kind,
-                int64_t alpha, int64_t beta, int max_candidates,
+                const IEUnit& unit, int max_candidates,
                 UnitAccumulator* acc) {
   const size_t mi = MatcherIndex(kind);
   MatchContext ctx;
@@ -231,8 +232,12 @@ void TrialMatch(const Page& p_page, const Page& q_page,
       }
     }
 
-    RegionDerivation derivation =
-        DeriveRegionsTagged(region, std::move(segments), alpha, beta);
+    std::vector<TextSpan> tiles;
+    if (exact == nullptr && !segments.empty()) {
+      tiles = unit.ie_node->extractor->Tiles(p_text, region.start);
+    }
+    RegionDerivation derivation = DeriveRegionsTagged(
+        region, std::move(segments), unit.alpha, unit.beta, tiles);
     acc->match_us[mi] += watch.ElapsedMicros();
     ++acc->matched_inputs[mi];
     acc->matched_len[mi] += region.length();
@@ -275,8 +280,7 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
     for (MatcherKind kind :
          {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
       TrialMatch(p, q, p_obs.unit_inputs[u], q_seen.unit_inputs[u], kind,
-                 unit.alpha, unit.beta, options.max_match_candidates,
-                 &(*accumulators)[u]);
+                 unit, options.max_match_candidates, &(*accumulators)[u]);
     }
   }
   return Status::OK();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "delex/ie_unit.h"
 #include "delex/region_derivation.h"
 #include "harness/programs.h"
@@ -174,6 +177,44 @@ TEST(RegionDerivation, ExtractionExpandsComplementByAlphaPlusBeta) {
   EXPECT_EQ(d.extraction_regions.spans()[0], TextSpan(29, 71));
 }
 
+TEST(RegionDerivation, TilesRoundResidueToWholeRuns) {
+  std::vector<MatchSegment> segments = {{TextSpan(0, 40), TextSpan(0, 40)},
+                                        {TextSpan(50, 80), TextSpan(50, 80)},
+                                        {TextSpan(85, 100), TextSpan(85, 100)}};
+  const std::vector<TextSpan> tiles = {{0, 10},  {10, 30}, {30, 45},
+                                       {45, 50}, {50, 70}, {70, 75},
+                                       {75, 90}, {90, 100}};
+  RegionDerivation untiled =
+      DeriveRegions(TextSpan(0, 100), TextSpan(0, 100), segments, 7, 2);
+  RegionDerivation tiled =
+      DeriveRegions(TextSpan(0, 100), TextSpan(0, 100), segments, 7, 2, tiles);
+  // Interiors [0,38), [52,78), [87,100): the residue is [38,52) and
+  // [78,87). Tiles [30,45), [45,50) and [50,70) meet the first gap and
+  // merge into one run; [75,90) meets the second. [70,75) lies inside an
+  // interior, so the runs stay apart.
+  EXPECT_EQ(tiled.extraction_regions.spans(),
+            (std::vector<TextSpan>{{30, 70}, {75, 90}}));
+  // The α + β rule reads [29,61) and [69,96) instead.
+  EXPECT_EQ(untiled.extraction_regions.spans(),
+            (std::vector<TextSpan>{{29, 61}, {69, 96}}));
+  // Tiles change only where extraction runs, never what is copied.
+  EXPECT_EQ(tiled.p_safe.spans(), untiled.p_safe.spans());
+  ASSERT_EQ(tiled.copy_regions.size(), untiled.copy_regions.size());
+  for (size_t i = 0; i < tiled.copy_regions.size(); ++i) {
+    EXPECT_EQ(tiled.copy_regions[i].q_interior,
+              untiled.copy_regions[i].q_interior);
+  }
+
+  // No residue, no run; a residue everywhere is one run over every tile.
+  std::vector<MatchSegment> full = {{TextSpan(0, 100), TextSpan(0, 100)}};
+  EXPECT_TRUE(DeriveRegions(TextSpan(0, 100), TextSpan(0, 100), full, 7, 2,
+                            tiles)
+                  .extraction_regions.Empty());
+  EXPECT_EQ(DeriveRegions(TextSpan(0, 100), TextSpan(0, 100), {}, 7, 2, tiles)
+                .extraction_regions.spans(),
+            (std::vector<TextSpan>{{0, 100}}));
+}
+
 TEST(RegionDerivation, OverlappingSegmentsMadeDisjoint) {
   std::vector<MatchSegment> segments = {{TextSpan(0, 50), TextSpan(0, 50)},
                                         {TextSpan(40, 90), TextSpan(45, 95)}};
@@ -208,22 +249,28 @@ TEST(RegionDerivation, EnvelopeCopyableChecksInterior) {
 /// interior or inside an extraction region — no mention can fall through.
 class DerivationCoverage : public ::testing::TestWithParam<uint64_t> {};
 
+/// Ordered, gapped matches of p [0,500) against q [0,480).
+std::vector<MatchSegment> RandomSegments(Rng* rng) {
+  std::vector<MatchSegment> segments;
+  int64_t p_cursor = rng->UniformRange(0, 60);
+  int64_t q_cursor = rng->UniformRange(0, 60);
+  while (p_cursor < 480 && q_cursor < 460) {
+    int64_t len = rng->UniformRange(5, 80);
+    len = std::min({len, 500 - p_cursor, 480 - q_cursor});
+    segments.emplace_back(TextSpan(p_cursor, p_cursor + len),
+                          TextSpan(q_cursor, q_cursor + len));
+    p_cursor += len + rng->UniformRange(0, 50);
+    q_cursor += len + rng->UniformRange(0, 50);
+  }
+  return segments;
+}
+
 TEST_P(DerivationCoverage, InteriorsAndExtractionCoverRegion) {
   Rng rng(GetParam());
   for (int round = 0; round < 50; ++round) {
     TextSpan p_region(0, 500);
     TextSpan q_region(0, 480);
-    std::vector<MatchSegment> segments;
-    int64_t p_cursor = rng.UniformRange(0, 60);
-    int64_t q_cursor = rng.UniformRange(0, 60);
-    while (p_cursor < 480 && q_cursor < 460) {
-      int64_t len = rng.UniformRange(5, 80);
-      len = std::min({len, 500 - p_cursor, 480 - q_cursor});
-      segments.emplace_back(TextSpan(p_cursor, p_cursor + len),
-                            TextSpan(q_cursor, q_cursor + len));
-      p_cursor += len + rng.UniformRange(0, 50);
-      q_cursor += len + rng.UniformRange(0, 50);
-    }
+    std::vector<MatchSegment> segments = RandomSegments(&rng);
     int64_t alpha = rng.UniformRange(2, 40);
     int64_t beta = rng.UniformRange(0, 8);
     RegionDerivation d =
@@ -243,6 +290,51 @@ TEST_P(DerivationCoverage, InteriorsAndExtractionCoverRegion) {
       EXPECT_TRUE(d.extraction_regions.ContainsWithinOne(window))
           << "mention " << mention.ToString() << " (alpha " << alpha
           << ", beta " << beta << ") neither copyable nor extractable";
+    }
+  }
+}
+
+/// Property, tiled: every extraction region starts and ends on a tile
+/// boundary, contains every tile that meets the residue and no tile that
+/// does not — so a mention inside one tile is either copy-safe or inside
+/// an extraction region.
+TEST_P(DerivationCoverage, TiledRunsCoverEveryTileMeetingTheResidue) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 50; ++round) {
+    TextSpan p_region(0, 500);
+    TextSpan q_region(0, 480);
+    std::vector<MatchSegment> segments = RandomSegments(&rng);
+    std::vector<TextSpan> tiles;
+    std::set<int64_t> boundaries = {0};
+    for (int64_t start = 0; start < 500;) {
+      const int64_t end =
+          std::min<int64_t>(500, start + rng.UniformRange(1, 60));
+      tiles.emplace_back(start, end);
+      boundaries.insert(end);
+      start = end;
+    }
+    const int64_t alpha = rng.UniformRange(2, 40);
+    const int64_t beta = rng.UniformRange(0, 8);
+    RegionDerivation d =
+        DeriveRegions(p_region, q_region, segments, alpha, beta, tiles);
+
+    for (const TextSpan& sub : d.extraction_regions.spans()) {
+      EXPECT_TRUE(boundaries.contains(sub.start)) << sub;
+      EXPECT_TRUE(boundaries.contains(sub.end)) << sub;
+    }
+    const IntervalSet residue = d.p_safe.ComplementWithin(p_region);
+    for (const TextSpan& tile : tiles) {
+      bool meets = false;
+      for (const TextSpan& gap : residue.spans()) meets |= gap.Overlaps(tile);
+      EXPECT_EQ(d.extraction_regions.ContainsWithinOne(tile), meets)
+          << "tile " << tile << (meets ? " meets" : " misses")
+          << " the residue";
+      // A hypothetical mention inside this tile: copied or re-extracted.
+      const int64_t start = rng.UniformRange(tile.start, tile.end - 1);
+      const TextSpan mention(start, rng.UniformRange(start + 1, tile.end));
+      EXPECT_TRUE(d.p_safe.ContainsWithinOne(mention) ||
+                  d.extraction_regions.ContainsWithinOne(mention))
+          << "mention " << mention << " neither copyable nor extractable";
     }
   }
 }

@@ -169,6 +169,123 @@ TEST(SegmentExtractor, RequiredPrefixFilters) {
   ASSERT_EQ(out.size(), 2u);
 }
 
+TEST(SegmentExtractor, RequiredPrefixReadsOnlyTheSegment) {
+  SegmentOptions opts;
+  opts.delimiter = "\n\n";
+  opts.required_prefix = "a\n\nb";
+  opts.work_per_char = 0;
+  SegmentExtractor seg("s", opts);
+  // The segment "a" does not start with the prefix; the bytes after its
+  // delimiter belong to the next tile and must not decide it.
+  EXPECT_TRUE(seg.Extract("a\n\nb", 0, {}).empty());
+}
+
+TEST(SegmentExtractor, TilesAreSegmentsWithTheirDelimiters) {
+  SegmentOptions opts;
+  opts.delimiter = "\n\n";
+  opts.work_per_char = 0;
+  SegmentExtractor seg("s", opts);
+  EXPECT_EQ(seg.Tiles("one\n\n\ntwo\n\n", 100),
+            (std::vector<TextSpan>{{100, 105}, {105, 111}}));
+  EXPECT_TRUE(seg.Tiles("", 100).empty());
+}
+
+/// Split-correctness (Doleschal et al.): the tiles partition the text, and
+/// Extract on every run of consecutive tiles returns exactly the
+/// whole-text mentions inside that run. The alphabet is dense in delimiter
+/// characters, so delimiter runs, segments ≥ α and delimiters at the first
+/// and last byte all occur; the test counts them to show they did.
+struct SplitCase {
+  std::string name;
+  std::string delimiter;
+  std::string required_prefix;
+  std::string delimiter_run;  ///< a repeat the texts must contain
+};
+
+class SegmentSplitCorrectness : public ::testing::TestWithParam<SplitCase> {};
+
+std::vector<TextSpan> MentionSpans(const std::vector<Tuple>& tuples) {
+  std::vector<TextSpan> spans;
+  for (const Tuple& t : tuples) spans.push_back(std::get<TextSpan>(t[0]));
+  return spans;
+}
+
+TEST_P(SegmentSplitCorrectness, RunsOfTilesExtractTheWholeTextMentions) {
+  const SplitCase& test_case = GetParam();
+  const std::string& delim = test_case.delimiter;
+  SegmentOptions opts;
+  opts.delimiter = delim;
+  opts.required_prefix = test_case.required_prefix;
+  opts.max_segment_length = 8;
+  opts.work_per_char = 0;
+  SegmentExtractor seg("s", opts);
+  const std::string alphabet = "ab\n\n\n. . ";
+  const int64_t base = 1000;
+  Rng rng(4242);
+
+  int delimiter_runs = 0, overlong = 0, leading = 0, trailing = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::string text;
+    const int64_t len = rng.UniformRange(0, 48);
+    for (int64_t i = 0; i < len; ++i) {
+      text.push_back(alphabet[rng.Uniform(alphabet.size())]);
+    }
+    delimiter_runs += text.find(test_case.delimiter_run) != std::string::npos;
+    leading += text.starts_with(delim);
+    trailing += text.ends_with(delim);
+
+    const std::vector<TextSpan> tiles = seg.Tiles(text, base);
+    int64_t cursor = base;
+    for (const TextSpan& tile : tiles) {
+      ASSERT_EQ(tile.start, cursor)
+          << "text " << ::testing::PrintToString(text);
+      ASSERT_FALSE(tile.empty());
+      cursor = tile.end;
+      std::string_view tile_text = std::string_view(text).substr(
+          static_cast<size_t>(tile.start - base),
+          static_cast<size_t>(tile.length()));
+      const int64_t segment_length =
+          tile.length() -
+          (tile_text.ends_with(delim) ? static_cast<int64_t>(delim.size())
+                                      : 0);
+      overlong += segment_length >= opts.max_segment_length;
+    }
+    ASSERT_EQ(cursor, base + static_cast<int64_t>(text.size()));
+
+    const std::vector<TextSpan> whole =
+        MentionSpans(seg.Extract(text, base, {}));
+    for (size_t i = 0; i < tiles.size(); ++i) {
+      for (size_t j = i; j < tiles.size(); ++j) {
+        const TextSpan run(tiles[i].start, tiles[j].end);
+        std::vector<TextSpan> expected;
+        for (const TextSpan& m : whole) {
+          if (run.Contains(m)) expected.push_back(m);
+        }
+        std::string_view run_text = std::string_view(text).substr(
+            static_cast<size_t>(run.start - base),
+            static_cast<size_t>(run.length()));
+        ASSERT_EQ(MentionSpans(seg.Extract(run_text, run.start, {})),
+                  expected)
+            << "run " << run << " of text "
+            << ::testing::PrintToString(text);
+      }
+    }
+  }
+  EXPECT_GT(delimiter_runs, 0);
+  EXPECT_GT(overlong, 0);
+  EXPECT_GT(leading, 0);
+  EXPECT_GT(trailing, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Delimiters, SegmentSplitCorrectness,
+    ::testing::Values(SplitCase{"paragraphs", "\n\n", "", "\n\n\n\n\n"},
+                      SplitCase{"sentences", ". ", "", ". . "},
+                      SplitCase{"prefixed_paragraphs", "\n\n", "a", "\n\n\n"}),
+    [](const ::testing::TestParamInfo<SplitCase>& info) {
+      return info.param.name;
+    });
+
 // ---------------------------------------------------------------------------
 // PairExtractor
 

@@ -14,6 +14,7 @@
 #include "delex/engine.h"
 #include "delex/paranoid.h"
 #include "delex/region_derivation.h"
+#include "extract/segment_extractor.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
 #include "matcher/matcher.h"
@@ -164,6 +165,41 @@ TEST(ParanoidTest, CheckDerivationAcceptsDerivedRegions) {
   RegionDerivation derivation =
       DeriveRegionsTagged(p_region, std::move(tagged), /*alpha=*/4, /*beta=*/2);
   paranoid::CheckDerivation(derivation, p_region);  // no abort
+}
+
+TEST(ParanoidTest, CheckDerivationAcceptsTiledRegions) {
+  const std::string q =
+      "one two three.\n\nfour five six.\n\nseven eight nine.\n\nten.";
+  std::string p = q;
+  p.replace(p.find("five"), 4, "FIVE");
+  const TextSpan p_region(0, static_cast<int64_t>(p.size()));
+  const TextSpan q_region(0, static_cast<int64_t>(q.size()));
+  SegmentOptions options;
+  options.work_per_char = 0;
+  SegmentExtractor paragraphs("p", options);
+  std::vector<TextSpan> tiles = paragraphs.Tiles(p, 0);
+  // The bytes around the edit match in place.
+  const int64_t edit = static_cast<int64_t>(p.find("FIVE"));
+  std::vector<TaggedSegment> tagged = {
+      {MatchSegment(TextSpan(0, edit), TextSpan(0, edit)), q_region, 0},
+      {MatchSegment(TextSpan(edit + 4, p_region.end),
+                    TextSpan(edit + 4, q_region.end)),
+       q_region, 0}};
+  RegionDerivation derivation = DeriveRegionsTagged(
+      p_region, std::move(tagged), paragraphs.Scope(),
+      paragraphs.ContextWidth(), tiles);
+  // Only the edited paragraph is re-extracted.
+  EXPECT_EQ(derivation.extraction_regions.spans(),
+            (std::vector<TextSpan>{tiles[1]}));
+  paranoid::CheckDerivation(derivation, p_region, tiles);  // no abort
+}
+
+TEST(ParanoidDeathTest, CheckDerivationFiresOnRunEndingMidTile) {
+  RegionDerivation bogus;
+  bogus.extraction_regions = IntervalSet({TextSpan(10, 25)});
+  const std::vector<TextSpan> tiles = {{0, 10}, {10, 20}, {20, 30}};
+  EXPECT_DEATH(paranoid::CheckDerivation(bogus, TextSpan(0, 30), tiles),
+               "ends mid-tile");
 }
 
 TEST(ParanoidDeathTest, CheckDerivationFiresOnOverlappingInteriors) {
