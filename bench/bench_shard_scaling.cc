@@ -18,7 +18,10 @@
 // experiment. `results_match` asserts the merged sharded output was
 // byte-identical (same rows, same order) to the unsharded run at the
 // same pool width; it is checked at every scale because it is the whole
-// point of the partitioning invariants.
+// point of the partitioning invariants. `peak_bytes_per_page` divides the
+// run's peak bytes of the `snapshot` and `shard` MemTags, and of the RSS
+// no tag accounts for, by the pages of one snapshot (informational, not
+// gated).
 
 #include <cstdio>
 #include <string>
@@ -29,6 +32,7 @@
 #include "common/stopwatch.h"
 #include "delex/ie_unit.h"
 #include "obs/histogram.h"
+#include "obs/mem.h"
 #include "shard/sharded_engine.h"
 
 namespace delex {
@@ -161,8 +165,23 @@ void Main() {
       std::fflush(stdout);
     }
   }
-  std::printf("\n  ],\n  \"peak_rss_bytes\": %lld\n}\n",
-              static_cast<long long>(PeakRssBytes()));
+  // Peak bytes per page of one snapshot, over the whole grid: the text of
+  // the snapshots held at once, the shard layer's own state, and the RSS
+  // that no MemTag accounts for.
+  const obs::ResourceUsage usage = obs::CollectResourceUsage();
+  auto tag_peak = [&usage](obs::MemTag tag) {
+    return usage.subsystems[static_cast<size_t>(tag)].peak_bytes;
+  };
+  auto per_page = [pages](int64_t bytes) {
+    return pages > 0 ? static_cast<double>(bytes) / pages : 0.0;
+  };
+  std::printf("\n  ],\n  \"peak_rss_bytes\": %lld,\n"
+              "  \"peak_bytes_per_page\": {\"snapshot\": %.1f, "
+              "\"shard\": %.1f, \"untracked\": %.1f}\n}\n",
+              static_cast<long long>(usage.peak_rss_bytes),
+              per_page(tag_peak(obs::MemTag::kSnapshot)),
+              per_page(tag_peak(obs::MemTag::kShard)),
+              per_page(usage.peak_rss_bytes - usage.tracked_peak_bytes));
 }
 
 }  // namespace

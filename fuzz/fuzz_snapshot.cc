@@ -2,12 +2,14 @@
 //
 // Snapshots come off disk in bench/CI replay flows; ReadSnapshot must
 // reject arbitrary bytes with a Status. An accepted snapshot must be
-// internally consistent: dense dids, every page findable by url, and a
-// write/read round trip that preserves page count and bytes.
+// internally consistent: every page findable by url, every digest equal
+// to Fnv1a64 of its content (ReadSnapshot computes them in one batch),
+// and a write/read round trip that preserves page count and bytes.
 
 #include <cstdint>
 #include <string>
 
+#include "common/hash.h"
 #include "fuzz/fuzz_util.h"
 #include "storage/snapshot.h"
 
@@ -26,6 +28,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (const delex::Page& page : snapshot->pages()) {
     auto idx = snapshot->FindByUrl(page.url);
     if (!idx.has_value()) __builtin_trap();
+    if (page.content_hash != delex::Fnv1a64(page.content)) __builtin_trap();
   }
 
   const std::string copy = delex::fuzz::ScratchDir() + "/snapshot_copy.bin";

@@ -26,6 +26,35 @@ bool GetFixed64(std::string_view data, size_t* offset, uint64_t* v) {
   return true;
 }
 
+/// A string value's length and body, the kind byte already consumed.
+Status GetStringBody(std::string_view data, size_t* offset,
+                     std::string_view* body) {
+  uint64_t length = 0;
+  if (!GetFixed64(data, offset, &length)) {
+    return Status::Corruption("value: truncated string length");
+  }
+  // Overflow-safe form: `*offset + length` wraps for a corrupt length near
+  // UINT64_MAX and would pass the naive comparison.
+  if (length > data.size() - *offset) {
+    return Status::Corruption("value: truncated string body");
+  }
+  *body = data.substr(*offset, length);
+  *offset += length;
+  return Status::OK();
+}
+
+/// Consumes the kind byte, which must be `kind`.
+Status ExpectKind(std::string_view data, size_t* offset, ValueKind kind) {
+  if (*offset >= data.size()) {
+    return Status::Corruption("value: truncated kind byte");
+  }
+  if (data[*offset] != static_cast<char>(kind)) {
+    return Status::Corruption("value: unexpected kind tag");
+  }
+  ++*offset;
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeValue(const Value& value, std::string* out) {
@@ -83,17 +112,9 @@ Result<Value> DecodeValue(std::string_view data, size_t* offset) {
       }
       return Value(data[(*offset)++] != 0);
     case ValueKind::kString: {
-      if (!GetFixed64(data, offset, &raw)) {
-        return Status::Corruption("value: truncated string length");
-      }
-      // Overflow-safe form: `*offset + raw` wraps for a corrupt length
-      // near UINT64_MAX and would pass the naive comparison.
-      if (raw > data.size() - *offset) {
-        return Status::Corruption("value: truncated string body");
-      }
-      std::string s(data.substr(*offset, raw));
-      *offset += raw;
-      return Value(std::move(s));
+      std::string_view body;
+      DELEX_RETURN_NOT_OK(GetStringBody(data, offset, &body));
+      return Value(std::string(body));
     }
     case ValueKind::kSpan: {
       uint64_t start = 0;
@@ -108,10 +129,7 @@ Result<Value> DecodeValue(std::string_view data, size_t* offset) {
 }
 
 Result<Tuple> DecodeTuple(std::string_view data, size_t* offset) {
-  uint64_t count = 0;
-  if (!GetFixed64(data, offset, &count)) {
-    return Status::Corruption("tuple: truncated count");
-  }
+  DELEX_ASSIGN_OR_RETURN(uint64_t count, DecodeTupleCount(data, offset));
   Tuple tuple;
   // The count is untrusted: every value costs at least one encoded byte,
   // so clamp the reservation to the bytes actually present — a corrupt
@@ -123,6 +141,31 @@ Result<Tuple> DecodeTuple(std::string_view data, size_t* offset) {
     tuple.push_back(std::move(v));
   }
   return tuple;
+}
+
+Result<uint64_t> DecodeTupleCount(std::string_view data, size_t* offset) {
+  uint64_t count = 0;
+  if (!GetFixed64(data, offset, &count)) {
+    return Status::Corruption("tuple: truncated count");
+  }
+  return count;
+}
+
+Result<int64_t> DecodeInt64(std::string_view data, size_t* offset) {
+  DELEX_RETURN_NOT_OK(ExpectKind(data, offset, ValueKind::kInt64));
+  uint64_t raw = 0;
+  if (!GetFixed64(data, offset, &raw)) {
+    return Status::Corruption("value: truncated int64");
+  }
+  return static_cast<int64_t>(raw);
+}
+
+Result<std::string_view> DecodeStringView(std::string_view data,
+                                          size_t* offset) {
+  DELEX_RETURN_NOT_OK(ExpectKind(data, offset, ValueKind::kString));
+  std::string_view body;
+  DELEX_RETURN_NOT_OK(GetStringBody(data, offset, &body));
+  return body;
 }
 
 void ShiftSpans(Tuple* tuple, int64_t delta) {

@@ -43,6 +43,16 @@ Result<Value> DecodeValue(std::string_view data, size_t* offset);
 /// \brief Decodes a count-prefixed tuple from `data` starting at `*offset`.
 Result<Tuple> DecodeTuple(std::string_view data, size_t* offset);
 
+/// \brief DecodeTuple's steps one at a time, for a decoder that knows its
+/// record's shape and builds no Tuple: the count prefix, then values of an
+/// expected kind. Each advances `*offset` and makes DecodeValue's bounds
+/// checks; another kind tag is Corruption too. A decoded string is a view
+/// into `data`.
+Result<uint64_t> DecodeTupleCount(std::string_view data, size_t* offset);
+Result<int64_t> DecodeInt64(std::string_view data, size_t* offset);
+Result<std::string_view> DecodeStringView(std::string_view data,
+                                          size_t* offset);
+
 /// \brief Shifts every TextSpan value in `tuple` by `delta` characters.
 ///
 /// This is the relocation step of mention copying: a tuple recorded against

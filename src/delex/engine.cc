@@ -565,7 +565,7 @@ Status DelexEngine::RunPagesParallel(int num_threads,
 }
 
 Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
-    const Snapshot& current, const Snapshot* previous,
+    const SnapshotView& current, const Snapshot* previous,
     const MatcherAssignment& assignment, RunStats* stats) {
   if (!initialized_) return Status::InvalidArgument("call Init() first");
   if (previous != nullptr && generation_ == 0) {
@@ -622,9 +622,9 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
 
   // Stage 0: lay out one slot per page, resolving each page's previous
   // version. Workers only ever touch their own slot.
-  std::vector<PageSlot> slots(current.pages().size());
-  for (size_t i = 0; i < current.pages().size(); ++i) {
-    const Page& page = current.pages()[i];
+  std::vector<PageSlot> slots(current.NumPages());
+  for (size_t i = 0; i < current.NumPages(); ++i) {
+    const Page& page = current.page(i);
     PageSlot& slot = slots[i];
     slot.page = &page;
     if (previous != nullptr) {

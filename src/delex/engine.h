@@ -105,13 +105,16 @@ class DelexEngine {
   const UnitAnalysis& analysis() const { return analysis_; }
   size_t NumUnits() const { return analysis_.units.size(); }
 
-  /// Executes the plan over `current`. `previous` is the prior snapshot
-  /// (null for the first run — everything extracts from scratch but
-  /// results are still captured). `assignment` maps each IE unit to a
+  /// Executes the plan over `current`: a whole snapshot, or one shard's
+  /// view of it. `previous` is the whole prior snapshot (null for the
+  /// first run — everything extracts from scratch but results are still
+  /// captured); each page's previous version is looked up there by URL.
+  /// For a shard that finds exactly the shard's own previous pages, since
+  /// a URL never changes shard. `assignment` maps each IE unit to a
   /// matcher; it is ignored when `previous` is null.
   ///
   /// Returns the result tuples, each prefixed with the page's did.
-  Result<std::vector<Tuple>> RunSnapshot(const Snapshot& current,
+  Result<std::vector<Tuple>> RunSnapshot(const SnapshotView& current,
                                          const Snapshot* previous,
                                          const MatcherAssignment& assignment,
                                          RunStats* stats);

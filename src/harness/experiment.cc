@@ -237,8 +237,9 @@ class EngineSolution : public Solution {
 
 /// Delex over a shard::ShardedEngine: pages hash-partitioned into N
 /// engine shards on one shared pool, with one optimizer PER SHARD. Each
-/// shard observes its own sub-snapshot pair, picks its own assignment,
-/// and reports its own prediction error against its own measured costs.
+/// shard observes its own pages of the snapshot pair, picks its own
+/// assignment, and reports its own prediction error against its own
+/// measured costs.
 class ShardedEngineSolution : public Solution {
  public:
   ShardedEngineSolution(std::string name, xlog::PlanNodePtr plan,
@@ -287,31 +288,22 @@ class ShardedEngineSolution : public Solution {
           a = options_.forced_assignment;
         }
       } else {
-        // Feed every shard's optimizer the sub-snapshot pair its engine
-        // will actually see; each samples on the shared pool, which is
-        // idle until the engine runs. The split of `current` is cached and
-        // reused as the previous split on the next call (consecutive
-        // snapshots are the only legal pattern), saving one corpus copy
-        // per run.
+        // Feed every shard's optimizer the pages its engine will actually
+        // see, routed the way the engine routes them; each samples on the
+        // shared pool, which is idle until the engine runs.
         Stopwatch opt_watch;
-        std::vector<Snapshot> prev_split;
-        const std::vector<Snapshot>* prev_parts = nullptr;
-        if (previous == last_split_source_) {
-          prev_parts = &last_split_;
-        } else {
-          prev_split = shard::SplitSnapshot(*previous, num_shards);
-          prev_parts = &prev_split;
-        }
-        std::vector<Snapshot> cur_split =
-            shard::SplitSnapshot(current, num_shards);
+        const std::vector<SnapshotView> cur_routes =
+            shard::RouteSnapshot(current, num_shards);
+        const std::vector<SnapshotView> prev_routes =
+            shard::RouteSnapshot(*previous, num_shards);
         for (int k = 0; k < num_shards; ++k) {
           Optimizer* optimizer = optimizers_[static_cast<size_t>(k)].get();
           const uint64_t seed =
               0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()) ^
               (static_cast<uint64_t>(k) * 0x9E3779B97F4A7C15ULL);
           DELEX_RETURN_NOT_OK(optimizer->ObserveSnapshotPair(
-              cur_split[static_cast<size_t>(k)],
-              (*prev_parts)[static_cast<size_t>(k)], seed, engine_->pool()));
+              cur_routes[static_cast<size_t>(k)],
+              prev_routes[static_cast<size_t>(k)], seed, engine_->pool()));
           DELEX_ASSIGN_OR_RETURN(assignments[static_cast<size_t>(k)],
                                  optimizer->ChooseAssignment());
           DELEX_ASSIGN_OR_RETURN(
@@ -319,8 +311,6 @@ class ShardedEngineSolution : public Solution {
               optimizer->EstimatePerUnitCost(
                   assignments[static_cast<size_t>(k)]));
         }
-        last_split_ = std::move(cur_split);
-        last_split_source_ = &current;
         opt_us = opt_watch.ElapsedMicros();
       }
     }
@@ -427,8 +417,6 @@ class ShardedEngineSolution : public Solution {
   std::vector<std::unique_ptr<Optimizer>> optimizers_;  // one per shard
   std::vector<MatcherAssignment> last_assignments_;
   shard::ShardedEngine::ShardRunStats last_shard_stats_;
-  std::vector<Snapshot> last_split_;
-  const Snapshot* last_split_source_ = nullptr;
   std::vector<std::vector<double>> shard_predicted_unit_us_;  // per shard
   bool last_had_previous_ = false;
 };

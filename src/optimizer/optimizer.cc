@@ -29,9 +29,9 @@ Optimizer::Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
       options_(options),
       chains_(ChainStructure::Build(plan_, analysis)) {}
 
-Status Optimizer::ObserveSnapshotPair(const Snapshot& current,
-                                      const Snapshot& previous, uint64_t seed,
-                                      ThreadPool* pool) {
+Status Optimizer::ObserveSnapshotPair(const SnapshotView& current,
+                                      const SnapshotView& previous,
+                                      uint64_t seed, ThreadPool* pool) {
   DELEX_TRACE_SPAN("opt_observe_pair", static_cast<int64_t>(seed), "optimizer");
   obs::ScopedLatencyTimer latency(nullptr, ObserveHistogram());
   DELEX_ASSIGN_OR_RETURN(

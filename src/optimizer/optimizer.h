@@ -27,12 +27,14 @@ class Optimizer {
   Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis)
       : Optimizer(std::move(plan), analysis, Options()) {}
 
-  /// Samples the incoming pair, pushes the measurement into the history
-  /// window. The sampled page pairs run as tasks on `pool`, or on the
-  /// calling thread when it is null (see CollectStats). The elapsed time
-  /// of this call is the run's "Opt" phase.
-  Status ObserveSnapshotPair(const Snapshot& current, const Snapshot& previous,
-                             uint64_t seed, ThreadPool* pool);
+  /// Samples the incoming pair (two whole snapshots, or one shard's views
+  /// of them), pushes the measurement into the history window. The sampled
+  /// page pairs run as tasks on `pool`, or on the calling thread when it
+  /// is null (see CollectStats). The elapsed time of this call is the
+  /// run's "Opt" phase.
+  Status ObserveSnapshotPair(const SnapshotView& current,
+                             const SnapshotView& previous, uint64_t seed,
+                             ThreadPool* pool);
 
   /// Algorithm 1 over the averaged statistics. Requires at least one
   /// ObserveSnapshotPair.

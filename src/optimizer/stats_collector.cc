@@ -290,8 +290,8 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
 
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                                     const UnitAnalysis& analysis,
-                                    const Snapshot& current,
-                                    const Snapshot& previous,
+                                    const SnapshotView& current,
+                                    const SnapshotView& previous,
                                     const StatsCollectorOptions& options,
                                     uint64_t seed, ThreadPool* pool) {
   CostModelStats stats;
@@ -300,10 +300,11 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
   stats.m = static_cast<double>(current.NumPages());
   stats.d_blocks = static_cast<double>(previous.TotalBlocks());
 
-  // f: exact URL overlap. Candidates are (current, previous) page indexes.
+  // f: exact URL overlap. Candidates are (index in the `current` view,
+  // index in the whole previous snapshot).
   std::vector<std::pair<size_t, size_t>> candidates;
-  for (size_t i = 0; i < current.pages().size(); ++i) {
-    if (auto q_idx = previous.FindByUrl(current.pages()[i].url)) {
+  for (size_t i = 0; i < current.NumPages(); ++i) {
+    if (auto q_idx = previous.snapshot().FindByUrl(current.page(i).url)) {
       candidates.emplace_back(i, *q_idx);
     }
   }
@@ -328,8 +329,8 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
   std::vector<Status> pair_status(sample.size());
   auto observe = [&](size_t i) -> Status {
     DELEX_TRACE_SPAN("opt_sample_pair", static_cast<int64_t>(i), "optimizer");
-    return ObservePair(*plan, analysis, current.pages()[sample[i].first],
-                       previous.pages()[sample[i].second], options,
+    return ObservePair(*plan, analysis, current.page(sample[i].first),
+                       previous.snapshot().pages()[sample[i].second], options,
                        &pair_accumulators[i]);
   };
   if (pool == nullptr) {

@@ -35,6 +35,12 @@ struct StatsCollectorOptions {
 /// small sample of page pairs, timing every blackbox and trial-matching
 /// every region with each matcher, to estimate the Fig 7 parameters.
 ///
+/// `current` and `previous` are whole snapshots or one shard's views of
+/// them. m counts the pages of `current`, d_blocks the content of
+/// `previous`, and f the pages of `current` whose URL is in
+/// `previous.snapshot()`; a shard's previous versions are all in its own
+/// view, since a URL never changes shard.
+///
 /// Each sampled pair is one task on `pool`; with a null `pool` the same
 /// tasks run one after another on the calling thread. The sample draw and
 /// every count-derived statistic are the same either way; only the
@@ -44,8 +50,8 @@ struct StatsCollectorOptions {
 /// The elapsed time of this call is the "Opt" component of Figure 11.
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                                     const UnitAnalysis& analysis,
-                                    const Snapshot& current,
-                                    const Snapshot& previous,
+                                    const SnapshotView& current,
+                                    const SnapshotView& previous,
                                     const StatsCollectorOptions& options,
                                     uint64_t seed, ThreadPool* pool);
 

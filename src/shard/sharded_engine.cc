@@ -122,21 +122,14 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
   DELEX_TRACE_SPAN("sharded_run_snapshot", generation());
   Stopwatch total_watch;
 
-  // Route pages to shards. The split of the last `current` is cached as
-  // this run's previous split when the caller feeds consecutive snapshots
-  // (the engine's only legal pattern) — one corpus copy saved per run,
-  // which matters at the 1M-page profile.
-  std::vector<Snapshot> fresh_prev_split;
-  const std::vector<Snapshot>* prev_split = nullptr;
-  if (previous != nullptr) {
-    if (previous == last_split_source_) {
-      prev_split = &last_split_;
-    } else {
-      fresh_prev_split = SplitSnapshot(*previous, options_.num_shards);
-      prev_split = &fresh_prev_split;
-    }
-  }
-  std::vector<Snapshot> cur_split = SplitSnapshot(current, options_.num_shards);
+  // Route pages to shards: one index list per shard, no page copied.
+  // `previous` is not routed: each shard looks its pages' previous
+  // versions up in the whole previous snapshot (partition invariant 1).
+  const std::vector<SnapshotView> routes =
+      RouteSnapshot(current, options_.num_shards);
+  obs::ScopedMemCharge route_mem(
+      obs::MemTag::kShard,
+      static_cast<int64_t>(current.NumPages() * sizeof(size_t)));
 
   // One driver thread per shard: drivers run the reader-prefetch and
   // ordered write-back stages (I/O-bound); all page evaluation funnels
@@ -149,12 +142,10 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
     std::vector<std::thread> drivers;
     drivers.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-      drivers.emplace_back([this, k, &cur_split, prev_split, &assignments,
+      drivers.emplace_back([this, k, &routes, previous, &assignments,
                             &shard_rows, &per_shard, &shard_seconds] {
         Stopwatch watch;
-        const Snapshot* prev_k =
-            prev_split != nullptr ? &(*prev_split)[k] : nullptr;
-        shard_rows[k] = shards_[k]->RunSnapshot(cur_split[k], prev_k,
+        shard_rows[k] = shards_[k]->RunSnapshot(routes[k], previous,
                                                 assignments[k], &per_shard[k]);
         shard_seconds[k] = watch.ElapsedSeconds();
       });
@@ -186,14 +177,22 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
   // Shard-layer overhead accounting: during the merge both the per-shard
   // row vectors and the merged buffer exist (row payloads move, the
   // vector shells don't) — the transient that makes sharded peaks exceed
-  // unsharded ones. Split-snapshot text itself is charged to `snapshot`.
+  // unsharded ones. Page text is never copied; it stays charged to
+  // `snapshot`.
+  std::vector<uint32_t> shard_of_page(current.NumPages());
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i : routes[k].indexes()) {
+      shard_of_page[i] = static_cast<uint32_t>(k);
+    }
+  }
   obs::ScopedMemCharge merge_mem(
       obs::MemTag::kShard,
-      static_cast<int64_t>(2 * total_rows * sizeof(Tuple)));
+      static_cast<int64_t>(2 * total_rows * sizeof(Tuple) +
+                           shard_of_page.size() * sizeof(uint32_t)));
   merged_rows.reserve(total_rows);
-  for (const Page& page : current.pages()) {
-    const size_t k = static_cast<size_t>(
-        ShardOfUrl(page.url, options_.num_shards));
+  for (size_t i = 0; i < current.NumPages(); ++i) {
+    const Page& page = current.pages()[i];
+    const size_t k = shard_of_page[i];
     while (cursor[k] < rows[k].size() &&
            std::get<int64_t>(rows[k][cursor[k]][0]) == page.did) {
       merged_rows.push_back(std::move(rows[k][cursor[k]]));
@@ -226,7 +225,7 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
     PublishShardStats(static_cast<int>(k), per_shard[k], gen);
     obs::MetricsRegistry::Global()
         .GetGauge("mem.shard.snapshot_bytes#shard=" + std::to_string(k))
-        ->Set(cur_split[k].TotalBytes());
+        ->Set(routes[k].TotalBytes());
   }
   {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -240,8 +239,6 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
     shard_stats->per_shard = std::move(per_shard);
     shard_stats->shard_seconds = std::move(shard_seconds);
   }
-  last_split_ = std::move(cur_split);
-  last_split_source_ = &current;
   if (stats != nullptr) {
     stats->phases.total_us = total_watch.ElapsedMicros();
     stats->phases.FinalizeDrift();

@@ -115,12 +115,6 @@ class ShardedEngine {
   bool initialized_ = false;
   std::unique_ptr<ThreadPool> pool_;  // the one shared worker pool
   std::vector<std::unique_ptr<DelexEngine>> shards_;
-
-  // Split of the last `current` snapshot, reused as the previous split
-  // when the caller feeds consecutive snapshots (the only legal pattern):
-  // saves one full corpus copy per run at 1M-page scale.
-  std::vector<Snapshot> last_split_;
-  const Snapshot* last_split_source_ = nullptr;
 };
 
 /// \brief Differential oracle leg for sharding (DELEX_PARANOID tooling):

@@ -120,6 +120,13 @@ Status RecordReader::FillBuffer(size_t need) {
 }
 
 Status RecordReader::Next(std::string* record, bool* at_end) {
+  std::string_view view;
+  DELEX_RETURN_NOT_OK(NextView(&view, at_end));
+  if (!*at_end) record->assign(view);
+  return Status::OK();
+}
+
+Status RecordReader::NextView(std::string_view* record, bool* at_end) {
   if (file_ == nullptr) return Status::InvalidArgument("reader not open");
   *at_end = false;
   if (buffer_.size() - buffer_pos_ < 8) {
@@ -148,7 +155,7 @@ Status RecordReader::Next(std::string* record, bool* at_end) {
       return Status::Corruption("truncated record body in " + path_);
     }
   }
-  record->assign(buffer_, buffer_pos_ + 8, length);
+  *record = std::string_view(buffer_.data() + buffer_pos_ + 8, length);
   buffer_pos_ += 8 + length;
   ++stats_.records_read;
   return Status::OK();

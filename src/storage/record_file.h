@@ -86,6 +86,11 @@ class RecordReader {
   /// exhausted (then `*record` is untouched).
   Status Next(std::string* record, bool* at_end);
 
+  /// Next without the copy: `*record` views the reader's own buffer and
+  /// stays valid until the next call on this reader. Same length cap and
+  /// truncation checks as Next.
+  Status NextView(std::string_view* record, bool* at_end);
+
   Status Close();
 
   bool IsOpen() const { return file_ != nullptr; }

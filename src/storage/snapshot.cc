@@ -1,5 +1,7 @@
 #include "storage/snapshot.h"
 
+#include <numeric>
+
 #include "common/hash.h"
 #include "common/value.h"
 #include "storage/record_file.h"
@@ -10,6 +12,25 @@ namespace {
 int64_t PageFootprint(const Page& page) {
   return static_cast<int64_t>(sizeof(Page) + page.url.size() +
                               page.content.size());
+}
+
+/// Decodes one page record, the EncodeTuple form of {did, url, content},
+/// where it lies. DecodeTuple's checks, plus the shape: three fields of
+/// kinds int64, string, string. The two strings are copied once, into
+/// `page`.
+Status DecodePage(std::string_view record, Page* page) {
+  size_t offset = 0;
+  DELEX_ASSIGN_OR_RETURN(uint64_t count, DecodeTupleCount(record, &offset));
+  if (count != 3) return Status::Corruption("bad page record");
+  DELEX_ASSIGN_OR_RETURN(int64_t did, DecodeInt64(record, &offset));
+  DELEX_ASSIGN_OR_RETURN(std::string_view url,
+                         DecodeStringView(record, &offset));
+  DELEX_ASSIGN_OR_RETURN(std::string_view content,
+                         DecodeStringView(record, &offset));
+  page->did = did;
+  page->url.assign(url);
+  page->content.assign(content);
+  return Status::OK();
 }
 }  // namespace
 
@@ -45,14 +66,37 @@ std::optional<size_t> Snapshot::FindByUrl(const std::string& url) const {
 }
 
 void Snapshot::ReindexUrls() {
+  std::vector<std::string_view> contents;
+  contents.reserve(pages_.size());
+  for (const Page& page : pages_) contents.push_back(page.content);
+  std::vector<uint64_t> digests(pages_.size());
+  Fnv1a64Batch(contents, digests);
   by_url_.clear();
+  by_url_.reserve(pages_.size());
   int64_t footprint = 0;
   for (size_t i = 0; i < pages_.size(); ++i) {
     by_url_[pages_[i].url] = i;
-    pages_[i].content_hash = Fnv1a64(pages_[i].content);
+    pages_[i].content_hash = digests[i];
     footprint += PageFootprint(pages_[i]);
   }
   mem_.Set(footprint);
+}
+
+SnapshotView::SnapshotView(const Snapshot& snapshot)
+    : snapshot_(&snapshot), indexes_(snapshot.NumPages()) {
+  std::iota(indexes_.begin(), indexes_.end(), size_t{0});
+}
+
+SnapshotView::SnapshotView(const Snapshot& snapshot,
+                           std::vector<size_t> indexes)
+    : snapshot_(&snapshot), indexes_(std::move(indexes)) {}
+
+int64_t SnapshotView::TotalBytes() const {
+  int64_t total = 0;
+  for (size_t i : indexes_) {
+    total += static_cast<int64_t>(snapshot_->pages()[i].content.size());
+  }
+  return total;
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path,
@@ -74,26 +118,16 @@ Result<Snapshot> ReadSnapshot(const std::string& path, IoStats* stats) {
   RecordReader reader;
   DELEX_RETURN_NOT_OK(reader.Open(path));
   Snapshot snapshot;
-  std::string record;
+  std::vector<Page>& pages = snapshot.mutable_pages();
   while (true) {
+    std::string_view record;
     bool at_end = false;
-    DELEX_RETURN_NOT_OK(reader.Next(&record, &at_end));
+    DELEX_RETURN_NOT_OK(reader.NextView(&record, &at_end));
     if (at_end) break;
-    size_t offset = 0;
-    DELEX_ASSIGN_OR_RETURN(Tuple tuple, DecodeTuple(record, &offset));
-    // Shape *and* kind checks: a corrupt record whose count survived can
-    // still carry the wrong value kinds, and std::get on the wrong
-    // alternative throws instead of returning a Status.
-    if (tuple.size() != 3 || !std::holds_alternative<int64_t>(tuple[0]) ||
-        !std::holds_alternative<std::string>(tuple[1]) ||
-        !std::holds_alternative<std::string>(tuple[2])) {
-      return Status::Corruption("bad page record");
-    }
-    Page& page = snapshot.AddPage(std::move(std::get<std::string>(tuple[1])),
-                                  std::move(std::get<std::string>(tuple[2])));
-    page.did = std::get<int64_t>(tuple[0]);
+    DELEX_RETURN_NOT_OK(DecodePage(record, &pages.emplace_back()));
   }
   DELEX_RETURN_NOT_OK(reader.Close());
+  snapshot.ReindexUrls();
   if (stats != nullptr) *stats += reader.stats();
   return snapshot;
 }

@@ -19,11 +19,16 @@ namespace delex {
 /// URL in different snapshots generally have different dids.
 ///
 /// `content_hash` is the FNV-1a digest of `content`, computed once when
-/// the page enters a Snapshot (AddPage / ReadSnapshot). The engine's
-/// whole-page fast path compares digests of consecutive versions of a URL
-/// before falling back to a byte compare, so the 96–98 % of DBLife pages
-/// that are byte-identical between snapshots are detected in O(1) per
-/// page pair instead of O(page) hashing on every run.
+/// the page enters a Snapshot: by AddPage for one page, and for a whole
+/// snapshot at once (Fnv1a64Batch) by ReadSnapshot and ReindexUrls. The
+/// engine's whole-page fast path compares digests of consecutive versions
+/// of a URL before falling back to a byte compare, so the 96–98 % of
+/// DBLife pages that are byte-identical between snapshots are detected in
+/// O(1) per page pair instead of O(page) hashing on every run. The digest
+/// is also an on-disk value: `.idx` entries and result caches guard on it.
+///
+/// A page owns its text. Shards do not copy pages; they index them
+/// (SnapshotView).
 struct Page {
   int64_t did = 0;
   std::string url;
@@ -45,11 +50,12 @@ class Snapshot {
   Page& AddPage(std::string url, std::string content);
 
   /// Appends a verbatim copy of `page`, keeping its did and content hash.
-  /// The shard router uses this to build per-shard sub-snapshots that
-  /// carry *global* dids: reuse files only require dids to be monotone in
-  /// append order, and a hash-partitioned subsequence of an ordered
-  /// snapshot stays ordered — so per-shard output rows come out carrying
-  /// the same dids an unsharded run would assign.
+  /// A subsequence of a did-ordered snapshot built this way is itself a
+  /// valid snapshot with the original dids: reuse files only require dids
+  /// to be monotone in append order. Shards do not use it (they are
+  /// SnapshotViews); it serves callers that need a standalone
+  /// sub-snapshot, such as refresh_bench's one-page reference runs and
+  /// tests that copy a shard's pages out.
   Page& AddExistingPage(const Page& page);
 
   const std::vector<Page>& pages() const { return pages_; }
@@ -64,7 +70,7 @@ class Snapshot {
   std::optional<size_t> FindByUrl(const std::string& url) const;
 
   /// Rebuilds the url index and page content digests (call after mutating
-  /// pages in place).
+  /// pages in place). The digests take one Fnv1a64Batch pass.
   void ReindexUrls();
 
  private:
@@ -77,11 +83,47 @@ class Snapshot {
   std::unordered_map<std::string, size_t> by_url_;
 };
 
+/// \brief Some of one snapshot's pages, by index, in snapshot order.
+///
+/// A shard's share of a snapshot: the pages stay where they are, and the
+/// view lists their indexes. The snapshot must outlive the view.
+class SnapshotView {
+ public:
+  /// Every page of `snapshot`. Implicit: a snapshot is the view of all of
+  /// its pages, so whole-snapshot callers pass a Snapshot unchanged.
+  SnapshotView(const Snapshot& snapshot);  // NOLINT(runtime/explicit)
+  SnapshotView(Snapshot&&) = delete;  // would dangle
+
+  /// The pages of `snapshot` at `indexes`, which must ascend.
+  SnapshotView(const Snapshot& snapshot, std::vector<size_t> indexes);
+
+  const Snapshot& snapshot() const { return *snapshot_; }
+  size_t NumPages() const { return indexes_.size(); }
+  /// The view's `i`-th page.
+  const Page& page(size_t i) const { return snapshot_->pages()[indexes_[i]]; }
+  /// Snapshot index of each page of the view.
+  const std::vector<size_t>& indexes() const { return indexes_; }
+
+  /// Content bytes and blocks of the view's pages alone.
+  int64_t TotalBytes() const;
+  int64_t TotalBlocks() const { return (TotalBytes() + kBlockSize - 1) / kBlockSize; }
+
+ private:
+  const Snapshot* snapshot_;
+  std::vector<size_t> indexes_;
+};
+
 /// \brief Writes a snapshot to a record file at `path`.
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path,
                      IoStats* stats = nullptr);
 
 /// \brief Reads a snapshot back from `path`.
+///
+/// Each record is decoded where the reader buffered it, with the checks of
+/// DecodeTuple and the page shape ({int64 did, string url, string
+/// content}); its two strings are copied once, into the Page. Any
+/// malformed record fails the read with Status::Corruption. Digests are
+/// computed after the last record, for all pages in one batch.
 Result<Snapshot> ReadSnapshot(const std::string& path, IoStats* stats = nullptr);
 
 }  // namespace delex

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/span.h"
@@ -222,6 +226,66 @@ TEST(Hash, Fnv1aBasics) {
   EXPECT_NE(Fnv1a64("abc"), Fnv1a64("abd"));
   EXPECT_NE(Fnv1a64(""), Fnv1a64("a"));
   EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
+}
+
+TEST(Hash, Fnv1aMatchesPublishedVectors) {
+  // The digest is an on-disk value (`.idx` entries, result caches), so it
+  // is pinned to the published FNV-1a 64 test vectors, not just to itself.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+/// Fnv1a64Batch over `inputs` must give each input's Fnv1a64, bit for bit.
+void ExpectBatchMatchesSerial(const std::vector<std::string>& inputs) {
+  std::vector<std::string_view> views(inputs.begin(), inputs.end());
+  std::vector<uint64_t> digests(inputs.size(), 0);
+  Fnv1a64Batch(views, digests);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(digests[i], Fnv1a64(inputs[i]))
+        << "input " << i << " of " << inputs.size() << ", length "
+        << inputs[i].size();
+  }
+}
+
+TEST(Hash, Fnv1aBatchMatchesSerialOnEveryInput) {
+  Rng rng(17);
+  auto bytes = [&rng](size_t length) {
+    std::string s(length, '\0');
+    for (char& c : s) c = static_cast<char>(rng.Uniform(256));
+    return s;
+  };
+  // Batch sizes 0-9 with every input of one length 0-40: both sides of the
+  // 8-byte word, the short-input path, and lanes that run out together.
+  for (size_t count = 0; count <= 9; ++count) {
+    for (size_t length = 0; length <= 40; ++length) {
+      SCOPED_TRACE("count " + std::to_string(count) + ", length " +
+                   std::to_string(length));
+      std::vector<std::string> inputs;
+      for (size_t i = 0; i < count; ++i) inputs.push_back(bytes(length));
+      ExpectBatchMatchesSerial(inputs);
+    }
+  }
+  // Empty, short and long inputs mixed, so lanes end and refill mid-batch
+  // at different times, sometimes several times in a row.
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<std::string> inputs;
+    const size_t count = rng.Uniform(24) + 1;
+    for (size_t i = 0; i < count; ++i) {
+      switch (rng.Uniform(4)) {
+        case 0: inputs.emplace_back(); break;
+        case 1: inputs.push_back(bytes(rng.Uniform(8))); break;
+        case 2: inputs.push_back(bytes(8 + rng.Uniform(33))); break;
+        default: inputs.push_back(bytes(100 + rng.Uniform(400))); break;
+      }
+    }
+    ExpectBatchMatchesSerial(inputs);
+  }
+  // One input of over 1 MB: alone, and outlasting a batch of short ones.
+  const std::string big = bytes((size_t{1} << 20) + 5);
+  ExpectBatchMatchesSerial({big});
+  ExpectBatchMatchesSerial({"ab", big, "", bytes(9), bytes(33), bytes(7)});
 }
 
 TEST(Hash, HashCombineOrderSensitive) {

@@ -19,6 +19,7 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/search.h"
 #include "optimizer/stats_collector.h"
+#include "shard/partition.h"
 
 namespace delex {
 namespace {
@@ -284,6 +285,54 @@ TEST(StatsCollector, PoolAndInlineAgree) {
     ASSERT_TRUE(inline_stats.ok()) << inline_stats.status().ToString();
     ASSERT_TRUE(pooled_stats.ok()) << pooled_stats.status().ToString();
     ExpectSameCounts(*inline_stats, *pooled_stats);
+  }
+}
+
+TEST(StatsCollector, ShardViewMatchesCopiedSubSnapshot) {
+  // A shard's optimizer samples its index lists over the whole snapshots.
+  // Its statistics must be those of the same pages copied out into
+  // sub-snapshots: m, f and d_blocks count the shard's own pages.
+  ProgramSpec spec = *MakeProgram("chair");
+  DatasetProfile profile = spec.Profile();
+  profile.num_sources = 40;
+  profile.page_add_rate = 0.15;  // some pages lack a previous version
+  profile.page_delete_rate = 0.15;
+  std::vector<Snapshot> series = GenerateSeries(profile, 2, 5);
+  auto analysis = AnalyzeUnits(spec.plan);
+  ASSERT_TRUE(analysis.ok());
+  StatsCollectorOptions options;
+  options.sample_pages = 8;
+  const int num_shards = 3;
+  const std::vector<SnapshotView> current =
+      shard::RouteSnapshot(series[1], num_shards);
+  const std::vector<SnapshotView> previous =
+      shard::RouteSnapshot(series[0], num_shards);
+  for (int k = 0; k < num_shards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const SnapshotView& cur = current[static_cast<size_t>(k)];
+    const SnapshotView& prev = previous[static_cast<size_t>(k)];
+    Snapshot cur_copy;
+    for (size_t j = 0; j < cur.NumPages(); ++j) {
+      cur_copy.AddExistingPage(cur.page(j));
+    }
+    Snapshot prev_copy;
+    for (size_t j = 0; j < prev.NumPages(); ++j) {
+      prev_copy.AddExistingPage(prev.page(j));
+    }
+    const uint64_t seed = 3 + static_cast<uint64_t>(k);
+    auto from_view = CollectStats(spec.plan, *analysis, cur, prev, options,
+                                  seed, nullptr);
+    auto from_copy = CollectStats(spec.plan, *analysis, cur_copy, prev_copy,
+                                  options, seed, nullptr);
+    ASSERT_TRUE(from_view.ok()) << from_view.status().ToString();
+    ASSERT_TRUE(from_copy.ok()) << from_copy.status().ToString();
+    ExpectSameCounts(*from_view, *from_copy);
+    EXPECT_EQ(from_view->m, static_cast<double>(cur_copy.NumPages()));
+    EXPECT_EQ(from_view->d_blocks,
+              static_cast<double>(prev_copy.TotalBlocks()));
+    EXPECT_LT(from_view->d_blocks,
+              static_cast<double>(series[0].TotalBlocks()));
+    EXPECT_LT(from_view->f, 1.0);
   }
 }
 

@@ -6,7 +6,8 @@
 // order/did preservation; (2) merged result rows byte-identical (same
 // rows, same order — not canonicalized) to a single-engine run at every
 // shard count × pool width × fast-path setting; (3) per-shard reuse files
-// byte-identical to a single engine run over that shard's page subset.
+// byte-identical to a single engine run over that shard's page subset,
+// copied out into a sub-snapshot of its own.
 
 #include <gtest/gtest.h>
 
@@ -83,13 +84,16 @@ TEST(ShardPartitionTest, SplitIsDisjointCoverPreservingOrderAndDids) {
   Snapshot snapshot = GenerateSeries(profile, 1, /*seed=*/7)[0];
 
   for (int num_shards : {1, 2, 4, 8}) {
-    std::vector<Snapshot> parts = shard::SplitSnapshot(snapshot, num_shards);
+    std::vector<SnapshotView> parts =
+        shard::RouteSnapshot(snapshot, num_shards);
     ASSERT_EQ(parts.size(), static_cast<size_t>(num_shards));
     size_t total = 0;
     std::set<int64_t> seen_dids;
     for (int k = 0; k < num_shards; ++k) {
+      EXPECT_EQ(&parts[k].snapshot(), &snapshot);
       int64_t last_did = -1;
-      for (const Page& page : parts[k].pages()) {
+      for (size_t j = 0; j < parts[k].NumPages(); ++j) {
+        const Page& page = parts[k].page(j);
         // Routed where the router says, exactly once.
         EXPECT_EQ(shard::ShardOfUrl(page.url, num_shards), k) << page.url;
         EXPECT_TRUE(seen_dids.insert(page.did).second)
@@ -97,11 +101,8 @@ TEST(ShardPartitionTest, SplitIsDisjointCoverPreservingOrderAndDids) {
         // Global dids stay monotone within the shard (order preservation).
         EXPECT_GT(page.did, last_did);
         last_did = page.did;
-        // The verbatim copy keeps the content hash.
-        const Page& original =
-            snapshot.pages()[static_cast<size_t>(page.did)];
-        EXPECT_EQ(original.url, page.url);
-        EXPECT_EQ(original.content_hash, page.content_hash);
+        // The view indexes the snapshot's own page: nothing is copied.
+        EXPECT_EQ(&page, &snapshot.pages()[static_cast<size_t>(page.did)]);
       }
       total += parts[k].NumPages();
     }
@@ -118,9 +119,11 @@ TEST(ShardPartitionTest, AssignmentStableUnderPageAddAndDelete) {
   std::map<std::string, int> first_shard;
   bool churn_happened = false;
   for (size_t i = 0; i < series.size(); ++i) {
-    std::vector<Snapshot> parts = shard::SplitSnapshot(series[i], num_shards);
+    std::vector<SnapshotView> parts =
+        shard::RouteSnapshot(series[i], num_shards);
     for (int k = 0; k < num_shards; ++k) {
-      for (const Page& page : parts[k].pages()) {
+      for (size_t j = 0; j < parts[k].NumPages(); ++j) {
+        const Page& page = parts[k].page(j);
         auto [it, inserted] = first_shard.emplace(page.url, k);
         if (!inserted) {
           EXPECT_EQ(it->second, k) << page.url << " migrated at snapshot "
@@ -224,9 +227,16 @@ TEST(ShardedEngineTest, ShardReuseFilesMatchSingleEngineOverSubset) {
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   }
 
+  // Reference sub-snapshots: each shard's pages copied out, global dids
+  // and snapshot order kept.
   std::vector<std::vector<Snapshot>> splits;
   for (const Snapshot& snapshot : series) {
-    splits.push_back(shard::SplitSnapshot(snapshot, num_shards));
+    std::vector<Snapshot> parts(static_cast<size_t>(num_shards));
+    for (const Page& page : snapshot.pages()) {
+      parts[static_cast<size_t>(shard::ShardOfUrl(page.url, num_shards))]
+          .AddExistingPage(page);
+    }
+    splits.push_back(std::move(parts));
   }
   for (int k = 0; k < num_shards; ++k) {
     DelexEngine::Options single_options;

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/hash.h"
+#include "common/value.h"
 #include "storage/record_file.h"
 #include "storage/reuse_file.h"
 #include "storage/snapshot.h"
@@ -125,6 +130,104 @@ TEST(Snapshot, WriteReadRoundTrip) {
   EXPECT_EQ(loaded->pages()[0].content, "alpha\nbeta");
   EXPECT_EQ(loaded->pages()[1].content.size(), 10000u);
   EXPECT_TRUE(loaded->FindByUrl("http://y").has_value());
+  for (size_t i = 0; i < loaded->NumPages(); ++i) {
+    const Page& page = loaded->pages()[i];
+    EXPECT_EQ(page.did, snapshot.pages()[i].did);
+    EXPECT_EQ(page.content_hash, Fnv1a64(page.content));
+  }
+}
+
+TEST(Snapshot, ReadKeepsRecordedDids) {
+  // Dids come from the records, not from the read order.
+  Page a;
+  a.did = 5;
+  a.url = "http://a";
+  a.content = "five";
+  Page b;
+  b.did = 41;
+  b.url = "http://b";
+  b.content = std::string(5000, 'f');
+  Snapshot snapshot;
+  snapshot.AddExistingPage(a);
+  snapshot.AddExistingPage(b);
+  std::string path = TempPath("snapshot-dids");
+  ASSERT_TRUE(WriteSnapshot(snapshot, path).ok());
+  auto loaded = ReadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->NumPages(), 2u);
+  EXPECT_EQ(loaded->pages()[0].did, 5);
+  EXPECT_EQ(loaded->pages()[1].did, 41);
+  EXPECT_EQ(loaded->pages()[1].content_hash, Fnv1a64(b.content));
+  EXPECT_EQ(*loaded->FindByUrl("http://b"), 1u);
+}
+
+/// A page record as WriteSnapshot encodes one, from arbitrary fields.
+std::string PageRecord(const Tuple& fields) {
+  std::string record;
+  EncodeTuple(fields, &record);
+  return record;
+}
+
+/// Writes `records` into one record file and reads it back as a snapshot.
+Status ReadRecords(const std::string& name,
+                   const std::vector<std::string>& records) {
+  std::string path = TempPath("records-" + name);
+  RecordWriter writer;
+  DELEX_RETURN_NOT_OK(writer.Open(path));
+  for (const std::string& record : records) {
+    DELEX_RETURN_NOT_OK(writer.Append(record));
+  }
+  DELEX_RETURN_NOT_OK(writer.Close());
+  return ReadSnapshot(path).status();
+}
+
+/// `record` with the 8-byte little-endian field at `offset` set to `value`.
+std::string WithFixed64(std::string record, size_t offset, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    record[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return record;
+}
+
+TEST(Snapshot, MalformedRecordsAreCorruption) {
+  const std::string url = "http://a";
+  const std::string content = "text";
+  const std::string good =
+      PageRecord({int64_t{1}, std::string(url), std::string(content)});
+  ASSERT_TRUE(ReadRecords("good", {good, good}).ok());
+  // Layout: count (8) | kind, did (1 + 8) | kind, length, url | kind,
+  // length, content.
+  const size_t url_length_at = 8 + 9 + 1;
+  const size_t content_length_at = url_length_at + 8 + url.size() + 1;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"two_fields", PageRecord({int64_t{1}, std::string(url)})},
+      {"four_fields", PageRecord({int64_t{1}, std::string(url),
+                                  std::string(content), std::string("x")})},
+      {"did_kind", PageRecord({1.5, std::string(url), std::string(content)})},
+      {"url_kind", PageRecord({int64_t{1}, int64_t{2}, std::string(content)})},
+      {"content_kind", PageRecord({int64_t{1}, std::string(url), true})},
+      {"url_past_end", WithFixed64(good, url_length_at, good.size())},
+      {"url_length_wraps", WithFixed64(good, url_length_at, ~uint64_t{0})},
+      {"content_past_end",
+       WithFixed64(good, content_length_at, content.size() + 1)},
+      {"cut_in_did", good.substr(0, 12)},
+  };
+  for (const auto& [name, record] : cases) {
+    Status status = ReadRecords(name, {good, record});
+    EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+  }
+
+  // Files cut inside the second record's 8-byte length prefix, and inside
+  // its body.
+  std::string path = TempPath("records-cut");
+  const uintmax_t one_record = 8 + good.size();
+  for (uintmax_t size : {one_record + 5, one_record + 8 + 10}) {
+    ASSERT_TRUE(ReadRecords("cut", {good, good}).ok());
+    std::filesystem::resize_file(path, size);
+    auto loaded = ReadSnapshot(path);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << "cut at " << size << ": " << loaded.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
