@@ -6,11 +6,12 @@
 //
 // Scale knobs (bench_util.h): DELEX_PAGES_DBLIFE / DELEX_PAGES_WIKI /
 // DELEX_SNAPSHOTS / DELEX_SEED. Thread counts are fixed — they ARE the
-// experiment. Speedup is relative to the serial (1-thread, legacy-path)
-// run of the same series; `results_match` asserts Theorem-1 equivalence
-// held at every thread count. Note `hardware_concurrency` in the output:
-// on a machine with fewer cores than workers, the speedup ceiling is the
-// core count, not the thread count.
+// experiment. Speedup is relative to the 1-thread run of the same series
+// (the same pipeline, evaluating pages inline on the calling thread);
+// `results_match` asserts Theorem-1 equivalence held at every thread
+// count. Note `hardware_concurrency` in the output: on a machine with
+// fewer cores than workers, the speedup ceiling is the core count, not
+// the thread count.
 
 #include <cstdio>
 #include <string>

@@ -41,6 +41,12 @@ Rules (each has an id; suppress a finding with a trailing or preceding
                          thread-safety annotations and the runtime
                          lock-order detector see every lock in the
                          process.
+  plan-walk              `case PlanKind::kJoin` is confined to
+                         src/xlog/plan.cc: xlog::WalkPlan is the one walk
+                         that evaluates an execution tree, and engines
+                         differ only in their xlog::IEHook. A walk that
+                         evaluates nothing (e.g. column provenance) needs
+                         an allow comment.
   sigprof-safety         the body of DelexSigprofHandler in
                          src/obs/profiler.cc must stay async-signal-safe:
                          no allocation, locks, logging, or stdio between
@@ -177,6 +183,12 @@ TOKEN_RULES = [
      "delex::Mutex / MutexLock / CondVar so the thread-safety annotations "
      "and the lock-order detector see every lock)",
      lambda p: p != "src/common/mutex.h",
+     False),
+    ("plan-walk",
+     re.compile(r"\bcase\s+(?:xlog::)?PlanKind::kJoin\b"),
+     "a second plan walk: evaluate through xlog::WalkPlan with an "
+     "xlog::IEHook",
+     lambda p: p.startswith("src/") and p != "src/xlog/plan.cc",
      False),
 ]
 
@@ -327,6 +339,14 @@ SELF_TEST_CASES = {
         "#include <mutex>\n"
         "std::mutex g_mu;\n"
         "void f() { std::lock_guard<std::mutex> lock(g_mu); }\n"),
+    "plan-walk": (
+        "src/optimizer/bad_walk.cc",
+        "int Arity(const xlog::PlanNode& node) {\n"
+        "  switch (node.kind) {\n"
+        "    case xlog::PlanKind::kJoin: return 2;\n"
+        "    default: return 1;\n"
+        "  }\n"
+        "}\n"),
     "sigprof-safety": (
         "src/obs/profiler.cc",
         "extern \"C\" void DelexSigprofHandler(int) {\n"
@@ -372,6 +392,12 @@ SELF_TEST_CLEAN = {
         "inline int f(const char* p) { __m128i v = _mm_set1_epi8(*p); "
         "return _mm_movemask_epi8(v); }\n"
         "#endif  // DELEX_COMMON_SIMD_H_\n",
+    "src/xlog/plan.cc":
+        "Result<Rows> WalkNode(const PlanNode& node) {\n"
+        "  switch (node.kind) {\n"
+        "    case PlanKind::kJoin: return EvalJoin(node);\n"
+        "  }\n"
+        "}\n",
     "src/common/mutex.h":
         "#ifndef DELEX_COMMON_MUTEX_H_\n#define DELEX_COMMON_MUTEX_H_\n"
         "#include <mutex>\n"

@@ -101,8 +101,8 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// Runs `task` under the pool's error contract: a throw becomes
-  /// Status::Internal. For tasks that report their status through their
-  /// own settle counter instead of Wait().
+  /// Status::Internal. For tasks that report their status elsewhere than
+  /// Wait() (TaskGroup).
   static Status RunTask(const std::function<Status()>& task) {
     try {
       return task();
@@ -157,6 +157,68 @@ class ThreadPool {
   bool shutdown_ DELEX_GUARDED_BY(mu_) = false;
   Status first_error_ DELEX_GUARDED_BY(mu_);
   std::atomic<bool> saturation_warned_{false};
+};
+
+/// \brief One caller's tasks on a ThreadPool, or inline on the caller's
+/// thread when the pool is null.
+///
+/// Submit blocks while `window` of the group's tasks are unfinished, which
+/// bounds what a fast submitter buffers. Wait settles this group's tasks
+/// only and returns the first error among them: on a pool shared with
+/// other callers, ThreadPool::Wait would block on their tasks and return
+/// their sticky error. Tasks run under ThreadPool::RunTask, so a throw
+/// becomes Status::Internal. The destructor waits, so tasks may reference
+/// the caller's stack state.
+class TaskGroup {
+ public:
+  TaskGroup(ThreadPool* pool, size_t window)
+      : pool_(pool), window_(window < 1 ? 1 : window) {}
+  ~TaskGroup() { (void)Wait(); }
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  void Submit(std::function<Status()> task) {
+    if (pool_ == nullptr) {
+      Status status = ThreadPool::RunTask(task);
+      MutexLock lock(&mu_);
+      if (!status.ok() && first_error_.ok()) first_error_ = std::move(status);
+      return;
+    }
+    {
+      MutexLock lock(&mu_);
+      while (unfinished_ >= window_) cv_.Wait(&mu_);
+      ++unfinished_;
+    }
+    pool_->Submit([this, task = std::move(task)]() mutable -> Status {
+      Status status = ThreadPool::RunTask(task);
+      task = nullptr;  // release the task's captures before settling
+      MutexLock lock(&mu_);
+      if (!status.ok() && first_error_.ok()) first_error_ = std::move(status);
+      --unfinished_;
+      // Notify under the lock: Wait's caller may destroy the group as soon
+      // as it sees the last task settle, and it cannot return from Wait
+      // before this guard releases.
+      cv_.NotifyAll();
+      return Status::OK();
+    });
+  }
+
+  /// Blocks until every task submitted so far has finished; returns the
+  /// first error among them.
+  Status Wait() {
+    MutexLock lock(&mu_);
+    while (unfinished_ != 0) cv_.Wait(&mu_);
+    return first_error_;
+  }
+
+ private:
+  ThreadPool* const pool_;
+  const size_t window_;
+  Mutex mu_{"task_group.mu"};
+  CondVar cv_;
+  size_t unfinished_ DELEX_GUARDED_BY(mu_) = 0;
+  Status first_error_ DELEX_GUARDED_BY(mu_);
 };
 
 }  // namespace delex

@@ -98,10 +98,23 @@ struct DelexEngine::PageReuse {
   std::vector<OutputTupleRec> outputs;
 };
 
-/// Per-page evaluation state threaded through the tree walk. Everything a
-/// page mutates lives here (or in the structures it points to), which is
-/// what makes EvalPage const and pages safe to evaluate concurrently.
-struct DelexEngine::PageContext {
+/// Per-page evaluation state, and the IE hook of the page's plan walk: each
+/// IE node is its unit's EvalUnit. Everything a page mutates lives here (or
+/// in the structures it points to), which is what makes EvalPage const and
+/// pages safe to evaluate concurrently.
+struct DelexEngine::PageContext final : xlog::IEHook {
+  Status EvalIE(const PlanNode& node, const Page& /*page*/,
+                const std::vector<Tuple>& inputs,
+                const std::vector<xlog::RegionGroup>& groups,
+                std::vector<std::vector<Tuple>>* outputs) override {
+    auto it = engine->analysis_.unit_of_member.find(node.id);
+    DELEX_CHECK(it != engine->analysis_.unit_of_member.end());
+    return engine->EvalUnit(
+        engine->analysis_.units[static_cast<size_t>(it->second)], inputs,
+        groups, this, outputs);
+  }
+
+  const DelexEngine* engine = nullptr;
   const Page* page = nullptr;     // current page p
   const Page* q_page = nullptr;   // previous version q, or null
   MatchContext match_ctx;         // RU's shared match cache for this pair
@@ -134,12 +147,10 @@ struct DelexEngine::PageSlot {
   ResultPageSlice result_slice;          // cached rows, still encoded
 };
 
-/// Shared coordination state of one parallel run.
-///
-/// `submitted`/`finished` track this run's tasks only: with a shared pool
-/// (sharded execution) ThreadPool::Wait() would block on other engines'
-/// work, so run completion — and the every-task-settled guarantee the
-/// stack-owned slots depend on — comes from these counters instead.
+/// Shared commit state of one run: a page's task (or the reader, for a
+/// fast-path page) marks its slot done, and whichever thread finds the
+/// front of the snapshot order done commits it. Task completion itself is
+/// the TaskGroup's business.
 struct DelexEngine::RunState {
   RunState() : commit_mu("engine.run.commit_mu"), mu("engine.run.mu") {}
 
@@ -147,12 +158,8 @@ struct DelexEngine::RunState {
   // flags (mu) while serializing write-back (commit_mu); nothing ever
   // takes commit_mu while holding mu.
   Mutex commit_mu DELEX_ACQUIRED_BEFORE(mu);
-  Mutex mu;   // guards done flags, counters, error
-  CondVar cv; // completion / window-space signal
+  Mutex mu;  // guards done flags, next_commit, error
   size_t next_commit DELEX_GUARDED_BY(mu) = 0;  // first page index not committed
-  size_t in_flight DELEX_GUARDED_BY(mu) = 0;    // submitted but not finished
-  size_t submitted DELEX_GUARDED_BY(mu) = 0;    // tasks handed to the pool
-  size_t finished DELEX_GUARDED_BY(mu) = 0;     // fully done (incl. drain pass)
   Status error DELEX_GUARDED_BY(mu);            // first evaluation/commit failure
 };
 
@@ -368,7 +375,7 @@ Result<std::vector<Tuple>> DelexEngine::EvalPage(PageContext* page_ctx) const {
   // run merges shards into the engine.page_eval_us registry histogram.
   obs::ScopedLatencyTimer eval_timer(&page_ctx->stats->page_eval_hist);
   DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> page_rows,
-                         EvalNode(*plan_, page_ctx));
+                         xlog::WalkPlan(*plan_, page, page_ctx));
   std::vector<Tuple> rows;
   rows.reserve(page_rows.size());
   for (Tuple& row : page_rows) {
@@ -415,39 +422,22 @@ Status DelexEngine::CommitPage(PageSlot* slot) {
   return Status::OK();
 }
 
-Status DelexEngine::RunPagesSerial(std::vector<PageSlot>* slots) {
-  for (PageSlot& slot : *slots) {
-    DELEX_RETURN_NOT_OK(PrefetchSlot(&slot));
-    if (!slot.identical) {
-      PageContext page_ctx;
-      page_ctx.page = slot.page;
-      page_ctx.q_page = slot.q_page;
-      page_ctx.reuse = slot.q_page != nullptr ? &slot.reuse : nullptr;
-      page_ctx.captures = &slot.captures;
-      page_ctx.stats = &slot.stats;
-      DELEX_ASSIGN_OR_RETURN(slot.rows, EvalPage(&page_ctx));
-    }
-    DELEX_RETURN_NOT_OK(CommitPage(&slot));
-  }
-  return Status::OK();
-}
-
-Status DelexEngine::RunPagesParallel(int num_threads,
-                                     std::vector<PageSlot>* slots) {
+Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
   RunState state;
   // Two-level scheduling: a caller-provided shared pool (sharded
   // execution) or a run-local one. Either way the reader and write-back
   // stages stay on this thread; only page evaluation goes to the pool.
+  // With a shared pool, always go through it — even a 1-wide pool — so a
+  // sharded run's total compute is bounded by the pool width rather than
+  // by the number of engine driver threads. Otherwise width 1 (or a
+  // single page) evaluates inline on this thread and starts no pool.
+  const int num_threads = EffectiveThreads();
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options_.shared_pool;
-  if (pool == nullptr) {
+  if (pool == nullptr && num_threads > 1 && slots->size() > 1) {
     owned_pool = std::make_unique<ThreadPool>(num_threads);
     pool = owned_pool.get();
   }
-  // Bound on submitted-but-unfinished pages: keeps the reader stage a few
-  // pages ahead of the workers without prefetching the whole previous
-  // generation into memory.
-  const size_t window = static_cast<size_t>(num_threads) * 2 + 2;
 
   // Commits every ready page at the front of the snapshot order. Any
   // finishing worker may become the committer; commit_mu serializes the
@@ -475,88 +465,62 @@ Status DelexEngine::RunPagesParallel(int num_threads,
   };
 
   Status prefetch_error;
-  for (size_t i = 0; i < slots->size(); ++i) {
-    PageSlot* slot = &(*slots)[i];
-    // Reader stage: one strictly-forward scan per reuse file, kept on this
-    // thread and in snapshot page order (§5.2). On error we cannot return
-    // yet: in-flight tasks still reference `state` and the slots.
-    prefetch_error = PrefetchSlot(slot);
-    if (!prefetch_error.ok()) break;
-    if (slot->identical) {
-      // Fast-path pages bypass the worker stage: rows are already
-      // recovered and nothing needs evaluating, but the commit still must
-      // land in snapshot order, so mark the slot done and drain from here
-      // (the reader thread). in_flight is untouched — the slot never
-      // occupied a worker.
+  Status task_status;
+  {
+    // Bound on submitted-but-unfinished pages: keeps the reader stage a few
+    // pages ahead of the workers without prefetching the whole previous
+    // generation into memory. The group settles before `state` and the
+    // slots it references go out of scope.
+    TaskGroup tasks(pool, static_cast<size_t>(num_threads) * 2 + 2);
+    for (PageSlot& slot : *slots) {
       {
         MutexLock lock(&state.mu);
         if (!state.error.ok()) break;
-        slot->done = true;
       }
-      if (!drain_commits().ok()) break;  // error lands in state.error
-      continue;
-    }
-    {
-      MutexLock lock(&state.mu);
-      while (state.in_flight >= window && state.error.ok()) {
-        state.cv.Wait(&state.mu);
-      }
-      if (!state.error.ok()) break;
-      ++state.in_flight;
-      ++state.submitted;
-    }
-    pool->Submit([this, slot, &state, &drain_commits]() -> Status {
-      PageContext page_ctx;
-      page_ctx.page = slot->page;
-      page_ctx.q_page = slot->q_page;
-      page_ctx.reuse = slot->q_page != nullptr ? &slot->reuse : nullptr;
-      page_ctx.captures = &slot->captures;
-      page_ctx.stats = &slot->stats;
-      Result<std::vector<Tuple>> rows = EvalPage(&page_ctx);
-      {
-        MutexLock lock(&state.mu);
-        --state.in_flight;
-        if (rows.ok()) {
-          slot->rows = std::move(rows).ValueOrDie();
-          slot->done = true;
-        } else if (state.error.ok()) {
-          state.error = rows.status();
+      // Reader stage: one strictly-forward scan per reuse file, kept on
+      // this thread and in snapshot page order (§5.2).
+      prefetch_error = PrefetchSlot(&slot);
+      if (!prefetch_error.ok()) break;
+      if (slot.identical) {
+        // Fast-path pages bypass the worker stage: rows are already
+        // recovered and nothing needs evaluating, but the commit still
+        // must land in snapshot order, so mark the slot done and drain
+        // from here (the reader thread). An error lands in state.error.
+        {
+          MutexLock lock(&state.mu);
+          slot.done = true;
         }
+        (void)drain_commits();
+        continue;
       }
-      state.cv.NotifyAll();
-      Status task_status = rows.ok() ? drain_commits() : rows.status();
-      // The finished mark must come last: the settle wait below treats a
-      // finished task as one that will never touch `state` or the slots
-      // again, including its drain pass.
-      {
-        MutexLock lock(&state.mu);
-        ++state.finished;
-        // Notify while still holding the lock: the settling thread
-        // destroys `state` the moment it observes finished == submitted,
-        // and it cannot re-acquire `mu` (and thus return from its wait)
-        // until this guard releases — an unlocked notify here could
-        // broadcast on an already-destroyed condvar.
-        state.cv.NotifyAll();
-      }
-      return task_status;
-    });
-  }
-  // Settle: every task this run submitted must finish before the stack
-  // state can be torn down. ThreadPool::Wait() is deliberately not used —
-  // with a shared pool it would block on (and steal the sticky error of)
-  // other engines' tasks.
-  {
-    MutexLock lock(&state.mu);
-    while (state.finished != state.submitted) state.cv.Wait(&state.mu);
+      tasks.Submit([this, slot = &slot, &state, &drain_commits]() -> Status {
+        PageContext page_ctx;
+        page_ctx.engine = this;
+        page_ctx.page = slot->page;
+        page_ctx.q_page = slot->q_page;
+        page_ctx.reuse = slot->q_page != nullptr ? &slot->reuse : nullptr;
+        page_ctx.captures = &slot->captures;
+        page_ctx.stats = &slot->stats;
+        Result<std::vector<Tuple>> rows = EvalPage(&page_ctx);
+        {
+          MutexLock lock(&state.mu);
+          if (rows.ok()) {
+            slot->rows = std::move(rows).ValueOrDie();
+            slot->done = true;
+          } else if (state.error.ok()) {
+            state.error = rows.status();
+          }
+        }
+        return rows.ok() ? drain_commits() : rows.status();
+      });
+    }
+    task_status = tasks.Wait();
   }
   DELEX_RETURN_NOT_OK(prefetch_error);
-  {
-    MutexLock lock(&state.mu);
-    DELEX_RETURN_NOT_OK(state.error);
-  }
-  // Defensive final drain: covers a trailing fast-path slot marked done
-  // after the last worker's drain pass (the inline drain above normally
-  // commits it already).
+  DELEX_RETURN_NOT_OK(task_status);
+  // Final drain: commits a trailing fast-path slot marked done after the
+  // last worker's drain pass (the inline drain above normally commits it
+  // already).
   DELEX_RETURN_NOT_OK(drain_commits());
   MutexLock lock(&state.mu);
   DELEX_RETURN_NOT_OK(state.error);
@@ -647,14 +611,7 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
     }
   }
 
-  // With a shared pool, always go through it — even a 1-wide pool — so a
-  // sharded run's total compute is bounded by the pool width rather than
-  // by the number of engine driver threads.
-  const int num_threads = EffectiveThreads();
-  const bool parallel = options_.shared_pool != nullptr ||
-                        (num_threads > 1 && slots.size() > 1);
-  Status run_status = parallel ? RunPagesParallel(num_threads, &slots)
-                               : RunPagesSerial(&slots);
+  Status run_status = RunPages(&slots);
   if (!run_status.ok()) {
     writers_.clear();
     readers_.clear();
@@ -776,68 +733,10 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   return results;
 }
 
-Result<std::vector<Tuple>> DelexEngine::EvalNode(const PlanNode& node,
-                                                 PageContext* page_ctx) const {
-  auto unit_it = analysis_.unit_of_top.find(node.id);
-  if (unit_it != analysis_.unit_of_top.end()) {
-    return EvalUnit(analysis_.units[static_cast<size_t>(unit_it->second)],
-                    page_ctx);
-  }
-  const Page& page = *page_ctx->page;
-  switch (node.kind) {
-    case PlanKind::kScan: {
-      std::vector<Tuple> out;
-      out.push_back(
-          {Value(TextSpan(0, static_cast<int64_t>(page.content.size())))});
-      return out;
-    }
-    case PlanKind::kSelect: {
-      DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                             EvalNode(*node.children[0], page_ctx));
-      std::vector<Tuple> out;
-      for (Tuple& t : input) {
-        DELEX_ASSIGN_OR_RETURN(bool keep,
-                               xlog::EvalSelect(node, t, page.content));
-        if (keep) out.push_back(std::move(t));
-      }
-      return out;
-    }
-    case PlanKind::kProject: {
-      DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                             EvalNode(*node.children[0], page_ctx));
-      std::vector<Tuple> out;
-      out.reserve(input.size());
-      for (const Tuple& t : input) {
-        Tuple projected;
-        projected.reserve(node.columns.size());
-        for (int c : node.columns) {
-          projected.push_back(t[static_cast<size_t>(c)]);
-        }
-        out.push_back(std::move(projected));
-      }
-      return out;
-    }
-    case PlanKind::kJoin: {
-      DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> left,
-                             EvalNode(*node.children[0], page_ctx));
-      DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> right,
-                             EvalNode(*node.children[1], page_ctx));
-      std::vector<Tuple> out;
-      xlog::EvalJoin(node, left, right, &out);
-      return out;
-    }
-    case PlanKind::kIE:
-      return Status::Internal(
-          "raw IE node reached outside a unit (unit analysis bug)");
-  }
-  return Status::Internal("unhandled node kind");
-}
-
-Result<bool> DelexEngine::ReplayChain(const IEUnit& unit,
-                                      const Tuple& input_tuple,
-                                      const Tuple& blackbox_output,
-                                      std::string_view page_text,
-                                      Tuple* final_tuple) const {
+Result<bool> DelexEngine::PassesFoldedChain(const IEUnit& unit,
+                                            const Tuple& input_tuple,
+                                            const Tuple& blackbox_output,
+                                            std::string_view page_text) const {
   Tuple combined = input_tuple;
   combined.reserve(input_tuple.size() + blackbox_output.size());
   for (const Value& v : blackbox_output) combined.push_back(v);
@@ -860,12 +759,14 @@ Result<bool> DelexEngine::ReplayChain(const IEUnit& unit,
       combined = std::move(projected);
     }
   }
-  *final_tuple = std::move(combined);
   return true;
 }
 
-Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
-                                                 PageContext* page_ctx) const {
+Status DelexEngine::EvalUnit(const IEUnit& unit,
+                             const std::vector<Tuple>& inputs,
+                             const std::vector<xlog::RegionGroup>& groups,
+                             PageContext* page_ctx,
+                             std::vector<std::vector<Tuple>>* outputs) const {
   DELEX_TRACE_SPAN("eval_unit", unit.index);
   const Page& page = *page_ctx->page;
   const Page* q_page = page_ctx->q_page;
@@ -873,9 +774,6 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
       page_ctx->stats->units[static_cast<size_t>(unit.index)];
   PageCapture& capture =
       (*page_ctx->captures)[static_cast<size_t>(unit.index)];
-
-  DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> inputs,
-                         EvalNode(*unit.input, page_ctx));
 
   // This page's recorded tuples from the previous run, pre-fetched by the
   // reader stage (one forward seek per unit per page — §5.2's
@@ -906,8 +804,6 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
           : MatcherKind::kDN;
   const Matcher& matcher = GetMatcher(matcher_kind);
 
-  std::vector<Tuple> unit_results;
-
   // Index of old inputs by content hash (exact fast path) and by tid
   // (copy-phase lookups). Per the region_hash contract (reuse_file.h),
   // only empty-context records enter the hash index — context equality is
@@ -927,54 +823,14 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
     }
   }
 
-  // Group child tuples by distinct input region: one paragraph carrying
-  // several person mentions yields several child tuples over the same
-  // region, but the blackbox (and all reuse machinery) runs once per
-  // distinct region; child-tuple multiplicity is restored at chain-replay
-  // time. This also keeps the reuse files free of duplicate groups.
-  struct RegionGroup {
-    TextSpan region;
-    size_t representative = 0;  // index of the first input tuple
-    std::vector<Tuple> produced;  // sigma-surviving blackbox outputs
-  };
-  std::vector<RegionGroup> groups;
-  // Span endpoints are offsets into the in-memory page, so they fit 32
-  // bits each (guarded below) and (start, end) packs into one 64-bit hash
-  // key — a flat O(1) probe instead of the ordered-map walk this loop used
-  // to pay per input tuple.
-  std::unordered_map<uint64_t, size_t> group_index;
-  group_index.reserve(inputs.size());
-  std::vector<size_t> group_of_input(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const Value& region_value =
-        inputs[i][static_cast<size_t>(unit.ie_node->input_col)];
-    if (!std::holds_alternative<TextSpan>(region_value)) {
-      return Status::InvalidArgument("IE input column is not a span");
-    }
-    TextSpan region = std::get<TextSpan>(region_value);
-    if (region.start < 0 || region.end < 0 || (region.start >> 32) != 0 ||
-        (region.end >> 32) != 0) {
-      return Status::InvalidArgument("IE input span exceeds 32-bit offsets");
-    }
-    const uint64_t key = (static_cast<uint64_t>(region.start) << 32) |
-                         static_cast<uint64_t>(region.end);
-    auto it = group_index.find(key);
-    if (it == group_index.end()) {
-      it = group_index.emplace(key, groups.size()).first;
-      RegionGroup group;
-      group.region = region;
-      group.representative = i;
-      groups.push_back(std::move(group));
-    }
-    group_of_input[i] = it->second;
-  }
-
+  // The walk hands over one group per distinct input region, so the
+  // blackbox and all reuse machinery run once per region and the reuse
+  // files hold no duplicate groups.
   capture.groups.reserve(groups.size());
-  int64_t group_ordinal = -1;
-  for (RegionGroup& group : groups) {
-    ++group_ordinal;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const int64_t group_ordinal = static_cast<int64_t>(g);
     ++ustats.input_tuples;
-    const TextSpan region = group.region;
+    const TextSpan region = groups[g].region;
     const Tuple context;  // our IE predicates carry no extra parameters (c)
     const uint64_t region_hash =
         Fnv1a64(std::string_view(page.content)
@@ -1168,36 +1024,24 @@ Result<std::vector<Tuple>> DelexEngine::EvalUnit(const IEUnit& unit,
     // ---- sigma-filter and capture survivors (once per region). ----
     // Folded sigma predicates only read blackbox-produced columns (the
     // foldability rule), so the verdict is identical for every child tuple
-    // sharing this region; the representative decides capture.
-    const Tuple& representative = inputs[group.representative];
+    // sharing this region; the group's first tuple decides, and the walk
+    // re-evaluates the folded sigma/pi above the IE node for every tuple.
+    const Tuple& representative = inputs[groups[g].first];
+    std::vector<Tuple>& survivors = (*outputs)[g];
     for (Tuple& o : produced) {
-      Tuple ignored;
       DELEX_ASSIGN_OR_RETURN(
-          bool keep,
-          ReplayChain(unit, representative, o, page.content, &ignored));
+          bool keep, PassesFoldedChain(unit, representative, o, page.content));
       if (!keep) continue;
       {
         ScopedTimer capture_timer(&ustats.capture_us);
         capture_group.outputs.push_back(o);
       }
-      group.produced.push_back(std::move(o));
+      survivors.push_back(std::move(o));
     }
+    ustats.output_tuples +=
+        static_cast<int64_t>(groups[g].count * survivors.size());
   }
-
-  // ---- Materialize unit outputs: child multiplicity x region outputs. ----
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const RegionGroup& group = groups[group_of_input[i]];
-    for (const Tuple& o : group.produced) {
-      Tuple final_tuple;
-      DELEX_ASSIGN_OR_RETURN(
-          bool keep, ReplayChain(unit, inputs[i], o, page.content,
-                                 &final_tuple));
-      DELEX_CHECK(keep);  // survivors were filtered above
-      unit_results.push_back(std::move(final_tuple));
-      ++ustats.output_tuples;
-    }
-  }
-  return unit_results;
+  return Status::OK();
 }
 
 }  // namespace delex

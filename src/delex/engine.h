@@ -45,9 +45,9 @@ class DelexEngine {
     /// reuse file's strictly-forward scan on the submitting thread, and an
     /// ordered write-back stage commits captures in snapshot page order,
     /// so results and next-generation reuse files are byte-identical at
-    /// every thread count. 1 = serial in-caller execution (the exact
-    /// legacy path, no pool); 0 = one worker per hardware thread. Ignored
-    /// when `shared_pool` is set.
+    /// every thread count. 1 = the same pipeline with page evaluation
+    /// inline on the calling thread (no pool thread starts); 0 = one
+    /// worker per hardware thread. Ignored when `shared_pool` is set.
     int num_threads = 1;
 
     /// Worker pool shared with other engines (non-owning; must outlive the
@@ -56,9 +56,9 @@ class DelexEngine {
     /// oversubscribe the machine: the pool's width bounds total compute
     /// while each engine keeps its own reader-prefetch and ordered
     /// write-back stages on the calling thread. Run completion is tracked
-    /// per engine (ThreadPool::Wait would block on *other* engines'
-    /// tasks), and results/reuse files remain byte-identical to serial
-    /// execution — the ordered write-back commits in snapshot page order
+    /// per engine by a TaskGroup (ThreadPool::Wait would block on *other*
+    /// engines' tasks), and results/reuse files remain byte-identical to a
+    /// 1-thread run — the ordered write-back commits in snapshot page order
     /// regardless of which pool ran the page.
     ThreadPool* shared_pool = nullptr;
 
@@ -159,8 +159,8 @@ class DelexEngine {
   /// decoded per-unit reuse tuples.
   Status PrefetchSlot(PageSlot* slot);
 
-  /// Evaluates one page end to end (match → copy → extract → chain
-  /// replay). Const: all mutable state — capture buffers, stats shard,
+  /// Evaluates one page end to end: xlog::WalkPlan with EvalUnit as the
+  /// IE hook. Const: all mutable state — capture buffers, stats shard,
   /// match cache — lives in the caller-owned PageContext, so any number
   /// of pages can run concurrently.
   Result<std::vector<Tuple>> EvalPage(PageContext* page_ctx) const;
@@ -171,20 +171,26 @@ class DelexEngine {
   /// commits in snapshot page order (the ordered write-back stage).
   Status CommitPage(PageSlot* slot);
 
-  Result<std::vector<Tuple>> EvalNode(const xlog::PlanNode& node,
-                                      PageContext* page_ctx) const;
-  Result<std::vector<Tuple>> EvalUnit(const IEUnit& unit,
-                                      PageContext* page_ctx) const;
+  /// Evaluates `unit` at its IE node (match → copy → extract → capture)
+  /// over the walk's region `groups` of `inputs`. Sets (*outputs)[g] to
+  /// the blackbox outputs of group g that pass the unit's folded σ; the
+  /// walk then evaluates the folded σ/π above the IE node as ordinary
+  /// nodes.
+  Status EvalUnit(const IEUnit& unit, const std::vector<Tuple>& inputs,
+                  const std::vector<xlog::RegionGroup>& groups,
+                  PageContext* page_ctx,
+                  std::vector<std::vector<Tuple>>* outputs) const;
 
-  /// Applies the unit's folded σ/π chain to (input ++ blackbox output);
-  /// returns false if a folded σ rejects.
-  Result<bool> ReplayChain(const IEUnit& unit, const Tuple& input_tuple,
-                           const Tuple& blackbox_output,
-                           std::string_view page_text,
-                           Tuple* final_tuple) const;
+  /// Whether (input ++ blackbox output) passes the unit's folded σ
+  /// predicates, replayed in chain order through its folded π.
+  Result<bool> PassesFoldedChain(const IEUnit& unit, const Tuple& input_tuple,
+                                 const Tuple& blackbox_output,
+                                 std::string_view page_text) const;
 
-  Status RunPagesSerial(std::vector<PageSlot>* slots);
-  Status RunPagesParallel(int num_threads, std::vector<PageSlot>* slots);
+  /// The page pipeline: reader prefetch and ordered write-back on this
+  /// thread, page evaluation on a pool — or inline on this thread at
+  /// width 1 without a shared pool.
+  Status RunPages(std::vector<PageSlot>* slots);
 
   std::string ReusePathPrefix(int unit_index, int generation) const;
   std::string ResultCachePath(int generation) const;

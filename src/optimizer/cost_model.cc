@@ -69,7 +69,9 @@ namespace {
 
 /// Resolves what matcher an RU-assigned unit actually recycles: the
 /// nearest ST/UD unit *below* it in its own chain, else an eligible
-/// bottom unit of another chain (raw input + ST/UD), else none.
+/// bottom unit of another chain (raw input + ST/UD) that runs before it,
+/// else none. Units are numbered in walk order, and RU's match cache holds
+/// only what earlier units of the page pair recorded.
 MatcherKind ResolveRuSource(const ChainStructure& chains,
                             const MatcherAssignment& assignment, int u) {
   int c = chains.chain_of_unit[static_cast<size_t>(u)];
@@ -84,7 +86,7 @@ MatcherKind ResolveRuSource(const ChainStructure& chains,
   for (size_t oc = 0; oc < chains.chains.size(); ++oc) {
     if (static_cast<int>(oc) == c) continue;
     int bottom = chains.chains[oc].units.back();
-    if (!chains.raw_input[static_cast<size_t>(bottom)]) continue;
+    if (bottom > u || !chains.raw_input[static_cast<size_t>(bottom)]) continue;
     MatcherKind k = assignment.per_unit[static_cast<size_t>(bottom)];
     if (k == MatcherKind::kUD || k == MatcherKind::kST) return k;
   }

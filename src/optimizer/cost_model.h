@@ -95,7 +95,8 @@ std::vector<double> EstimatePlanUnitCosts(const CostModelStats& stats,
 ///
 /// Each RU unit is priced as its resolved source's selectivity at RU's
 /// near-zero matching cost; an RU with no ST/UD source below it in its
-/// chain (nor an eligible cross-chain bottom unit) degrades to DN.
+/// chain (nor an eligible cross-chain bottom unit that runs before it)
+/// degrades to DN.
 double EstimatePlanCost(const CostModelStats& stats,
                         const ChainStructure& chains,
                         const MatcherAssignment& assignment);

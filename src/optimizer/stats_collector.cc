@@ -1,12 +1,9 @@
 #include "optimizer/stats_collector.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -17,7 +14,6 @@
 namespace delex {
 namespace {
 
-using xlog::PlanKind;
 using xlog::PlanNode;
 
 /// Raw accumulators before normalization into UnitCostStats.
@@ -57,113 +53,54 @@ struct PageObservation {
   std::vector<std::vector<TextSpan>> unit_inputs;
 };
 
-/// From-scratch evaluation that records each unit's input regions and
-/// times its blackbox. Mirrors xlog::ExecutePlan, with bookkeeping.
-class RecordingEvaluator {
+/// The sampler's IE hook: from-scratch extraction over whole regions that
+/// records each unit's input regions and, when accounting, times its
+/// blackbox and counts its inputs and outputs.
+class RecordingHook final : public xlog::IEHook {
  public:
-  RecordingEvaluator(const UnitAnalysis& analysis,
-                     std::vector<UnitAccumulator>* accumulators,
-                     bool account_extraction)
+  RecordingHook(const UnitAnalysis& analysis,
+                std::vector<UnitAccumulator>* accumulators,
+                bool account_extraction, PageObservation* observation)
       : analysis_(analysis),
         accumulators_(accumulators),
-        account_extraction_(account_extraction) {}
+        account_extraction_(account_extraction),
+        observation_(observation) {}
 
-  Result<std::vector<Tuple>> Eval(const PlanNode& node, const Page& page,
-                                  PageObservation* observation) {
-    switch (node.kind) {
-      case PlanKind::kScan: {
-        std::vector<Tuple> out;
-        out.push_back(
-            {Value(TextSpan(0, static_cast<int64_t>(page.content.size())))});
-        return out;
-      }
-      case PlanKind::kIE: {
-        DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                               Eval(*node.children[0], page, observation));
-        auto unit_it = analysis_.unit_of_member.find(node.id);
-        DELEX_CHECK(unit_it != analysis_.unit_of_member.end());
-        const size_t u = static_cast<size_t>(unit_it->second);
-        UnitAccumulator& acc = (*accumulators_)[u];
-
-        std::vector<Tuple> out;
-        // Mirror the engine: the blackbox runs once per distinct region.
-        std::map<std::pair<int64_t, int64_t>, std::vector<Tuple>> cache;
-        for (const Tuple& t : input) {
-          TextSpan region =
-              std::get<TextSpan>(t[static_cast<size_t>(node.input_col)]);
-          auto key = std::make_pair(region.start, region.end);
-          auto cached = cache.find(key);
-          if (cached == cache.end()) {
-            observation->unit_inputs[u].push_back(region);
-            if (account_extraction_) {
-              ++acc.input_tuples;
-              acc.total_region_len += region.length();
-            }
-            std::string_view text =
-                std::string_view(page.content)
-                    .substr(static_cast<size_t>(region.start),
-                            static_cast<size_t>(region.length()));
-            Stopwatch watch;
-            std::vector<Tuple> produced =
-                node.extractor->Extract(text, region.start, Tuple());
-            if (account_extraction_) {
-              acc.extract_us += watch.ElapsedMicros();
-              acc.extract_chars += region.length();
-            }
-            cached = cache.emplace(key, std::move(produced)).first;
-          }
-          for (const Tuple& o : cached->second) {
-            Tuple combined = t;
-            for (const Value& v : o) combined.push_back(v);
-            out.push_back(std::move(combined));
-          }
-        }
-        if (account_extraction_) {
-          acc.output_tuples += static_cast<int64_t>(out.size());
-        }
-        return out;
-      }
-      case PlanKind::kSelect: {
-        DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                               Eval(*node.children[0], page, observation));
-        std::vector<Tuple> out;
-        for (Tuple& t : input) {
-          DELEX_ASSIGN_OR_RETURN(bool keep,
-                                 xlog::EvalSelect(node, t, page.content));
-          if (keep) out.push_back(std::move(t));
-        }
-        return out;
-      }
-      case PlanKind::kProject: {
-        DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                               Eval(*node.children[0], page, observation));
-        std::vector<Tuple> out;
-        for (const Tuple& t : input) {
-          Tuple projected;
-          for (int c : node.columns) {
-            projected.push_back(t[static_cast<size_t>(c)]);
-          }
-          out.push_back(std::move(projected));
-        }
-        return out;
-      }
-      case PlanKind::kJoin: {
-        DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> left,
-                               Eval(*node.children[0], page, observation));
-        DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> right,
-                               Eval(*node.children[1], page, observation));
-        std::vector<Tuple> out;
-        xlog::EvalJoin(node, left, right, &out);
-        return out;
+  Status EvalIE(const PlanNode& node, const Page& page,
+                const std::vector<Tuple>& /*inputs*/,
+                const std::vector<xlog::RegionGroup>& groups,
+                std::vector<std::vector<Tuple>>* outputs) override {
+    auto unit_it = analysis_.unit_of_member.find(node.id);
+    DELEX_CHECK(unit_it != analysis_.unit_of_member.end());
+    const size_t u = static_cast<size_t>(unit_it->second);
+    UnitAccumulator& acc = (*accumulators_)[u];
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const TextSpan region = groups[g].region;
+      observation_->unit_inputs[u].push_back(region);
+      std::string_view text =
+          std::string_view(page.content)
+              .substr(static_cast<size_t>(region.start),
+                      static_cast<size_t>(region.length()));
+      Stopwatch watch;
+      (*outputs)[g] = node.extractor->Extract(text, region.start, Tuple());
+      if (account_extraction_) {
+        acc.extract_us += watch.ElapsedMicros();
+        ++acc.input_tuples;
+        acc.total_region_len += region.length();
+        acc.extract_chars += region.length();
+        // The walk appends the outputs to every tuple of the group.
+        acc.output_tuples +=
+            static_cast<int64_t>(groups[g].count * (*outputs)[g].size());
       }
     }
-    return Status::Internal("unhandled node");
+    return Status::OK();
   }
 
  private:
   const UnitAnalysis& analysis_;
   std::vector<UnitAccumulator>* accumulators_;
   bool account_extraction_;
+  PageObservation* observation_;
 };
 
 Page TruncatePage(const Page& page, int64_t max_bytes) {
@@ -262,16 +199,16 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
 
   PageObservation p_obs;
   p_obs.unit_inputs.resize(num_units);
-  RecordingEvaluator p_eval(analysis, accumulators,
-                            /*account_extraction=*/true);
-  DELEX_RETURN_NOT_OK(p_eval.Eval(plan, p, &p_obs).status());
+  RecordingHook p_hook(analysis, accumulators, /*account_extraction=*/true,
+                       &p_obs);
+  DELEX_RETURN_NOT_OK(xlog::WalkPlan(plan, p, &p_hook).status());
   const bool identical = q.content == p.content;
   PageObservation q_obs;
   if (!identical) {
     q_obs.unit_inputs.resize(num_units);
-    RecordingEvaluator q_eval(analysis, accumulators,
-                              /*account_extraction=*/false);
-    DELEX_RETURN_NOT_OK(q_eval.Eval(plan, q, &q_obs).status());
+    RecordingHook q_hook(analysis, accumulators,
+                         /*account_extraction=*/false, &q_obs);
+    DELEX_RETURN_NOT_OK(xlog::WalkPlan(plan, q, &q_hook).status());
   }
   const PageObservation& q_seen = identical ? p_obs : q_obs;
 
@@ -323,52 +260,28 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
   }
 
   // One task per pair, each with its own accumulators, merged in sample
-  // order below.
+  // order below. At most one task per worker is outstanding, so a large
+  // sample never trips the pool's saturation warning.
   std::vector<std::vector<UnitAccumulator>> pair_accumulators(
       sample.size(), std::vector<UnitAccumulator>(num_units));
-  std::vector<Status> pair_status(sample.size());
-  auto observe = [&](size_t i) -> Status {
-    DELEX_TRACE_SPAN("opt_sample_pair", static_cast<int64_t>(i), "optimizer");
-    return ObservePair(*plan, analysis, current.page(sample[i].first),
-                       previous.snapshot().pages()[sample[i].second], options,
-                       &pair_accumulators[i]);
-  };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < sample.size(); ++i) pair_status[i] = observe(i);
-  } else {
-    // Settle on this call's own tasks rather than ThreadPool::Wait(): a
-    // shared pool keeps other work's sticky error, which Wait() would
-    // return here. At most one task per worker is outstanding, so a large
-    // sample never trips the pool's saturation warning.
-    Mutex mu("stats_collector.mu");
-    CondVar cv;
-    const size_t window = static_cast<size_t>(pool->num_threads());
-    size_t submitted = 0;  // guarded by mu
-    size_t finished = 0;   // guarded by mu
+  {
+    TaskGroup tasks(pool, pool != nullptr
+                              ? static_cast<size_t>(pool->num_threads())
+                              : 1);
     for (size_t i = 0; i < sample.size(); ++i) {
-      {
-        MutexLock lock(&mu);
-        while (submitted - finished >= window) cv.Wait(&mu);
-        ++submitted;
-      }
-      pool->Submit([&, i]() -> Status {
-        Status status = ThreadPool::RunTask([&] { return observe(i); });
-        MutexLock lock(&mu);
-        pair_status[i] = std::move(status);
-        ++finished;
-        // Notify under the lock: the caller tears down mu and cv as soon
-        // as it sees the last task finish.
-        cv.NotifyAll();
-        return Status::OK();
+      tasks.Submit([&, i]() -> Status {
+        DELEX_TRACE_SPAN("opt_sample_pair", static_cast<int64_t>(i),
+                         "optimizer");
+        return ObservePair(*plan, analysis, current.page(sample[i].first),
+                           previous.snapshot().pages()[sample[i].second],
+                           options, &pair_accumulators[i]);
       });
     }
-    MutexLock lock(&mu);
-    while (finished != submitted) cv.Wait(&mu);
+    DELEX_RETURN_NOT_OK(tasks.Wait());
   }
 
   std::vector<UnitAccumulator> accumulators(num_units);
   for (size_t i = 0; i < sample.size(); ++i) {
-    DELEX_RETURN_NOT_OK(pair_status[i]);
     for (size_t u = 0; u < num_units; ++u) {
       accumulators[u].Add(pair_accumulators[i][u]);
     }

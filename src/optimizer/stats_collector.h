@@ -31,9 +31,10 @@ struct StatsCollectorOptions {
   int max_match_candidates = 2;
 };
 
-/// \brief Measures one snapshot pair: runs the plan from scratch over a
-/// small sample of page pairs, timing every blackbox and trial-matching
-/// every region with each matcher, to estimate the Fig 7 parameters.
+/// \brief Measures one snapshot pair: walks the plan from scratch over a
+/// small sample of page pairs (xlog::WalkPlan with a recording IE hook),
+/// timing every blackbox and trial-matching every region with each
+/// matcher, to estimate the Fig 7 parameters.
 ///
 /// `current` and `previous` are whole snapshots or one shard's views of
 /// them. m counts the pages of `current`, d_blocks the content of
@@ -41,11 +42,11 @@ struct StatsCollectorOptions {
 /// `previous.snapshot()`; a shard's previous versions are all in its own
 /// view, since a URL never changes shard.
 ///
-/// Each sampled pair is one task on `pool`; with a null `pool` the same
-/// tasks run one after another on the calling thread. The sample draw and
-/// every count-derived statistic are the same either way; only the
-/// timer-derived µs-per-character figures can differ. The call waits for
-/// its own tasks only, so `pool` may be shared with other work.
+/// Each sampled pair is one task of a TaskGroup on `pool`; with a null
+/// `pool` the same tasks run one after another on the calling thread. The
+/// sample draw and every count-derived statistic are the same either way;
+/// only the timer-derived µs-per-character figures can differ. The call
+/// waits for its own tasks only, so `pool` may be shared with other work.
 ///
 /// The elapsed time of this call is the "Opt" component of Figure 11.
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,

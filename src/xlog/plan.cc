@@ -1,7 +1,7 @@
 #include "xlog/plan.h"
 
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -84,9 +84,11 @@ Result<bool> EvalSelect(const PlanNode& node, const Tuple& tuple,
   return EvalBuiltin(node.pred, args, page_text);
 }
 
+namespace {
+
+/// Appends the joined tuples of `left` × `right` to `*out`.
 void EvalJoin(const PlanNode& node, const std::vector<Tuple>& left,
               const std::vector<Tuple>& right, std::vector<Tuple>* out) {
-  DELEX_CHECK(node.kind == PlanKind::kJoin);
   for (const Tuple& l : left) {
     for (const Tuple& r : right) {
       bool match = true;
@@ -106,9 +108,38 @@ void EvalJoin(const PlanNode& node, const std::vector<Tuple>& left,
   }
 }
 
-namespace {
+/// Groups `inputs` by distinct input region, in order of first appearance;
+/// (*group_of)[i] is input i's group.
+Status GroupRegions(const PlanNode& node, const std::vector<Tuple>& inputs,
+                    std::vector<RegionGroup>* groups,
+                    std::vector<size_t>* group_of) {
+  // Span endpoints are offsets into the in-memory page, so they fit 32
+  // bits each (guarded below) and (start, end) packs into one 64-bit key.
+  std::unordered_map<uint64_t, size_t> group_index;
+  group_index.reserve(inputs.size());
+  group_of->resize(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Value& v = inputs[i][static_cast<size_t>(node.input_col)];
+    if (!std::holds_alternative<TextSpan>(v)) {
+      return Status::InvalidArgument("IE input column is not a span");
+    }
+    const TextSpan region = std::get<TextSpan>(v);
+    if (region.start < 0 || region.end < 0 || (region.start >> 32) != 0 ||
+        (region.end >> 32) != 0) {
+      return Status::InvalidArgument("IE input span exceeds 32-bit offsets");
+    }
+    const uint64_t key = (static_cast<uint64_t>(region.start) << 32) |
+                         static_cast<uint64_t>(region.end);
+    auto [it, inserted] = group_index.emplace(key, groups->size());
+    if (inserted) groups->push_back({region, i, 0});
+    ++(*groups)[it->second].count;
+    (*group_of)[i] = it->second;
+  }
+  return Status::OK();
+}
 
-Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
+Result<std::vector<Tuple>> WalkNode(const PlanNode& node, const Page& page,
+                                    IEHook* hook) {
   switch (node.kind) {
     case PlanKind::kScan: {
       std::vector<Tuple> out;
@@ -118,34 +149,27 @@ Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
     }
     case PlanKind::kIE: {
       DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                             ExecuteNode(*node.children[0], page));
+                             WalkNode(*node.children[0], page, hook));
       // Child tuples frequently share the same input region (e.g. one
-      // paragraph carrying several person mentions); the blackbox runs
-      // once per *distinct* region.
-      std::map<std::pair<int64_t, int64_t>, std::vector<Tuple>> cache;
+      // paragraph carrying several person mentions); the hook sees each
+      // distinct region once, and the walk restores the multiplicity.
+      std::vector<RegionGroup> groups;
+      std::vector<size_t> group_of;
+      DELEX_RETURN_NOT_OK(GroupRegions(node, input, &groups, &group_of));
+      std::vector<std::vector<Tuple>> produced(groups.size());
+      DELEX_RETURN_NOT_OK(hook->EvalIE(node, page, input, groups, &produced));
+      size_t total = 0;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        total += groups[g].count * produced[g].size();
+      }
       std::vector<Tuple> out;
-      for (const Tuple& t : input) {
-        const Value& v = t[static_cast<size_t>(node.input_col)];
-        if (!std::holds_alternative<TextSpan>(v)) {
-          return Status::InvalidArgument("IE input column is not a span");
-        }
-        TextSpan region = std::get<TextSpan>(v);
-        auto key = std::make_pair(region.start, region.end);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-          std::string_view text =
-              std::string_view(page.content)
-                  .substr(static_cast<size_t>(region.start),
-                          static_cast<size_t>(region.length()));
-          it = cache.emplace(key, node.extractor->Extract(text, region.start,
-                                                          Tuple()))
-                   .first;
-        }
-        for (const Tuple& produced : it->second) {
-          Tuple combined = t;
-          for (const Value& out_value : produced) {
-            combined.push_back(out_value);
-          }
+      out.reserve(total);
+      for (size_t i = 0; i < input.size(); ++i) {
+        for (const Tuple& o : produced[group_of[i]]) {
+          Tuple combined;
+          combined.reserve(input[i].size() + o.size());
+          combined.insert(combined.end(), input[i].begin(), input[i].end());
+          combined.insert(combined.end(), o.begin(), o.end());
           out.push_back(std::move(combined));
         }
       }
@@ -153,7 +177,7 @@ Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
     }
     case PlanKind::kSelect: {
       DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                             ExecuteNode(*node.children[0], page));
+                             WalkNode(*node.children[0], page, hook));
       std::vector<Tuple> out;
       for (Tuple& t : input) {
         DELEX_ASSIGN_OR_RETURN(bool keep, EvalSelect(node, t, page.content));
@@ -163,7 +187,7 @@ Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
     }
     case PlanKind::kProject: {
       DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                             ExecuteNode(*node.children[0], page));
+                             WalkNode(*node.children[0], page, hook));
       std::vector<Tuple> out;
       out.reserve(input.size());
       for (const Tuple& t : input) {
@@ -176,9 +200,9 @@ Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
     }
     case PlanKind::kJoin: {
       DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> left,
-                             ExecuteNode(*node.children[0], page));
+                             WalkNode(*node.children[0], page, hook));
       DELEX_ASSIGN_OR_RETURN(std::vector<Tuple> right,
-                             ExecuteNode(*node.children[1], page));
+                             WalkNode(*node.children[1], page, hook));
       std::vector<Tuple> out;
       EvalJoin(node, left, right, &out);
       return out;
@@ -187,10 +211,35 @@ Result<std::vector<Tuple>> ExecuteNode(const PlanNode& node, const Page& page) {
   return Status::Internal("unhandled plan node kind");
 }
 
+/// From-scratch IE evaluation: the blackbox over each whole region.
+class ExtractHook final : public IEHook {
+ public:
+  Status EvalIE(const PlanNode& node, const Page& page,
+                const std::vector<Tuple>& /*inputs*/,
+                const std::vector<RegionGroup>& groups,
+                std::vector<std::vector<Tuple>>* outputs) override {
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const TextSpan region = groups[g].region;
+      std::string_view text =
+          std::string_view(page.content)
+              .substr(static_cast<size_t>(region.start),
+                      static_cast<size_t>(region.length()));
+      (*outputs)[g] = node.extractor->Extract(text, region.start, Tuple());
+    }
+    return Status::OK();
+  }
+};
+
 }  // namespace
 
+Result<std::vector<Tuple>> WalkPlan(const PlanNode& root, const Page& page,
+                                    IEHook* hook) {
+  return WalkNode(root, page, hook);
+}
+
 Result<std::vector<Tuple>> ExecutePlan(const PlanNode& root, const Page& page) {
-  return ExecuteNode(root, page);
+  ExtractHook hook;
+  return WalkPlan(root, page, &hook);
 }
 
 Result<std::vector<Tuple>> ExecutePlanOnSnapshot(const PlanNode& root,

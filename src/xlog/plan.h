@@ -42,9 +42,9 @@ using PlanNodePtr = std::shared_ptr<PlanNode>;
 
 /// \brief A node of an execution tree.
 ///
-/// The tree is shared between the from-scratch interpreter (below), the
-/// baselines, and the Delex engine — they differ only in *how* IE nodes
-/// are evaluated, never in plan semantics.
+/// One walk, WalkPlan below, evaluates every tree. From-scratch execution,
+/// the Delex engine and the optimizer's sampler differ only in the IEHook
+/// that evaluates IE nodes, never in plan semantics.
 struct PlanNode {
   PlanKind kind = PlanKind::kScan;
 
@@ -96,14 +96,41 @@ int CountIENodes(const PlanNode& root);
 Result<bool> EvalSelect(const PlanNode& node, const Tuple& tuple,
                         std::string_view page_text);
 
-/// \brief Evaluates a join-equality + right_keep combination.
-///
-/// Appends joined tuples of `left` × `right` to `*out`.
-void EvalJoin(const PlanNode& node, const std::vector<Tuple>& left,
-              const std::vector<Tuple>& right, std::vector<Tuple>* out);
+/// \brief One distinct input region of an IE node: the child tuples whose
+/// input column holds `region` are `count` in number, the first of them at
+/// index `first`.
+struct RegionGroup {
+  TextSpan region;
+  size_t first = 0;
+  size_t count = 0;
+};
 
-/// \brief From-scratch execution of a plan on a single page (the No-reuse
-/// path; also the correctness oracle for Theorem 1 tests).
+/// \brief What a plan walk does at an IE node.
+class IEHook {
+ public:
+  virtual ~IEHook() = default;
+
+  /// Evaluates IE node `node` of a walk over `page`. `inputs` are the
+  /// child's tuples and `groups` their distinct input regions, in order of
+  /// first appearance. Sets (*outputs)[g], presized to groups.size(), to
+  /// the blackbox tuples of group g's region.
+  virtual Status EvalIE(const PlanNode& node, const Page& page,
+                        const std::vector<Tuple>& inputs,
+                        const std::vector<RegionGroup>& groups,
+                        std::vector<std::vector<Tuple>>* outputs) = 0;
+};
+
+/// \brief Evaluates the plan rooted at `root` on one page: scan, σ, π and
+/// ⋈ here, IE nodes through `hook`. At an IE node the child's tuples are
+/// grouped by distinct input region (which must be a span of 32-bit
+/// offsets), the hook runs once for all groups, and each group's outputs
+/// are appended to every tuple of that group.
+Result<std::vector<Tuple>> WalkPlan(const PlanNode& root, const Page& page,
+                                    IEHook* hook);
+
+/// \brief From-scratch execution of a plan on a single page: WalkPlan with
+/// one Extract call per distinct region (the No-reuse path; also the
+/// correctness oracle for Theorem 1 tests).
 Result<std::vector<Tuple>> ExecutePlan(const PlanNode& root, const Page& page);
 
 /// \brief From-scratch execution over a whole snapshot; returns per-page

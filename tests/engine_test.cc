@@ -1,17 +1,24 @@
 // Engine-level tests: that Delex actually *reuses* (not just stays
 // correct), that page churn and ordering perturbations degrade gracefully,
-// that capture works across generations, and that the ablation switches
+// that capture works across generations, that the ablation switches
 // (exact path off, folding off) and randomized matcher assignments all
-// preserve Theorem 1.
+// preserve Theorem 1, and that every plan walk rejects a non-span IE input
+// alike.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "optimizer/stats_collector.h"
+#include "shard/sharded_engine.h"
 
 namespace delex {
 namespace {
@@ -324,6 +331,95 @@ TEST(Engine, AssignmentSizeValidated) {
   ASSERT_TRUE(engine.RunSnapshot(snapshot, nullptr, dn, nullptr).ok());
   MatcherAssignment wrong = MatcherAssignment::Uniform(1, MatcherKind::kDN);
   EXPECT_FALSE(engine.RunSnapshot(snapshot, &snapshot, wrong, nullptr).ok());
+}
+
+/// A blackbox whose one output is an int64, not a span.
+class IntEmitter final : public Extractor {
+ public:
+  std::vector<Tuple> Extract(std::string_view /*region_text*/,
+                             int64_t /*region_base*/,
+                             const Tuple& /*context*/) const override {
+    return {Tuple{Value(int64_t{7})}};
+  }
+  int64_t Scope() const override { return int64_t{1} << 20; }
+  int64_t ContextWidth() const override { return 0; }
+  int64_t OutputArity() const override { return 1; }
+  const std::string& Name() const override { return name_; }
+
+ private:
+  std::string name_ = "emitInt";
+};
+
+/// docs(d), emitInt(d, k), emitInt(k, j): the second IE node's input
+/// column holds the first one's int64.
+xlog::PlanNodePtr NonSpanInputPlan() {
+  auto extractor = std::make_shared<IntEmitter>();
+  auto scan = std::make_shared<xlog::PlanNode>();
+  scan->kind = xlog::PlanKind::kScan;
+  scan->schema = {"d"};
+  auto first = std::make_shared<xlog::PlanNode>();
+  first->kind = xlog::PlanKind::kIE;
+  first->extractor = extractor;
+  first->input_col = 0;
+  first->children = {scan};
+  first->schema = {"d", "k"};
+  auto second = std::make_shared<xlog::PlanNode>();
+  second->kind = xlog::PlanKind::kIE;
+  second->extractor = extractor;
+  second->input_col = 1;
+  second->children = {first};
+  second->schema = {"d", "k", "j"};
+  xlog::AssignIds(second);
+  return second;
+}
+
+TEST(Engine, NonSpanIEInputFailsTheSameWayEverywhere) {
+  xlog::PlanNodePtr plan = NonSpanInputPlan();
+  Snapshot snapshot;
+  for (int i = 0; i < 6; ++i) {
+    snapshot.AddPage("u" + std::to_string(i), "page " + std::to_string(i));
+  }
+
+  auto oracle = xlog::ExecutePlan(*plan, snapshot.pages()[0]);
+  EXPECT_TRUE(oracle.status().IsInvalidArgument())
+      << oracle.status().ToString();
+
+  for (int threads : {1, 4}) {
+    DelexEngine::Options options;
+    options.work_dir = FreshDir("non-span-t" + std::to_string(threads));
+    options.num_threads = threads;
+    DelexEngine engine(plan, options);
+    ASSERT_TRUE(engine.Init().ok());
+    MatcherAssignment dn =
+        MatcherAssignment::Uniform(engine.NumUnits(), MatcherKind::kDN);
+    auto rows = engine.RunSnapshot(snapshot, nullptr, dn, nullptr);
+    EXPECT_TRUE(rows.status().IsInvalidArgument())
+        << "threads=" << threads << ": " << rows.status().ToString();
+  }
+
+  shard::ShardedEngine::Options sharded_options;
+  sharded_options.work_dir = FreshDir("non-span-sharded");
+  sharded_options.num_shards = 2;
+  sharded_options.num_threads = 2;
+  shard::ShardedEngine sharded(plan, sharded_options);
+  ASSERT_TRUE(sharded.Init().ok());
+  auto sharded_rows = sharded.RunSnapshot(
+      snapshot, nullptr,
+      MatcherAssignment::Uniform(sharded.NumUnits(), MatcherKind::kDN),
+      nullptr);
+  EXPECT_TRUE(sharded_rows.status().IsInvalidArgument())
+      << sharded_rows.status().ToString();
+
+  auto analysis = AnalyzeUnits(plan);
+  ASSERT_TRUE(analysis.ok());
+  ThreadPool pool(2);
+  for (ThreadPool* target : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto stats = CollectStats(plan, *analysis, snapshot, snapshot,
+                              StatsCollectorOptions(), 1, target);
+    EXPECT_TRUE(stats.status().IsInvalidArgument())
+        << (target == nullptr ? "inline: " : "pool: ")
+        << stats.status().ToString();
+  }
 }
 
 }  // namespace

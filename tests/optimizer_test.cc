@@ -128,6 +128,42 @@ TEST(PlanCost, RuResolvesToChainSourceBelow) {
                    EstimatePlanCost(stats, chains, all_dn));
 }
 
+TEST(PlanCost, RuCrossChainSourceMustRunEarlier) {
+  // award's two raw-input chains both start at an extractParagraph copy:
+  // unit 0 (#1) and unit 4 (#12). Units run in index order, and RU's
+  // match cache holds only what earlier units recorded.
+  ProgramSpec spec = *MakeProgram("award");
+  auto analysis = AnalyzeUnits(spec.plan);
+  ASSERT_TRUE(analysis.ok());
+  ChainStructure chains = ChainStructure::Build(spec.plan, *analysis);
+  const size_t n = analysis->units.size();
+  ASSERT_GT(n, 4u);
+  ASSERT_EQ(analysis->units[0].name, "extractParagraph#1");
+  ASSERT_EQ(analysis->units[4].name, "extractParagraph#12");
+  ASSERT_TRUE(chains.raw_input[0]);
+  ASSERT_TRUE(chains.raw_input[4]);
+  ASSERT_NE(chains.chain_of_unit[0], chains.chain_of_unit[4]);
+  CostModelStats stats = SyntheticStats(n, 0.9);
+
+  // Unit 0 on RU, its only UD source (unit 4) running later: priced as DN.
+  MatcherAssignment ru_first = MatcherAssignment::Uniform(n, MatcherKind::kDN);
+  ru_first.per_unit[0] = MatcherKind::kRU;
+  ru_first.per_unit[4] = MatcherKind::kUD;
+  MatcherAssignment dn_first = ru_first;
+  dn_first.per_unit[0] = MatcherKind::kDN;
+  EXPECT_EQ(EstimatePlanUnitCosts(stats, chains, ru_first)[0],
+            EstimatePlanUnitCosts(stats, chains, dn_first)[0]);
+
+  // Unit 2 on RU with unit 0 on UD: the source runs first, so UD pricing.
+  MatcherAssignment ru_later = MatcherAssignment::Uniform(n, MatcherKind::kDN);
+  ru_later.per_unit[0] = MatcherKind::kUD;
+  ru_later.per_unit[2] = MatcherKind::kRU;
+  EXPECT_EQ(EstimatePlanUnitCosts(stats, chains, ru_later)[2],
+            EstimateUnitCost(stats, 2, MatcherKind::kUD, /*ru_priced=*/true));
+  EXPECT_LT(EstimatePlanUnitCosts(stats, chains, ru_later)[2],
+            EstimateUnitCost(stats, 2, MatcherKind::kDN, /*ru_priced=*/true));
+}
+
 TEST(PlanSearch, EnumerationCoversFullSpace) {
   ProgramSpec spec = *MakeProgram("play");
   ChainStructure chains = LinearChains(spec);

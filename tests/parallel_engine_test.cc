@@ -4,19 +4,25 @@
 // ordered write-back) must be invisible to every observer: for any thread
 // count, the result multiset, the per-snapshot sorted tuples, and the
 // *bytes* of the captured next-generation reuse files must equal the
-// serial (num_threads=1, legacy-path) run. Both dataset profiles × all
-// four matchers are exercised, plus the ThreadPool's error contract.
+// num_threads=1 run, where the same pipeline evaluates pages inline on
+// the calling thread. Both dataset profiles × all four matchers are
+// exercised, plus the error contracts of ThreadPool and TaskGroup.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "delex/engine.h"
 #include "harness/experiment.h"
@@ -200,6 +206,67 @@ TEST(ParallelEngine, OptimizerDrivenSolutionMatchesAcrossThreadCounts) {
   }
 }
 
+/// Emits nothing; records the threads its Extract calls ran on.
+class ThreadRecordingExtractor final : public Extractor {
+ public:
+  std::vector<Tuple> Extract(std::string_view /*region_text*/,
+                             int64_t /*region_base*/,
+                             const Tuple& /*context*/) const override {
+    MutexLock lock(&mu_);
+    threads_.insert(std::this_thread::get_id());
+    return {};
+  }
+  int64_t Scope() const override { return 1000; }
+  int64_t ContextWidth() const override { return 0; }
+  int64_t OutputArity() const override { return 1; }
+  const std::string& Name() const override { return name_; }
+
+  std::set<std::thread::id> Threads() const {
+    MutexLock lock(&mu_);
+    return threads_;
+  }
+
+ private:
+  std::string name_ = "recordThread";
+  mutable Mutex mu_;
+  mutable std::set<std::thread::id> threads_ DELEX_GUARDED_BY(mu_);
+};
+
+TEST(ParallelEngine, WidthOneEvaluatesPagesOnTheCallingThread) {
+  Snapshot snapshot;
+  for (int i = 0; i < 6; ++i) snapshot.AddPage("u" + std::to_string(i), "x");
+  for (int threads : {1, 4}) {
+    auto extractor = std::make_shared<ThreadRecordingExtractor>();
+    auto scan = std::make_shared<xlog::PlanNode>();
+    scan->schema = {"d"};
+    auto ie = std::make_shared<xlog::PlanNode>();
+    ie->kind = xlog::PlanKind::kIE;
+    ie->extractor = extractor;
+    ie->input_col = 0;
+    ie->children = {scan};
+    ie->schema = {"d", "x"};
+    xlog::AssignIds(ie);
+    DelexEngine::Options options;
+    options.work_dir = FreshDir("inline-t" + std::to_string(threads));
+    options.num_threads = threads;
+    DelexEngine engine(ie, options);
+    ASSERT_TRUE(engine.Init().ok());
+    ASSERT_TRUE(engine
+                    .RunSnapshot(snapshot, nullptr,
+                                 MatcherAssignment::Uniform(1, MatcherKind::kDN),
+                                 nullptr)
+                    .ok());
+    const std::set<std::thread::id> used = extractor->Threads();
+    const bool on_caller = used.contains(std::this_thread::get_id());
+    if (threads == 1) {
+      EXPECT_EQ(used.size(), 1u);  // inline: no pool thread ran a page
+      EXPECT_TRUE(on_caller);
+    } else {
+      EXPECT_FALSE(on_caller);  // the caller only prefetches and commits
+    }
+  }
+}
+
 TEST(ThreadPool, RunsAllTasksAcrossThreads) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -240,6 +307,81 @@ TEST(ThreadPool, ExceptionsBecomeInternalStatus) {
   Status status = pool.Wait();
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("boom"), std::string::npos);
+}
+
+TEST(TaskGroup, NullPoolRunsTasksInlineInSubmitOrder) {
+  TaskGroup tasks(nullptr, 2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool all_on_caller = true;
+  for (int i = 0; i < 5; ++i) {
+    tasks.Submit([&, i]() {
+      order.push_back(i);
+      all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+      return Status::OK();
+    });
+    // Inline: the task has already run when Submit returns.
+    EXPECT_EQ(order.size(), static_cast<size_t>(i + 1));
+  }
+  EXPECT_TRUE(tasks.Wait().ok());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
+}
+
+TEST(TaskGroup, AtMostWindowTasksUnfinished) {
+  ThreadPool pool(4);
+  constexpr int kWindow = 2;
+  TaskGroup tasks(&pool, kWindow);
+  std::atomic<int> running{0};
+  std::atomic<int> high_water{0};
+  for (int i = 0; i < 40; ++i) {
+    tasks.Submit([&]() {
+      const int now = running.fetch_add(1) + 1;
+      int seen = high_water.load();
+      while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1);
+      return Status::OK();
+    });
+  }
+  EXPECT_TRUE(tasks.Wait().ok());
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_LE(high_water.load(), kWindow);  // 4 workers, yet never 3 at once
+}
+
+TEST(TaskGroup, WaitReturnsOnlyThisGroupsFirstError) {
+  ThreadPool pool(2);
+  // Another caller's failed task, left undrained on the shared pool.
+  pool.Submit([] { return Status::Internal("another caller's task"); });
+  TaskGroup clean(&pool, 2);
+  for (int i = 0; i < 4; ++i) clean.Submit([] { return Status::OK(); });
+  EXPECT_TRUE(clean.Wait().ok());
+
+  // Window 1 finishes each task before the next starts, so "first" is
+  // well defined.
+  TaskGroup failing(&pool, 1);
+  failing.Submit([] { return Status::OK(); });
+  failing.Submit([] { return Status::IOError("disk gone"); });
+  failing.Submit([] { return Status::InvalidArgument("later"); });
+  Status status = failing.Wait();
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  // The pool's sticky error is still the other caller's.
+  EXPECT_TRUE(pool.Wait().IsInternal());
+}
+
+TEST(TaskGroup, ThrowingTaskBecomesInternal) {
+  ThreadPool pool(2);
+  for (ThreadPool* target : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    TaskGroup tasks(target, 2);
+    tasks.Submit([]() -> Status { throw std::runtime_error("boom"); });
+    tasks.Submit([] { return Status::OK(); });
+    Status status = tasks.Wait();
+    EXPECT_TRUE(status.IsInternal()) << status.ToString();
+    EXPECT_NE(status.message().find("boom"), std::string::npos);
+  }
+  EXPECT_TRUE(pool.Wait().ok());  // the group's errors never reach the pool
 }
 
 }  // namespace

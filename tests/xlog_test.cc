@@ -1,7 +1,11 @@
 // Tests for the xlog layer: lexer/parser, builtin predicates, translation
-// into execution trees, and the from-scratch interpreter.
+// into execution trees, the plan walk and from-scratch execution.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "extract/dictionary_extractor.h"
 #include "extract/registry.h"
@@ -259,6 +263,75 @@ TEST(Execute, SnapshotExecutionPrefixesDid) {
   EXPECT_EQ(std::get<int64_t>((*rows)[0][0]), 0);
   EXPECT_EQ(std::get<int64_t>((*rows)[1][0]), 1);
   EXPECT_EQ(std::get<int64_t>((*rows)[2][0]), 1);
+}
+
+/// Extracts from scratch like ExecutePlan and records the region groups
+/// each IE node's hook call was handed, keyed by extractor name.
+class CountingHook final : public IEHook {
+ public:
+  Status EvalIE(const PlanNode& node, const Page& page,
+                const std::vector<Tuple>& /*inputs*/,
+                const std::vector<RegionGroup>& groups,
+                std::vector<std::vector<Tuple>>* outputs) override {
+    calls[node.extractor->Name()].push_back(groups);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const TextSpan region = groups[g].region;
+      (*outputs)[g] = node.extractor->Extract(
+          std::string_view(page.content)
+              .substr(static_cast<size_t>(region.start),
+                      static_cast<size_t>(region.length())),
+          region.start, Tuple());
+    }
+    return Status::OK();
+  }
+
+  std::map<std::string, std::vector<std::vector<RegionGroup>>> calls;
+};
+
+TEST(WalkPlan, HookSeesEachDistinctRegionOnceAndRowsKeepMultiplicity) {
+  ExtractorRegistry registry = TestRegistry();
+  auto program = ParseProgram(
+      "r(n, l) :- docs(d), extractName(d, n), extractLine(d, l).");
+  ASSERT_TRUE(program.ok());
+  auto plan = TranslateProgram(*program, registry);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  Page page;
+  page.content = "Ann met Bob\nBob left";
+  const std::vector<TextSpan> names = {TextSpan(0, 3), TextSpan(8, 11),
+                                       TextSpan(12, 15)};
+  const std::vector<TextSpan> lines = {TextSpan(0, 11), TextSpan(12, 20)};
+  const TextSpan whole(0, static_cast<int64_t>(page.content.size()));
+
+  CountingHook hook;
+  auto rows = WalkPlan(**plan, page, &hook);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+
+  // Every name tuple carries the same document region into extractLine:
+  // one hook call, one group, holding all of them.
+  ASSERT_EQ(hook.calls["extractLine"].size(), 1u);
+  ASSERT_EQ(hook.calls["extractLine"][0].size(), 1u);
+  const RegionGroup& group = hook.calls["extractLine"][0][0];
+  EXPECT_EQ(group.region, whole);
+  EXPECT_EQ(group.first, 0u);
+  EXPECT_EQ(group.count, names.size());
+  ASSERT_EQ(hook.calls["extractName"].size(), 1u);
+  ASSERT_EQ(hook.calls["extractName"][0].size(), 1u);
+  EXPECT_EQ(hook.calls["extractName"][0][0].count, 1u);
+
+  // Every name row is paired with every line, names in document order.
+  ASSERT_EQ(rows->size(), names.size() * lines.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    for (size_t j = 0; j < lines.size(); ++j) {
+      const Tuple& row = (*rows)[i * lines.size() + j];
+      ASSERT_EQ(row.size(), 2u);
+      EXPECT_EQ(std::get<TextSpan>(row[0]), names[i]);
+      EXPECT_EQ(std::get<TextSpan>(row[1]), lines[j]);
+    }
+  }
+  auto oracle = ExecutePlan(**plan, page);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(*oracle, *rows);
 }
 
 TEST(Plan, ToStringShowsStructure) {
