@@ -19,9 +19,8 @@
 // byte-identical (same rows, same order) to the unsharded run at the
 // same pool width; it is checked at every scale because it is the whole
 // point of the partitioning invariants. `peak_bytes_per_page` divides the
-// run's peak bytes of the `snapshot` and `shard` MemTags, and of the RSS
-// no tag accounts for, by the pages of one snapshot (informational, not
-// gated).
+// run's peak bytes of every MemTag, and of the RSS no tag accounts for, by
+// the pages of one snapshot (informational, not gated).
 
 #include <cstdio>
 #include <string>
@@ -165,22 +164,19 @@ void Main() {
       std::fflush(stdout);
     }
   }
-  // Peak bytes per page of one snapshot, over the whole grid: the text of
-  // the snapshots held at once, the shard layer's own state, and the RSS
-  // that no MemTag accounts for.
+  // Peak bytes per page of one snapshot, over the whole grid: each memory
+  // tag (the text of the snapshots held at once, the pipeline ring, the
+  // shard layer's own state, ...) and the RSS that no tag accounts for.
   const obs::ResourceUsage usage = obs::CollectResourceUsage();
-  auto tag_peak = [&usage](obs::MemTag tag) {
-    return usage.subsystems[static_cast<size_t>(tag)].peak_bytes;
-  };
   auto per_page = [pages](int64_t bytes) {
     return pages > 0 ? static_cast<double>(bytes) / pages : 0.0;
   };
-  std::printf("\n  ],\n  \"peak_rss_bytes\": %lld,\n"
-              "  \"peak_bytes_per_page\": {\"snapshot\": %.1f, "
-              "\"shard\": %.1f, \"untracked\": %.1f}\n}\n",
-              static_cast<long long>(usage.peak_rss_bytes),
-              per_page(tag_peak(obs::MemTag::kSnapshot)),
-              per_page(tag_peak(obs::MemTag::kShard)),
+  std::printf("\n  ],\n  \"peak_rss_bytes\": %lld,\n  \"peak_bytes_per_page\": {",
+              static_cast<long long>(usage.peak_rss_bytes));
+  for (const obs::ResourceUsage::Subsystem& sub : usage.subsystems) {
+    std::printf("\"%s\": %.1f, ", sub.tag.c_str(), per_page(sub.peak_bytes));
+  }
+  std::printf("\"untracked\": %.1f}\n}\n",
               per_page(usage.peak_rss_bytes - usage.tracked_peak_bytes));
 }
 

@@ -7,8 +7,8 @@
 #             and a clang++ build with -Werror=thread-safety checking
 #             the DELEX_GUARDED_BY/DELEX_REQUIRES annotations.
 #   Release   build + full ctest + the refreshbench self-test +
-#             bench/obs/metrics smokes + the perf-regression gate over
-#             bench/baselines/.
+#             pipeline-memory/bench/obs/metrics smokes + the
+#             perf-regression gate over bench/baselines/.
 #   fuzz      extended deterministic mutation budget for every fuzz
 #             harness against the committed corpora (the per-harness
 #             512-run replay already runs inside every ctest leg).
@@ -132,6 +132,37 @@ if [[ "${DELEX_CI_FAST:-0}" == "1" ]]; then
 fi
 
 if [[ "${DELEX_CI_TSAN_ONLY:-0}" != "1" ]]; then
+  # Pipeline memory smoke: 20,000 Synthetic pages x 3 snapshots through the
+  # refresh_bench binary the self-test above built (chair, pinned ST plan,
+  # 4 shards on 4 threads). Peak RSS must stay below 8 KB per page. The
+  # engine's page ring holds only the pages in flight; what is left per
+  # page is the two live snapshots and the result rows (about 4 KB). A
+  # pipeline that keeps per-page state for the whole run reads about
+  # 20 KB per page and fails.
+  echo "=== Release: pipeline memory smoke (20,000 pages) ==="
+  mem_tmp="$(scratch_dir)"
+  refresh_bench=.bench_build/refreshbench/refresh_bench
+  "${refresh_bench}" gen --profile synthetic --pages 20000 --seed 1 \
+    --count 3 --out "${mem_tmp}/snapshots"
+  "${refresh_bench}" run --program chair --plan ST --threads 4 --shards 4 \
+    --setups 1 --count 3 --seconds 600 --trace 0 \
+    --snapshots "${mem_tmp}/snapshots" --work "${mem_tmp}/work" \
+    --out "${mem_tmp}/run.json" >/dev/null
+  python3 - "${mem_tmp}/run.json" 20000 <<'EOF'
+import json, sys
+
+run = json.load(open(sys.argv[1]))
+pages = int(sys.argv[2])
+for record in run["setups"] + run["refreshes"]:
+    assert "error" not in record, record["error"]
+assert len(run["refreshes"]) == 2, run["refreshes"]
+per_page = run["resources"]["peak_rss_bytes"] / pages
+if per_page >= 8192:
+    sys.exit(f"FAIL: peak RSS {per_page:.0f} B/page at {pages} pages "
+             "(limit 8192): pipeline memory grows with the snapshot")
+print(f"pipeline memory smoke OK: {per_page:.0f} B/page peak RSS")
+EOF
+
   # Scalar-dispatch leg: the full Release suite again with DELEX_SIMD=0,
   # so every kernel consumer (diff trim, suffix stream, digest check) is
   # also exercised through the scalar tier. Byte-identical results across

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 
 #include "common/annotations.h"
 #include "common/hash.h"
@@ -17,6 +18,7 @@
 #include "delex/region_derivation.h"
 #include "text/suffix_matcher.h"
 #include "obs/export.h"
+#include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -123,44 +125,124 @@ struct DelexEngine::PageContext final : xlog::IEHook {
   RunStats* stats = nullptr;                      // per-page stats shard
 };
 
-/// One page's place in the pipeline: reader-stage prefetch in, worker
-/// results out, consumed by the ordered write-back stage and the final
-/// result/stats assembly.
+/// One page's place in the pipeline ring: reader-stage prefetch in, worker
+/// results out, consumed by the ordered write-back stage, then retired by
+/// the reader (stats shard and rows folded into the run, buffers released)
+/// before the page RingSlots() later reuses it.
 struct DelexEngine::PageSlot {
+  /// The `pipeline` tag's charge for HeldBytes(): set when the reader has
+  /// prefetched the page and again when its worker has evaluated it,
+  /// returned when the slot is recycled.
+  obs::ScopedMemCharge mem{obs::MemTag::kPipeline};
   const Page* page = nullptr;
   const Page* q_page = nullptr;
   std::vector<PageReuse> reuse;       // filled by the reader stage
   std::vector<PageCapture> captures;  // filled by the worker
   RunStats stats;                     // per-page shard (incl. unit timers)
   std::vector<Tuple> rows;            // did-prefixed result tuples
-  bool done = false;                  // guarded by RunState::mu
 
-  // Whole-page fast path (content byte-identical to q_page): set at slot
-  // layout, cleared by PrefetchSlot if any required previous-generation
-  // piece is missing. Fast-path slots never reach EvalPage — rows are
-  // recovered from the result cache and reuse records relocate as raw
-  // slices (or, per unit, as decode-copied captures when the unit's index
-  // entry failed validation).
+  // Whole-page fast path (content byte-identical to q_page): set when the
+  // reader fills the slot, cleared by PrefetchSlot if any required
+  // previous-generation piece is missing. Fast-path slots never reach
+  // EvalPage — rows are recovered from the result cache and reuse records
+  // relocate as raw slices (or, per unit, as decode-copied captures when
+  // the unit's index entry failed validation).
   bool identical = false;
   std::vector<RawPageSlice> raw_slices;  // per unit; meaningful when valid
   std::vector<char> raw_valid;           // per unit: commit slice raw?
   ResultPageSlice result_slice;          // cached rows, still encoded
+
+  /// Heap bytes of the page state the slot holds for the pipeline:
+  /// prefetched records, raw and result slices, buffered captures and the
+  /// stats shard's allocated histogram buckets (rows are the run's output,
+  /// not pipeline state).
+  int64_t HeldBytes() const;
 };
+
+namespace {
+
+/// Heap bytes of a tuple: its value array plus out-of-line string bytes.
+size_t TupleHeapBytes(const Tuple& tuple) {
+  static const size_t kInlineChars = std::string().capacity();
+  size_t bytes = tuple.capacity() * sizeof(Value);
+  for (const Value& value : tuple) {
+    const auto* text = std::get_if<std::string>(&value);
+    if (text != nullptr && text->capacity() > kInlineChars) {
+      bytes += text->capacity() + 1;
+    }
+  }
+  return bytes;
+}
+
+size_t HistogramHeapBytes(const obs::LocalHistogram& hist) {
+  return hist.buckets().capacity() * sizeof(int64_t);
+}
+
+}  // namespace
+
+int64_t DelexEngine::PageSlot::HeldBytes() const {
+  size_t bytes = 0;
+  for (const PageReuse& unit_reuse : reuse) {
+    bytes += unit_reuse.inputs.capacity() * sizeof(InputTupleRec) +
+             unit_reuse.outputs.capacity() * sizeof(OutputTupleRec);
+    for (const InputTupleRec& rec : unit_reuse.inputs) {
+      bytes += TupleHeapBytes(rec.context);
+    }
+    for (const OutputTupleRec& rec : unit_reuse.outputs) {
+      bytes += TupleHeapBytes(rec.payload);
+    }
+  }
+  for (const PageCapture& capture : captures) {
+    bytes += capture.groups.capacity() * sizeof(PageCapture::Group);
+    for (const PageCapture::Group& group : capture.groups) {
+      bytes += TupleHeapBytes(group.context) +
+               group.outputs.capacity() * sizeof(Tuple);
+      for (const Tuple& output : group.outputs) bytes += TupleHeapBytes(output);
+    }
+  }
+  for (const RawPageSlice& raw : raw_slices) {
+    bytes += raw.in_bytes.capacity() + raw.out_bytes.capacity();
+  }
+  bytes += raw_slices.capacity() * sizeof(RawPageSlice) +
+           result_slice.bytes.capacity();
+  bytes += HistogramHeapBytes(stats.page_eval_hist);
+  for (const obs::LocalHistogram& hist : stats.match_hist) {
+    bytes += HistogramHeapBytes(hist);
+  }
+  for (const UnitRunStats& unit : stats.units) {
+    bytes += HistogramHeapBytes(unit.extract_hist);
+  }
+  return static_cast<int64_t>(bytes);
+}
 
 /// Shared commit state of one run: a page's task (or the reader, for a
 /// fast-path page) marks its slot done, and whichever thread finds the
 /// front of the snapshot order done commits it. Task completion itself is
 /// the TaskGroup's business.
 struct DelexEngine::RunState {
-  RunState() : commit_mu("engine.run.commit_mu"), mu("engine.run.mu") {}
+  explicit RunState(size_t ring_slots)
+      : commit_mu("engine.run.commit_mu"), mu("engine.run.mu"),
+        done(ring_slots, 0) {}
 
   // Canonical order: commit_mu before mu — the committer peeks at done
   // flags (mu) while serializing write-back (commit_mu); nothing ever
   // takes commit_mu while holding mu.
   Mutex commit_mu DELEX_ACQUIRED_BEFORE(mu);
-  Mutex mu;  // guards done flags, next_commit, error
+  Mutex mu;  // guards done, next_commit, error
+  // Per ring slot: the page in it is ready to commit. Set by its worker
+  // (or the reader, for a fast-path page), cleared by its commit, so a
+  // committed slot the reader has not refilled never reads as ready.
+  std::vector<char> done DELEX_GUARDED_BY(mu);
   size_t next_commit DELEX_GUARDED_BY(mu) = 0;  // first page index not committed
   Status error DELEX_GUARDED_BY(mu);            // first evaluation/commit failure
+  // Signalled under mu when next_commit advances or the run fails: the
+  // reader waits on it for the ring's oldest slot.
+  CondVar slot_free;
+
+  void Fail(const Status& status) DELEX_REQUIRES(mu) {
+    if (error.ok()) error = status;
+    slot_free.NotifyAll();
+  }
 };
 
 DelexEngine::DelexEngine(xlog::PlanNodePtr plan, Options options)
@@ -416,14 +498,27 @@ Status DelexEngine::CommitPage(PageSlot* slot) {
   } else {
     DELEX_RETURN_NOT_OK(result_writer_->CommitPage(did, slot->rows));
   }
-  slot->captures.clear();  // free buffered records as the pipeline drains
-  slot->raw_slices.clear();
-  slot->result_slice.bytes.clear();
   return Status::OK();
 }
 
-Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
-  RunState state;
+size_t DelexEngine::RingSlots(int width) {
+  // On a mostly identical snapshot the reader fills the ring with
+  // fast-path pages behind each changed page in evaluation. While it waits
+  // it finds no further changed pages to hand the workers, so a small ring
+  // slows the run: on a 1,000-page DBLife series (97 % identical, 4
+  // workers) refreshes took 17 % longer at 8 windows and 11 % at 32, and
+  // no longer at 128 (EXPERIMENTS.md, "Pipeline memory"). Slots are
+  // released as they commit, so the size bounds memory only behind a slow
+  // page.
+  constexpr size_t kWindowsPerRing = 128;
+  return kWindowsPerRing * (static_cast<size_t>(std::max(width, 1)) * 2 + 2);
+}
+
+Status DelexEngine::RunPages(const SnapshotView& current,
+                             const Snapshot* previous, std::vector<Tuple>* rows,
+                             RunStats* stats) {
+  const size_t num_pages = current.NumPages();
+  const size_t num_units = analysis_.units.size();
   // Two-level scheduling: a caller-provided shared pool (sharded
   // execution) or a run-local one. Either way the reader and write-back
   // stages stay on this thread; only page evaluation goes to the pool.
@@ -434,33 +529,55 @@ Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
   const int num_threads = EffectiveThreads();
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options_.shared_pool;
-  if (pool == nullptr && num_threads > 1 && slots->size() > 1) {
+  if (pool == nullptr && num_threads > 1 && num_pages > 1) {
     owned_pool = std::make_unique<ThreadPool>(num_threads);
     pool = owned_pool.get();
   }
+  // Identical pages take the fast path only if the previous result cache
+  // opened; one dropped mid-run demotes the rest in PrefetchSlot.
+  const bool fast_path = result_reader_ != nullptr;
+
+  // Declared before the TaskGroup, which settles every task referencing
+  // them before they go out of scope. Never more slots than pages.
+  std::vector<PageSlot> ring(
+      std::min(RingSlots(num_threads), std::max<size_t>(num_pages, 1)));
+  RunState state(ring.size());
 
   // Commits every ready page at the front of the snapshot order. Any
   // finishing worker may become the committer; commit_mu serializes the
   // writers, mu orders the done-flag handoff.
-  auto drain_commits = [this, &state, slots]() -> Status {
+  auto drain_commits = [this, &state, &ring]() -> Status {
     MutexLock commit_lock(&state.commit_mu);
     for (;;) {
-      PageSlot* slot = nullptr;
+      size_t index = 0;
       {
         MutexLock lock(&state.mu);
-        if (!state.error.ok() || state.next_commit >= slots->size() ||
-            !(*slots)[state.next_commit].done) {
-          return Status::OK();
-        }
-        slot = &(*slots)[state.next_commit];
+        index = state.next_commit % ring.size();
+        if (!state.error.ok() || state.done[index] == 0) return Status::OK();
       }
-      Status st = CommitPage(slot);
+      Status st = CommitPage(&ring[index]);
       MutexLock lock(&state.mu);
       if (!st.ok()) {
-        if (state.error.ok()) state.error = st;
+        state.Fail(st);
         return st;
       }
+      state.done[index] = 0;
       ++state.next_commit;
+      state.slot_free.NotifyAll();
+    }
+  };
+
+  // Retires the committed pages [retired, end) in snapshot order, on the
+  // reader thread and outside commit_mu: folds each stats shard into the
+  // run's (integer sums, so totals equal a merge at run end), moves the
+  // rows out and releases the slot's buffers and charge.
+  size_t retired = 0;
+  auto retire_through = [&ring, &retired, rows, stats](size_t end) {
+    for (; retired < end; ++retired) {
+      PageSlot& slot = ring[retired % ring.size()];
+      stats->MergeFrom(slot.stats);
+      for (Tuple& row : slot.rows) rows->push_back(std::move(row));
+      slot = PageSlot();
     }
   };
 
@@ -468,19 +585,48 @@ Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
   Status task_status;
   {
     // Bound on submitted-but-unfinished pages: keeps the reader stage a few
-    // pages ahead of the workers without prefetching the whole previous
-    // generation into memory. The group settles before `state` and the
-    // slots it references go out of scope.
+    // pages ahead of the workers; the ring bounds how far it may run ahead
+    // of the oldest uncommitted page.
     TaskGroup tasks(pool, static_cast<size_t>(num_threads) * 2 + 2);
-    for (PageSlot& slot : *slots) {
+    for (size_t i = 0; i < num_pages; ++i) {
+      size_t committed = 0;
       {
+        // Page i's slot is free once page i - ring.size() has committed.
         MutexLock lock(&state.mu);
+        while (state.error.ok() && state.next_commit + ring.size() <= i) {
+          state.slot_free.Wait(&state.mu);
+        }
         if (!state.error.ok()) break;
+        committed = state.next_commit;
       }
-      // Reader stage: one strictly-forward scan per reuse file, kept on
-      // this thread and in snapshot page order (§5.2).
+      retire_through(committed);
+
+      // Reader stage: resolve the previous version, then one
+      // strictly-forward scan per reuse file, kept on this thread and in
+      // snapshot page order (§5.2).
+      PageSlot& slot = ring[i % ring.size()];
+      slot.page = &current.page(i);
+      if (previous != nullptr) {
+        if (auto idx = previous->FindByUrl(slot.page->url)) {
+          slot.q_page = &previous->pages()[*idx];
+        }
+      }
+      slot.captures.resize(num_units);
+      slot.stats.units.resize(num_units);
+      slot.stats.pages = 1;
+      if (slot.q_page != nullptr) slot.stats.pages_with_previous = 1;
+      // Whole-page fast path: digests first (O(1) per pair), then a byte
+      // compare so a digest collision can never relocate wrong records.
+      slot.identical =
+          fast_path && slot.q_page != nullptr &&
+          slot.q_page->content_hash == slot.page->content_hash &&
+          slot.q_page->content.size() == slot.page->content.size() &&
+          simd::BytesEqual(slot.q_page->content.data(),
+                           slot.page->content.data(),
+                           slot.page->content.size());
       prefetch_error = PrefetchSlot(&slot);
       if (!prefetch_error.ok()) break;
+      slot.mem.Set(slot.HeldBytes());
       if (slot.identical) {
         // Fast-path pages bypass the worker stage: rows are already
         // recovered and nothing needs evaluating, but the commit still
@@ -488,30 +634,37 @@ Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
         // from here (the reader thread). An error lands in state.error.
         {
           MutexLock lock(&state.mu);
-          slot.done = true;
+          state.done[i % ring.size()] = 1;
         }
         (void)drain_commits();
         continue;
       }
-      tasks.Submit([this, slot = &slot, &state, &drain_commits]() -> Status {
-        PageContext page_ctx;
-        page_ctx.engine = this;
-        page_ctx.page = slot->page;
-        page_ctx.q_page = slot->q_page;
-        page_ctx.reuse = slot->q_page != nullptr ? &slot->reuse : nullptr;
-        page_ctx.captures = &slot->captures;
-        page_ctx.stats = &slot->stats;
-        Result<std::vector<Tuple>> rows = EvalPage(&page_ctx);
-        {
-          MutexLock lock(&state.mu);
-          if (rows.ok()) {
-            slot->rows = std::move(rows).ValueOrDie();
-            slot->done = true;
-          } else if (state.error.ok()) {
-            state.error = rows.status();
+      tasks.Submit([this, index = i % ring.size(), &ring, &state,
+                    &drain_commits]() -> Status {
+        // Any failure, a throw included, must reach state.error: the
+        // reader may be waiting for this page to commit.
+        Status status = ThreadPool::RunTask([&]() -> Status {
+          PageSlot* slot = &ring[index];
+          PageContext page_ctx;
+          page_ctx.engine = this;
+          page_ctx.page = slot->page;
+          page_ctx.q_page = slot->q_page;
+          page_ctx.reuse = slot->q_page != nullptr ? &slot->reuse : nullptr;
+          page_ctx.captures = &slot->captures;
+          page_ctx.stats = &slot->stats;
+          DELEX_ASSIGN_OR_RETURN(slot->rows, EvalPage(&page_ctx));
+          slot->mem.Set(slot->HeldBytes());
+          {
+            MutexLock lock(&state.mu);
+            state.done[index] = 1;
           }
+          return drain_commits();
+        });
+        if (!status.ok()) {
+          MutexLock lock(&state.mu);
+          state.Fail(status);
         }
-        return rows.ok() ? drain_commits() : rows.status();
+        return status;
       });
     }
     task_status = tasks.Wait();
@@ -522,9 +675,12 @@ Status DelexEngine::RunPages(std::vector<PageSlot>* slots) {
   // last worker's drain pass (the inline drain above normally commits it
   // already).
   DELEX_RETURN_NOT_OK(drain_commits());
-  MutexLock lock(&state.mu);
-  DELEX_RETURN_NOT_OK(state.error);
-  DELEX_CHECK(state.next_commit == slots->size());
+  {
+    MutexLock lock(&state.mu);
+    DELEX_RETURN_NOT_OK(state.error);
+    DELEX_CHECK(state.next_commit == num_pages);
+  }
+  retire_through(num_pages);
   return Status::OK();
 }
 
@@ -584,34 +740,8 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
     }
   }
 
-  // Stage 0: lay out one slot per page, resolving each page's previous
-  // version. Workers only ever touch their own slot.
-  std::vector<PageSlot> slots(current.NumPages());
-  for (size_t i = 0; i < current.NumPages(); ++i) {
-    const Page& page = current.page(i);
-    PageSlot& slot = slots[i];
-    slot.page = &page;
-    if (previous != nullptr) {
-      if (auto idx = previous->FindByUrl(page.url)) {
-        slot.q_page = &previous->pages()[*idx];
-      }
-    }
-    slot.captures.resize(num_units);
-    slot.stats.units.resize(num_units);
-    slot.stats.pages = 1;
-    if (slot.q_page != nullptr) slot.stats.pages_with_previous = 1;
-    // Whole-page fast path: digests first (O(1) per pair), then a byte
-    // compare so a digest collision can never relocate wrong records.
-    if (slot.q_page != nullptr && result_reader_ != nullptr &&
-        slot.q_page->content_hash == page.content_hash &&
-        slot.q_page->content.size() == page.content.size() &&
-        simd::BytesEqual(slot.q_page->content.data(), page.content.data(),
-                         page.content.size())) {
-      slot.identical = true;
-    }
-  }
-
-  Status run_status = RunPages(&slots);
+  std::vector<Tuple> results;
+  Status run_status = RunPages(current, previous, &results, out_stats);
   if (!run_status.ok()) {
     writers_.clear();
     readers_.clear();
@@ -619,15 +749,6 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
     result_reader_.reset();
     assignment_ = nullptr;
     return run_status;
-  }
-
-  // Final assembly: results in snapshot page order, stats shards merged in
-  // the same order (counter totals are order-independent; the fixed order
-  // keeps the merge deterministic anyway).
-  std::vector<Tuple> results;
-  for (PageSlot& slot : slots) {
-    for (Tuple& row : slot.rows) results.push_back(std::move(row));
-    out_stats->MergeFrom(slot.stats);
   }
 
   for (auto& writer : writers_) {

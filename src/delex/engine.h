@@ -125,6 +125,14 @@ class DelexEngine {
   /// Effective worker count of a run (resolves num_threads == 0).
   int EffectiveThreads() const;
 
+  /// Page slots in the pipeline ring of a run at `width` workers (fewer if
+  /// the snapshot has fewer pages): a fixed multiple of the task window
+  /// (2·width + 2 pages in evaluation), so identical pages can queue behind
+  /// a slow changed page while the reader goes on finding changed pages
+  /// for the workers. Pipeline memory is bounded by this many pages, not by
+  /// the snapshot.
+  static size_t RingSlots(int width);
+
   /// Resumes an interrupted stream: positions the engine as if
   /// `generation` runs had completed in this work_dir, so the next
   /// RunSnapshot consumes the reuse files that run left behind. Fails
@@ -150,13 +158,15 @@ class DelexEngine {
   /// (logged + counted); subsequent pages see no reuse for that unit.
   void DropCorruptReader(size_t u, const Status& cause, RunStats* stats);
 
-  /// Reader-stage entry point for one slot, called in snapshot page order.
-  /// For a fast-path slot (`slot->identical`), recovers the page's result
-  /// rows from the previous generation's result cache and lifts each
-  /// unit's reuse records as raw slices; any missing piece demotes the
-  /// slot tier by tier (raw copy → decode-copy → full evaluation) so
-  /// degradation never miscomputes. For every other slot, prefetches the
-  /// decoded per-unit reuse tuples.
+  /// Reader-stage entry point for one slot, called in snapshot page order
+  /// on a slot the ring has just recycled (or never used) and on which
+  /// RunPages has set the page, its previous version and `identical`. For
+  /// a fast-path slot, recovers the page's result rows from the previous
+  /// generation's result cache and lifts each unit's reuse records as raw
+  /// slices; any missing piece demotes the slot tier by tier (raw copy →
+  /// decode-copy → full evaluation) so degradation never miscomputes. For
+  /// every other slot, prefetches the decoded per-unit reuse tuples. The
+  /// slot keeps all of it until the ring recycles it.
   Status PrefetchSlot(PageSlot* slot);
 
   /// Evaluates one page end to end: xlog::WalkPlan with EvalUnit as the
@@ -168,7 +178,9 @@ class DelexEngine {
   /// Commits one page: per-unit capture buffers (or raw slices, for
   /// fast-path pages) are appended to the reuse writers, and the page's
   /// result rows to this generation's result cache. Caller must serialize
-  /// commits in snapshot page order (the ordered write-back stage).
+  /// commits in snapshot page order (the ordered write-back stage). Only
+  /// writes; the slot's buffers, rows and stats shard stay in place until
+  /// the reader recycles the slot, outside the commit lock.
   Status CommitPage(PageSlot* slot);
 
   /// Evaluates `unit` at its IE node (match → copy → extract → capture)
@@ -187,10 +199,17 @@ class DelexEngine {
                                  const Tuple& blackbox_output,
                                  std::string_view page_text) const;
 
-  /// The page pipeline: reader prefetch and ordered write-back on this
-  /// thread, page evaluation on a pool — or inline on this thread at
-  /// width 1 without a shared pool.
-  Status RunPages(std::vector<PageSlot>* slots);
+  /// The page pipeline over `current`: reader prefetch and ordered
+  /// write-back on this thread, page evaluation on a pool — or inline on
+  /// this thread at width 1 without a shared pool. Pages pass through a
+  /// fixed ring of R = RingSlots() slots: the reader fills page i into
+  /// slot i mod R once page i − R has committed, waiting if it has not.
+  /// Each committed slot is retired by the reader, in snapshot order: its
+  /// stats shard folds into `*stats`, its rows move to the end of `*rows`,
+  /// and its buffers are released. The slots still in the ring when the
+  /// last page commits retire before return.
+  Status RunPages(const SnapshotView& current, const Snapshot* previous,
+                  std::vector<Tuple>* rows, RunStats* stats);
 
   std::string ReusePathPrefix(int unit_index, int generation) const;
   std::string ResultCachePath(int generation) const;

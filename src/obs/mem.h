@@ -34,7 +34,8 @@ enum class MemTag : int {
   kThreadPool = 3,   // queued-task estimate in common::ThreadPool
   kMatcher = 4,      // suffix-automaton states + dictionary storage
   kShard = 5,        // sharded-engine per-shard overhead (partitions, merge)
-  kCount = 6,
+  kPipeline = 6,     // page state held in the engine's pipeline ring slots
+  kCount = 7,
 };
 
 inline constexpr int kMemTagCount = static_cast<int>(MemTag::kCount);
@@ -47,6 +48,7 @@ inline const char* MemTagName(MemTag tag) {
     case MemTag::kThreadPool: return "thread_pool";
     case MemTag::kMatcher: return "matcher";
     case MemTag::kShard: return "shard";
+    case MemTag::kPipeline: return "pipeline";
     case MemTag::kCount: break;
   }
   return "unknown";

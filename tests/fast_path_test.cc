@@ -18,6 +18,7 @@
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "run_stats_counters.h"
 #include "storage/reuse_file.h"
 
 namespace delex {
@@ -199,15 +200,21 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 TEST(FastPath, ThreadCountsAgreeByteForByteWithFastPathOn) {
-  // PR 1's determinism contract must survive the fast path: for a fixed
-  // fast-path setting, every thread count produces byte-identical reuse
-  // files (including .idx and the result cache).
+  // The parallel determinism contract must survive the fast path: for a
+  // fixed fast-path setting, every thread count produces byte-identical
+  // reuse files (including .idx and the result cache) and the same
+  // count-valued stats at every snapshot.
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
   profile.num_sources = 14;
   std::vector<Snapshot> series = GenerateSeries(profile, 3, 43);
 
-  auto run_files = [&](int threads) {
+  struct Run {
+    std::map<std::string, std::string> files;
+    std::vector<std::map<std::string, int64_t>> counters;  // per snapshot
+  };
+  auto run_at = [&](int threads) {
+    Run run;
     DelexEngine::Options options;
     options.work_dir = FreshDir("bytes-t" + std::to_string(threads));
     options.num_threads = threads;
@@ -220,23 +227,25 @@ TEST(FastPath, ThreadCountsAgreeByteForByteWithFastPathOn) {
       auto rows = engine.RunSnapshot(
           series[i], i > 0 ? &series[i - 1] : nullptr, assignment, &stats);
       EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      run.counters.push_back(CountValuedFields(stats));
     }
-    std::map<std::string, std::string> files;
     for (const auto& entry :
          std::filesystem::directory_iterator(options.work_dir)) {
       std::ifstream in(entry.path(), std::ios::binary);
-      files[entry.path().filename().string()] =
+      run.files[entry.path().filename().string()] =
           std::string((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     }
-    return files;
+    return run;
   };
 
-  auto serial = run_files(1);
-  EXPECT_FALSE(serial.empty());
+  Run serial = run_at(1);
+  EXPECT_FALSE(serial.files.empty());
+  EXPECT_GT(serial.counters.back().at("pages_identical"), 0);
   for (int threads : {2, 8}) {
-    auto parallel = run_files(threads);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
+    Run parallel = run_at(threads);
+    EXPECT_EQ(serial.files, parallel.files) << "threads=" << threads;
+    EXPECT_EQ(serial.counters, parallel.counters) << "threads=" << threads;
   }
 }
 

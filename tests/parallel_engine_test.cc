@@ -2,11 +2,13 @@
 //
 // The page pipeline (reader prefetch → concurrent per-page plan walks →
 // ordered write-back) must be invisible to every observer: for any thread
-// count, the result multiset, the per-snapshot sorted tuples, and the
-// *bytes* of the captured next-generation reuse files must equal the
-// num_threads=1 run, where the same pipeline evaluates pages inline on
-// the calling thread. Both dataset profiles × all four matchers are
-// exercised, plus the error contracts of ThreadPool and TaskGroup.
+// count, the result multiset, the per-snapshot sorted tuples, the
+// count-valued stats, and the *bytes* of the captured next-generation
+// reuse files must equal the num_threads=1 run, where the same pipeline
+// evaluates pages inline on the calling thread. Both dataset profiles ×
+// all four matchers are exercised; so are the slot ring (a slow page that
+// fills it, a throwing page that must fail the run rather than hang it)
+// and the error contracts of ThreadPool and TaskGroup.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,9 @@
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "ring_series.h"
+#include "run_stats_counters.h"
+#include "shard/sharded_engine.h"
 
 namespace delex {
 namespace {
@@ -45,11 +50,14 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Bytes of every reuse file under `dir`, keyed by file name.
+/// Bytes of every file under `dir` (shard subdirectories included), keyed
+/// by path relative to `dir`.
 std::map<std::string, std::string> ReuseFileBytes(const std::string& dir) {
   std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    files[entry.path().filename().string()] =
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[std::filesystem::relative(entry.path(), dir).string()] =
         ReadFileBytes(entry.path().string());
   }
   return files;
@@ -58,7 +66,7 @@ std::map<std::string, std::string> ReuseFileBytes(const std::string& dir) {
 struct EngineRun {
   std::vector<std::vector<Tuple>> per_snapshot;  // canonicalized results
   std::map<std::string, std::string> reuse_files;  // final generation bytes
-  RunStats last_stats;
+  std::vector<std::map<std::string, int64_t>> counters;  // per snapshot
 };
 
 /// Runs `series` through a fresh engine at `num_threads`, uniform
@@ -76,10 +84,12 @@ EngineRun RunEngine(const ProgramSpec& spec, const std::vector<Snapshot>& series
   MatcherAssignment assignment =
       MatcherAssignment::Uniform(engine.NumUnits(), matcher);
   for (size_t i = 0; i < series.size(); ++i) {
+    RunStats stats;
     auto rows = engine.RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
-                                   assignment, &run.last_stats);
+                                   assignment, &stats);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     run.per_snapshot.push_back(Canonicalize(std::move(rows).ValueOrDie()));
+    run.counters.push_back(CountValuedFields(stats));
   }
   run.reuse_files = ReuseFileBytes(options.work_dir);
   return run;
@@ -122,27 +132,8 @@ TEST_P(ParallelDeterminism, ThreadCountsAgreeByteForByte) {
           << name << " differs at threads=" << threads;
     }
     // Deterministic counters (not timers) must also agree: the per-page
-    // shards merge to the same totals regardless of scheduling.
-    ASSERT_EQ(serial.last_stats.units.size(), parallel.last_stats.units.size());
-    for (size_t u = 0; u < serial.last_stats.units.size(); ++u) {
-      EXPECT_EQ(serial.last_stats.units[u].input_tuples,
-                parallel.last_stats.units[u].input_tuples);
-      EXPECT_EQ(serial.last_stats.units[u].output_tuples,
-                parallel.last_stats.units[u].output_tuples);
-      EXPECT_EQ(serial.last_stats.units[u].copied_tuples,
-                parallel.last_stats.units[u].copied_tuples);
-      EXPECT_EQ(serial.last_stats.units[u].extracted_tuples,
-                parallel.last_stats.units[u].extracted_tuples);
-      EXPECT_EQ(serial.last_stats.units[u].chars_extracted,
-                parallel.last_stats.units[u].chars_extracted);
-      EXPECT_EQ(serial.last_stats.units[u].exact_region_hits,
-                parallel.last_stats.units[u].exact_region_hits);
-    }
-    EXPECT_EQ(serial.last_stats.pages, parallel.last_stats.pages);
-    EXPECT_EQ(serial.last_stats.pages_with_previous,
-              parallel.last_stats.pages_with_previous);
-    EXPECT_EQ(serial.last_stats.reuse_write_io.bytes_written,
-              parallel.last_stats.reuse_write_io.bytes_written);
+    // shards fold to the same totals regardless of scheduling.
+    EXPECT_EQ(serial.counters, parallel.counters) << "threads=" << threads;
   }
 }
 
@@ -264,6 +255,108 @@ TEST(ParallelEngine, WidthOneEvaluatesPagesOnTheCallingThread) {
     } else {
       EXPECT_FALSE(on_caller);  // the caller only prefetches and commits
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The slot ring
+// ---------------------------------------------------------------------------
+
+struct RingRun {
+  std::vector<std::vector<Tuple>> rows;  // per snapshot, in engine order
+  std::vector<std::map<std::string, int64_t>> counters;  // per snapshot
+  std::map<std::string, std::string> files;  // every generation's files
+};
+
+/// Runs `series` on `engine` (a DelexEngine or a ShardedEngine), keeping
+/// every generation's reuse files and result cache as they are written.
+template <typename Engine>
+RingRun RunRingSeries(Engine* engine, const std::string& work_dir,
+                      const std::vector<Snapshot>& series) {
+  RingRun run;
+  EXPECT_TRUE(engine->Init().ok());
+  const MatcherAssignment st = MatcherAssignment::Uniform(1, MatcherKind::kST);
+  for (size_t i = 0; i < series.size(); ++i) {
+    RunStats stats;
+    auto rows = engine->RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
+                                    st, &stats);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    run.rows.push_back(std::move(rows).ValueOrDie());
+    run.counters.push_back(CountValuedFields(stats));
+    for (auto& [name, bytes] : ReuseFileBytes(work_dir)) {
+      run.files[name] = std::move(bytes);
+    }
+  }
+  return run;
+}
+
+RingRun RunUnsharded(const std::vector<Snapshot>& series, int threads) {
+  DelexEngine::Options options;
+  options.work_dir = FreshDir("ring-t" + std::to_string(threads));
+  options.num_threads = threads;
+  DelexEngine engine(MarkerPlan(), options);
+  return RunRingSeries(&engine, options.work_dir, series);
+}
+
+RingRun RunTwoShards(const std::vector<Snapshot>& series, int threads) {
+  shard::ShardedEngine::Options options;
+  options.work_dir = FreshDir("ring-s2-t" + std::to_string(threads));
+  options.num_shards = 2;
+  options.num_threads = threads;
+  shard::ShardedEngine engine(MarkerPlan(), options);
+  return RunRingSeries(&engine, options.work_dir, series);
+}
+
+TEST(PipelineRing, SlowPageFillsTheRingAndEveryWidthAgrees) {
+  // Four rings' worth of pages at the widest width: the ring wraps several
+  // times, and behind each snapshot's slow page the reader fills it with
+  // fast-path pages and must wait for the slow page to commit.
+  const size_t num_pages = 4 * DelexEngine::RingSlots(8) + 7;
+  const std::vector<Snapshot> series = RingSeries(num_pages, 0);
+  const RingRun serial = RunUnsharded(series, 1);
+  ASSERT_EQ(serial.counters.size(), 3u);
+  EXPECT_EQ(serial.counters[2].at("pages"), static_cast<int64_t>(num_pages));
+  EXPECT_GT(serial.counters[2].at("pages_identical"),
+            static_cast<int64_t>(num_pages * 9 / 10));
+  EXPECT_GT(serial.counters[2].at("unit0.copied_tuples"), 0);
+  for (int threads : {2, 8}) {
+    const RingRun parallel = RunUnsharded(series, threads);
+    EXPECT_TRUE(serial.rows == parallel.rows) << "threads=" << threads;
+    EXPECT_TRUE(serial.files == parallel.files) << "threads=" << threads;
+    EXPECT_EQ(serial.counters, parallel.counters) << "threads=" << threads;
+  }
+  // Two shards: the rows merge back into the unsharded order; each shard's
+  // files and the merged counters match a 2-shard run on a 1-wide pool.
+  const RingRun sharded_serial = RunTwoShards(series, 1);
+  const RingRun sharded = RunTwoShards(series, 8);
+  EXPECT_TRUE(serial.rows == sharded_serial.rows);
+  EXPECT_TRUE(serial.rows == sharded.rows);
+  EXPECT_TRUE(sharded_serial.files == sharded.files);
+  EXPECT_EQ(sharded_serial.counters, sharded.counters);
+}
+
+TEST(PipelineRing, ThrowingPageFailsTheRunInsteadOfHangingIt) {
+  // The throwing page sits two rings into the last snapshot, with two more
+  // rings of pages behind it: while it sleeps, the reader fills the ring
+  // and waits on its slot, which never commits. The failure must wake the
+  // reader. (ctest gives this test a short TIMEOUT: a hang fails it.)
+  const size_t ring = DelexEngine::RingSlots(8);
+  const std::vector<Snapshot> series = RingSeries(4 * ring + 7, 2 * ring);
+  const MatcherAssignment st = MatcherAssignment::Uniform(1, MatcherKind::kST);
+  for (int threads : {2, 8}) {
+    DelexEngine::Options options;
+    options.work_dir = FreshDir("ring-throw-t" + std::to_string(threads));
+    options.num_threads = threads;
+    DelexEngine engine(MarkerPlan(), options);
+    ASSERT_TRUE(engine.Init().ok());
+    ASSERT_TRUE(engine.RunSnapshot(series[0], nullptr, st, nullptr).ok());
+    ASSERT_TRUE(engine.RunSnapshot(series[1], &series[0], st, nullptr).ok());
+    auto failed = engine.RunSnapshot(series[2], &series[1], st, nullptr);
+    ASSERT_FALSE(failed.ok()) << "threads=" << threads;
+    EXPECT_TRUE(failed.status().IsInternal())
+        << "threads=" << threads << ": " << failed.status().ToString();
+    EXPECT_NE(failed.status().message().find("marker page"), std::string::npos)
+        << failed.status().ToString();
   }
 }
 

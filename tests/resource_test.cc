@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "ring_series.h"
 
 namespace delex {
 namespace {
@@ -121,6 +122,41 @@ TEST(MemAccountingTest, BalancesToZeroAfterEngineTeardown) {
   }
   EXPECT_EQ(obs::MemTrackedCurrent(), 0);
   EXPECT_GT(obs::MemTrackedPeak(), 0);
+}
+
+TEST(MemAccountingTest, PipelineTagIsBoundedByTheRingNotTheSnapshot) {
+  // The `pipeline` tag charges what the page ring's slots hold. Behind
+  // each snapshot's slow page the ring fills, so the peak reaches the
+  // ring's bound at 2x the ring's slots in pages; five times the pages
+  // (10x) may not raise it by half. Every slot is released when the run
+  // ends.
+  constexpr int kThreads = 2;
+  const size_t ring = DelexEngine::RingSlots(kThreads);
+  auto pipeline_peak = [](size_t pages) -> int64_t {
+    obs::MemResetForTesting();
+    const std::vector<Snapshot> series = RingSeries(pages, 0);
+    DelexEngine::Options options;
+    options.work_dir = FreshDir("pipeline-" + std::to_string(pages));
+    options.num_threads = kThreads;
+    DelexEngine engine(MarkerPlan(), options);
+    EXPECT_TRUE(engine.Init().ok());
+    const MatcherAssignment st =
+        MatcherAssignment::Uniform(1, MatcherKind::kST);
+    for (size_t i = 0; i < series.size(); ++i) {
+      EXPECT_TRUE(engine
+                      .RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
+                                   st, nullptr)
+                      .ok());
+      EXPECT_EQ(obs::MemCurrent(obs::MemTag::kPipeline), 0)
+          << pages << " pages, snapshot " << i;
+    }
+    return obs::MemPeak(obs::MemTag::kPipeline);
+  };
+  const int64_t small = pipeline_peak(2 * ring);
+  const int64_t large = pipeline_peak(10 * ring);
+  EXPECT_GT(small, 0);
+  EXPECT_LE(large, small * 3 / 2) << "2x ring: " << small << " B, 10x ring: "
+                                  << large << " B";
 }
 
 // ---------------------------------------------------------------------------
