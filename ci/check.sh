@@ -280,7 +280,7 @@ delex_lines = 0
 with open(sys.argv[1]) as f:
     for raw in f:
         line = json.loads(raw)
-        assert line["schema_version"] == 7, line["schema_version"]
+        assert line["schema_version"] == 8, line["schema_version"]
         assert "resources" in line, "missing v6 resources block"
         assert line["resources"]["rss_bytes"] > 0, line["resources"]
         if line["solution"] != "Delex" or line["warmup"]:

@@ -4,10 +4,11 @@
 // can hold truncated, bit-flipped, or version-skewed files, and every
 // byte must be validated before any allocation or memcpy. The input
 // selects the three files' contents; the harness then drives the same
-// call sequence the engine uses — forward SeekPage / ReadPageRaw per
-// page — and re-validates the digest-guarded raw path: a slice the
-// reader blesses as `index_valid` must survive a raw re-commit and read
-// back with the counts the index advertised.
+// call sequence the engine uses — forward SeekPage per evaluated page,
+// and runs of pages lifted raw (BeginRun / LiftPage / EndRun) — and
+// re-validates the digest-guarded raw path: the pages of a run the reader
+// blesses as `index_valid` must survive a raw re-commit (CommitRun) and
+// lift back, as one run, with the bytes and counts they had.
 
 #include <cstdint>
 #include <string>
@@ -19,6 +20,7 @@
 using delex::InputTupleRec;
 using delex::OutputTupleRec;
 using delex::RawPageSlice;
+using delex::RawRun;
 using delex::Status;
 using delex::UnitReuseReader;
 using delex::UnitReuseWriter;
@@ -44,58 +46,78 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   std::vector<InputTupleRec> inputs;
   std::vector<OutputTupleRec> outputs;
-  for (int64_t did = 0; did < 6; ++did) {
-    if (did % 2 == 0) {
-      RawPageSlice slice;
+  // Runs over dids 0-1 and 3-4 (the demoted-page shape: a run ends at the
+  // first page whose group is missing or fails its index entry), decoded
+  // seeks at 2 and 5.
+  for (int64_t first : {0, 3}) {
+    RawRun run;
+    reader.BeginRun(&run);
+    Status st;
+    size_t keep = 0;
+    for (int64_t did = first; did < first + 2; ++did) {
       bool found = false;
       bool index_valid = false;
-      Status st = reader.ReadPageRaw(did, digest, &slice, &found, &index_valid);
-      if (!st.ok()) break;
-      if (found && index_valid) {
-        // The index agreed with the forward scan, so this slice is
-        // eligible for the zero-decode relocation. Re-commit it raw and
-        // read the copy back: the relocated group must scan cleanly and
-        // keep its advertised record counts (payload decoding may still
-        // fail later — that degrades, it doesn't crash).
-        const std::string copy = delex::fuzz::ScratchDir() + "/unit0.gen1";
-        UnitReuseWriter writer;
-        if (!writer.Open(copy).ok() ||
-            !writer.CommitPageRaw(/*did=*/did + 100, slice).ok() ||
-            !writer.Close().ok()) {
-          __builtin_trap();
-        }
-        UnitReuseReader verify;
-        if (!verify.Open(copy).ok()) __builtin_trap();
-        RawPageSlice round;
+      st = reader.LiftPage(did, digest, &found, &index_valid);
+      if (!st.ok() || !found || !index_valid) break;
+      ++keep;
+    }
+    reader.EndRun(keep);
+    if (run.pages.size() != keep) __builtin_trap();
+    // The kept groups' ranges lie inside the files the scan read.
+    if (!reader.LoadRun(&run).ok()) __builtin_trap();
+    if (keep > 0) {
+      // Every kept page agreed with its index entry, so the run is
+      // eligible for the zero-decode relocation. Re-commit it raw and lift
+      // the copy back as one run: every page must scan cleanly and keep
+      // its bytes and counts (payload decoding may still fail later —
+      // that degrades, it doesn't crash).
+      const std::string copy = delex::fuzz::ScratchDir() + "/unit0.gen1";
+      std::vector<int64_t> dids;
+      for (size_t j = 0; j < keep; ++j) dids.push_back(100 + 2 * static_cast<int64_t>(j));
+      UnitReuseWriter writer;
+      if (!writer.Open(copy).ok() || !writer.CommitRun(run, 0, dids).ok() ||
+          !writer.Close().ok()) {
+        __builtin_trap();
+      }
+      UnitReuseReader verify;
+      if (!verify.Open(copy).ok()) __builtin_trap();
+      RawRun round;
+      verify.BeginRun(&round);
+      for (size_t j = 0; j < keep; ++j) {
         bool round_found = false;
         bool round_valid = false;
-        if (!verify.ReadPageRaw(did + 100, slice.page_digest, &round,
-                                &round_found, &round_valid)
+        if (!verify.LiftPage(dids[j], run.Slice(j).page_digest, &round_found,
+                             &round_valid)
                  .ok() ||
-            !round_found) {
+            !round_found || !round_valid) {
           __builtin_trap();
         }
-        if (round.n_inputs != slice.n_inputs ||
-            round.n_outputs != slice.n_outputs ||
-            round.in_bytes != slice.in_bytes ||
-            round.out_bytes != slice.out_bytes) {
-          __builtin_trap();
-        }
-        verify.Close().ok();
       }
-    } else {
-      if (!reader.SeekPage(did, &inputs, &outputs).ok()) break;
-      // Decoded groups carry synthesized page-local ordinals: dense tids,
-      // uniform did, outputs referencing existing inputs.
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i].tid != static_cast<int64_t>(i)) __builtin_trap();
-        if (inputs[i].did != did) __builtin_trap();
-      }
-      for (const OutputTupleRec& out : outputs) {
-        if (out.did != did) __builtin_trap();
-        if (out.itid < 0 || out.itid >= static_cast<int64_t>(inputs.size())) {
+      verify.EndRun(keep);
+      if (!verify.LoadRun(&round).ok()) __builtin_trap();
+      for (size_t j = 0; j < keep; ++j) {
+        const RawPageSlice a = run.Slice(j);
+        const RawPageSlice b = round.Slice(j);
+        if (a.n_inputs != b.n_inputs || a.n_outputs != b.n_outputs ||
+            a.in_bytes != b.in_bytes || a.out_bytes != b.out_bytes) {
           __builtin_trap();
         }
+      }
+      verify.Close().ok();
+    }
+    if (!st.ok()) break;
+    const int64_t seek_did = first + 2;
+    if (!reader.SeekPage(seek_did, &inputs, &outputs).ok()) break;
+    // Decoded groups carry synthesized page-local ordinals: dense tids,
+    // uniform did, outputs referencing existing inputs.
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (inputs[i].tid != static_cast<int64_t>(i)) __builtin_trap();
+      if (inputs[i].did != seek_did) __builtin_trap();
+    }
+    for (const OutputTupleRec& out : outputs) {
+      if (out.did != seek_did) __builtin_trap();
+      if (out.itid < 0 || out.itid >= static_cast<int64_t>(inputs.size())) {
+        __builtin_trap();
       }
     }
   }

@@ -69,8 +69,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       slice.n_outputs = inner.Int(0, 8);
       const size_t split =
           static_cast<size_t>(inner.Int(0, static_cast<int64_t>(inner.remaining())));
-      slice.in_bytes = inner.Bytes(split);
-      slice.out_bytes = inner.Rest();
+      const std::string in_bytes = inner.Bytes(split);
+      const std::string out_bytes = inner.Rest();
+      slice.in_bytes = in_bytes;
+      slice.out_bytes = out_bytes;
       std::vector<delex::InputTupleRec> inputs;
       std::vector<delex::OutputTupleRec> outputs;
       auto st = DecodeRawPageSlice(slice, /*did=*/7, &inputs, &outputs);

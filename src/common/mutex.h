@@ -103,10 +103,23 @@ inline LockOrderGraph& Graph() {
   return *graph;
 }
 
-// Per-thread stack of currently held site ids, innermost last.
-inline std::vector<int>& HeldStack() {
-  thread_local std::vector<int> held;
-  return held;
+// Set when this thread's held stack has been destroyed. Trivially
+// destructible, so it stays readable after the thread's other
+// thread-locals are gone.
+inline thread_local bool held_stack_gone = false;
+
+struct HeldSites {
+  std::vector<int> sites;
+  ~HeldSites() { held_stack_gone = true; }
+};
+
+// Per-thread stack of currently held site ids, innermost last. Null once
+// the thread's thread-locals are destroyed: a lock taken after that (by an
+// atexit handler on the main thread) is not tracked.
+inline std::vector<int>* HeldStack() {
+  if (held_stack_gone) return nullptr;
+  thread_local HeldSites held;
+  return &held.sites;
 }
 
 
@@ -205,7 +218,9 @@ inline void ReportInversion(LockOrderGraph& g, const std::vector<int>& held, int
 // edges from every currently held site and checks each new edge for a cycle
 // *before* blocking, so a true deadlock still gets reported.
 inline void OnAcquire(int site) {
-  std::vector<int>& held = HeldStack();
+  std::vector<int>* held_stack = HeldStack();
+  if (held_stack == nullptr) return;
+  std::vector<int>& held = *held_stack;
   if (!held.empty() && ModeFlag().load(std::memory_order_relaxed) != kModeOff) {
     LockOrderGraph& g = Graph();
     std::lock_guard<std::mutex> lock(g.mu);
@@ -232,10 +247,15 @@ inline void OnAcquire(int site) {
 // Non-blocking acquisition (TryLock success): cannot contribute to a
 // deadlock itself, but must appear on the held stack so later blocking
 // acquisitions record their edges against it.
-inline void OnAcquireNonBlocking(int site) { HeldStack().push_back(site); }
+inline void OnAcquireNonBlocking(int site) {
+  std::vector<int>* held = HeldStack();
+  if (held != nullptr) held->push_back(site);
+}
 
 inline void OnRelease(int site) {
-  std::vector<int>& held = HeldStack();
+  std::vector<int>* held_stack = HeldStack();
+  if (held_stack == nullptr) return;
+  std::vector<int>& held = *held_stack;
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (*it == site) {
       held.erase(std::next(it).base());

@@ -13,6 +13,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "obs/log.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
@@ -71,19 +72,31 @@ class ThreadPool {
     work_cv_.NotifyOne();
     obs::MemCharge(obs::MemTag::kThreadPool, kQueuedTaskBytes);
     QueueDepthGauge()->Set(static_cast<int64_t>(depth));
-    // Saturation: a queue deeper than 4x the workers means submitters are
-    // outrunning the pool and the "never blocks" contract is buffering
-    // real memory. WARN once per run (the flag re-arms when Wait drains
-    // the pool), count every trip.
-    if (depth > 4 * threads_.size() &&
+    // Saturation: a queue deeper than 4x the workers, beyond what the live
+    // TaskGroups' windows allow, means submitters are outrunning the pool
+    // and the "never blocks" contract is buffering real memory. WARN once
+    // per run (the flag re-arms when Wait drains the pool), count every
+    // trip.
+    const size_t windows = windows_.load(std::memory_order_relaxed);
+    if (depth > 4 * threads_.size() + windows &&
         !saturation_warned_.exchange(true, std::memory_order_relaxed)) {
       static obs::Counter* saturations =
           obs::MetricsRegistry::Global().GetCounter("pool.saturation_warns");
       saturations->Increment();
       DELEX_LOG(WARN) << "thread pool saturated: " << depth
                       << " queued tasks > 4x " << threads_.size()
-                      << " workers";
+                      << " workers + " << windows << " in TaskGroup windows";
     }
+  }
+
+  /// A TaskGroup's window: up to `window` of its tasks may sit in the
+  /// queue by design, so the saturation check allows for them while the
+  /// group lives.
+  void AddWindow(size_t window) {
+    windows_.fetch_add(window, std::memory_order_relaxed);
+  }
+  void RemoveWindow(size_t window) {
+    windows_.fetch_sub(window, std::memory_order_relaxed);
   }
 
   /// Blocks until every submitted task has finished; returns the first
@@ -157,23 +170,30 @@ class ThreadPool {
   bool shutdown_ DELEX_GUARDED_BY(mu_) = false;
   Status first_error_ DELEX_GUARDED_BY(mu_);
   std::atomic<bool> saturation_warned_{false};
+  std::atomic<size_t> windows_{0};  // summed windows of live TaskGroups
 };
 
 /// \brief One caller's tasks on a ThreadPool, or inline on the caller's
 /// thread when the pool is null.
 ///
 /// Submit blocks while `window` of the group's tasks are unfinished, which
-/// bounds what a fast submitter buffers. Wait settles this group's tasks
-/// only and returns the first error among them: on a pool shared with
-/// other callers, ThreadPool::Wait would block on their tasks and return
-/// their sticky error. Tasks run under ThreadPool::RunTask, so a throw
-/// becomes Status::Internal. The destructor waits, so tasks may reference
-/// the caller's stack state.
+/// bounds what a fast submitter buffers; the window is registered with the
+/// pool's saturation check while the group lives. Wait settles this
+/// group's tasks only and returns the first error among them: on a pool
+/// shared with other callers, ThreadPool::Wait would block on their tasks
+/// and return their sticky error. Tasks run under ThreadPool::RunTask, so
+/// a throw becomes Status::Internal. The destructor waits, so tasks may
+/// reference the caller's stack state.
 class TaskGroup {
  public:
   TaskGroup(ThreadPool* pool, size_t window)
-      : pool_(pool), window_(window < 1 ? 1 : window) {}
-  ~TaskGroup() { (void)Wait(); }
+      : pool_(pool), window_(window < 1 ? 1 : window) {
+    if (pool_ != nullptr) pool_->AddWindow(window_);
+  }
+  ~TaskGroup() {
+    (void)Wait();
+    if (pool_ != nullptr) pool_->RemoveWindow(window_);
+  }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -187,7 +207,11 @@ class TaskGroup {
     }
     {
       MutexLock lock(&mu_);
-      while (unfinished_ >= window_) cv_.Wait(&mu_);
+      if (unfinished_ >= window_) {
+        Stopwatch blocked;
+        while (unfinished_ >= window_) cv_.Wait(&mu_);
+        blocked_us_ += blocked.ElapsedMicros();
+      }
       ++unfinished_;
     }
     pool_->Submit([this, task = std::move(task)]() mutable -> Status {
@@ -212,6 +236,12 @@ class TaskGroup {
     return first_error_;
   }
 
+  /// Time Submit has spent blocked on the window so far.
+  int64_t blocked_us() {
+    MutexLock lock(&mu_);
+    return blocked_us_;
+  }
+
  private:
   ThreadPool* const pool_;
   const size_t window_;
@@ -219,6 +249,7 @@ class TaskGroup {
   CondVar cv_;
   size_t unfinished_ DELEX_GUARDED_BY(mu_) = 0;
   Status first_error_ DELEX_GUARDED_BY(mu_);
+  int64_t blocked_us_ DELEX_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace delex

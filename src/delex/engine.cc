@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <iterator>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <variant>
@@ -27,7 +30,7 @@ namespace delex {
 namespace {
 
 /// Fast-path demotion counters: each names one reason an identical page
-/// fell back a tier (see DelexEngine::PrefetchSlot). Knowing *where*
+/// fell back a tier (see DelexEngine::LiftRun). Knowing *where*
 /// reuse is lost is the optimization signal the observability layer
 /// exists to surface; every run report snapshots these.
 obs::Counter* DemoteResultCacheCounter() {
@@ -125,37 +128,48 @@ struct DelexEngine::PageContext final : xlog::IEHook {
   RunStats* stats = nullptr;                      // per-page stats shard
 };
 
-/// One page's place in the pipeline ring: reader-stage prefetch in, worker
-/// results out, consumed by the ordered write-back stage, then retired by
-/// the reader (stats shard and rows folded into the run, buffers released)
-/// before the page RingSlots() later reuses it.
+/// A page's previous version and whether the whole-page fast path applies
+/// to it, found by the classify pass before the reader starts.
+struct DelexEngine::PageClass {
+  int64_t previous = -1;   // index in the previous snapshot, or -1
+  bool identical = false;  // content byte-identical to it, fast path on
+};
+
+/// One entry of the pipeline ring: an evaluated page, or a run of
+/// identical pages. Filled by the reader, evaluated by a worker (a page)
+/// or ready at once (a run), then committed and retired (stats shard and
+/// rows folded into the run, buffers released) by whichever thread drains
+/// the front, before the ring reuses the slot.
 struct DelexEngine::PageSlot {
   /// The `pipeline` tag's charge for HeldBytes(): set when the reader has
-  /// prefetched the page and again when its worker has evaluated it,
-  /// returned when the slot is recycled.
+  /// filled the entry and again when its worker has evaluated it, returned
+  /// when the entry retires.
   obs::ScopedMemCharge mem{obs::MemTag::kPipeline};
+  size_t first = 0;   // view index of the entry's first page
+  size_t count = 0;   // its pages: 1, or a run's length
+  bool run = false;   // a run of identical pages
+  RunStats stats;     // the entry's shard (incl. unit timers)
+  std::vector<Tuple> rows;  // did-prefixed result tuples of its pages
+
+  // An evaluated page: prefetched records in, captures and rows out.
   const Page* page = nullptr;
   const Page* q_page = nullptr;
   std::vector<PageReuse> reuse;       // filled by the reader stage
   std::vector<PageCapture> captures;  // filled by the worker
-  RunStats stats;                     // per-page shard (incl. unit timers)
-  std::vector<Tuple> rows;            // did-prefixed result tuples
 
-  // Whole-page fast path (content byte-identical to q_page): set when the
-  // reader fills the slot, cleared by PrefetchSlot if any required
-  // previous-generation piece is missing. Fast-path slots never reach
-  // EvalPage — rows are recovered from the result cache and reuse records
-  // relocate as raw slices (or, per unit, as decode-copied captures when
-  // the unit's index entry failed validation).
-  bool identical = false;
-  std::vector<RawPageSlice> raw_slices;  // per unit; meaningful when valid
-  std::vector<char> raw_valid;           // per unit: commit slice raw?
-  ResultPageSlice result_slice;          // cached rows, still encoded
+  // A run: its pages' new dids, each unit's lifted groups and the cached
+  // rows, all still encoded. A unit whose index entry failed for the run's
+  // last page has that page's records decode-copied into captures[u]
+  // instead of a raw group (decode_copied[u]).
+  std::vector<int64_t> dids;
+  std::vector<RawRun> raw;
+  std::vector<char> decode_copied;
+  ResultRun results;
 
-  /// Heap bytes of the page state the slot holds for the pipeline:
-  /// prefetched records, raw and result slices, buffered captures and the
-  /// stats shard's allocated histogram buckets (rows are the run's output,
-  /// not pipeline state).
+  /// Heap bytes of the state the slot holds for the pipeline: prefetched
+  /// records, lifted groups and rows, buffered captures and the stats
+  /// shard's allocated histogram buckets (rows are the run's output, not
+  /// pipeline state).
   int64_t HeldBytes() const;
 };
 
@@ -200,11 +214,16 @@ int64_t DelexEngine::PageSlot::HeldBytes() const {
       for (const Tuple& output : group.outputs) bytes += TupleHeapBytes(output);
     }
   }
-  for (const RawPageSlice& raw : raw_slices) {
-    bytes += raw.in_bytes.capacity() + raw.out_bytes.capacity();
+  for (const RawRun& unit_run : raw) {
+    bytes += unit_run.in_bytes.capacity() + unit_run.out_bytes.capacity() +
+             (unit_run.in_ranges.capacity() + unit_run.out_ranges.capacity()) *
+                 sizeof(FileRange) +
+             unit_run.pages.capacity() * sizeof(RawRun::Page);
   }
-  bytes += raw_slices.capacity() * sizeof(RawPageSlice) +
-           result_slice.bytes.capacity();
+  bytes += raw.capacity() * sizeof(RawRun) + results.bytes.capacity() +
+           results.ranges.capacity() * sizeof(FileRange) +
+           results.pages.capacity() * sizeof(ResultRun::Page) +
+           dids.capacity() * sizeof(int64_t);
   bytes += HistogramHeapBytes(stats.page_eval_hist);
   for (const obs::LocalHistogram& hist : stats.match_hist) {
     bytes += HistogramHeapBytes(hist);
@@ -215,28 +234,28 @@ int64_t DelexEngine::PageSlot::HeldBytes() const {
   return static_cast<int64_t>(bytes);
 }
 
-/// Shared commit state of one run: a page's task (or the reader, for a
-/// fast-path page) marks its slot done, and whichever thread finds the
-/// front of the snapshot order done commits it. Task completion itself is
-/// the TaskGroup's business.
+/// Shared commit state of one run. An entry's task (or the reader, for a
+/// run) marks its slot done; the front of the snapshot order is committed
+/// by one thread at a time, whichever finds it done and nobody committing.
+/// Task completion itself is the TaskGroup's business.
 struct DelexEngine::RunState {
   explicit RunState(size_t ring_slots)
-      : commit_mu("engine.run.commit_mu"), mu("engine.run.mu"),
-        done(ring_slots, 0) {}
+      : mu("engine.run.mu"), done(ring_slots, 0) {}
 
-  // Canonical order: commit_mu before mu — the committer peeks at done
-  // flags (mu) while serializing write-back (commit_mu); nothing ever
-  // takes commit_mu while holding mu.
-  Mutex commit_mu DELEX_ACQUIRED_BEFORE(mu);
-  Mutex mu;  // guards done, next_commit, error
-  // Per ring slot: the page in it is ready to commit. Set by its worker
-  // (or the reader, for a fast-path page), cleared by its commit, so a
-  // committed slot the reader has not refilled never reads as ready.
+  Mutex mu;  // guards everything below
+  // Per ring slot: the entry in it is ready to commit. Set by its worker
+  // (or the reader, for a run), cleared by its commit, so a committed slot
+  // the reader has not refilled never reads as ready.
   std::vector<char> done DELEX_GUARDED_BY(mu);
-  size_t next_commit DELEX_GUARDED_BY(mu) = 0;  // first page index not committed
-  Status error DELEX_GUARDED_BY(mu);            // first evaluation/commit failure
+  size_t next_commit DELEX_GUARDED_BY(mu) = 0;      // first entry not committed
+  size_t pages_committed DELEX_GUARDED_BY(mu) = 0;  // pages of the entries before it
+  // A thread is committing. Others only mark their entry done: the
+  // committer checks the front again under mu before it stops, so it
+  // reaches every entry marked done while it held the role.
+  bool draining DELEX_GUARDED_BY(mu) = false;
+  Status error DELEX_GUARDED_BY(mu);  // first evaluation/commit failure
   // Signalled under mu when next_commit advances or the run fails: the
-  // reader waits on it for the ring's oldest slot.
+  // reader waits on it for ring room.
   CondVar slot_free;
 
   void Fail(const Status& status) DELEX_REQUIRES(mu) {
@@ -355,25 +374,85 @@ Status DelexEngine::PrefetchPageReuse(int64_t q_did,
   return Status::OK();
 }
 
-Status DelexEngine::PrefetchSlot(PageSlot* slot) {
-  DELEX_TRACE_SPAN("prefetch_page", slot->page->did);
-  // Reuse + result-cache read latency for this page (reader stage).
+std::vector<DelexEngine::PageClass> DelexEngine::ClassifyPages(
+    const SnapshotView& current, const Snapshot* previous, bool fast_path,
+    ThreadPool* pool, int width, int64_t* wait_us) {
+  const size_t num_pages = current.NumPages();
+  std::vector<PageClass> classes(num_pages);
+  if (previous == nullptr) return classes;
+  auto classify = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Page& page = current.page(i);
+      std::optional<size_t> found = previous->FindByUrl(page.url);
+      if (!found) continue;
+      const Page& q_page = previous->pages()[*found];
+      classes[i].previous = static_cast<int64_t>(*found);
+      // Digests first (O(1) per pair), then a byte compare so a digest
+      // collision can never relocate wrong records.
+      classes[i].identical =
+          fast_path && q_page.content_hash == page.content_hash &&
+          q_page.content.size() == page.content.size() &&
+          simd::BytesEqual(q_page.content.data(), page.content.data(),
+                           page.content.size());
+    }
+  };
+  // A few chunks per worker even out pages of uneven length.
+  constexpr size_t kMinChunk = 64;
+  const size_t chunk = std::max(
+      kMinChunk, (num_pages + 4 * static_cast<size_t>(width) - 1) /
+                     (4 * static_cast<size_t>(width)));
+  if (pool == nullptr || num_pages <= chunk) {
+    classify(0, num_pages);
+    return classes;
+  }
+  TaskGroup tasks(pool, static_cast<size_t>(width));
+  for (size_t begin = 0; begin < num_pages; begin += chunk) {
+    tasks.Submit([&classify, begin, end = std::min(num_pages, begin + chunk)]() {
+      classify(begin, end);
+      return Status::OK();
+    });
+  }
+  Stopwatch waited;
+  DELEX_CHECK(tasks.Wait().ok());
+  *wait_us += waited.ElapsedMicros() + tasks.blocked_us();
+  return classes;
+}
+
+Status DelexEngine::LiftRun(const SnapshotView& current,
+                            const Snapshot& previous,
+                            const std::vector<PageClass>& classes, size_t end,
+                            PageSlot* slot, size_t* demoted) {
+  DELEX_TRACE_SPAN("lift_run", current.page(slot->first).did);
+  // Reuse + result-cache read latency for this entry (reader stage).
   obs::ScopedLatencyTimer io_timer(nullptr, PrefetchIoHistogram());
   const size_t num_units = analysis_.units.size();
-  // The result-cache reader can be dropped mid-run (corrupt bytes below),
-  // after slots were laid out with identical=true: such slots demote here.
-  if (slot->identical && result_reader_ == nullptr) {
-    ++slot->stats.fast_path_demote_result_cache;
+  RunStats& stats = slot->stats;
+  slot->count = 0;
+  // The result cache can be dropped mid-run (corrupt bytes below): every
+  // identical page after that demotes.
+  if (result_dropped_) {
     DemoteResultCacheCounter()->Increment();
-    slot->identical = false;
+    ++stats.fast_path_demote_result_cache;
+    *demoted = slot->first;
+    return Status::OK();
   }
-  if (slot->identical) {
-    // Result rows first: without them the page must fully evaluate, and
-    // demoting before any unit reader has advanced keeps every unit's
-    // group available to the normal decoded prefetch below.
+  slot->raw.resize(num_units);
+  slot->decode_copied.assign(num_units, 0);
+  result_reader_->BeginRun(&slot->results);
+  for (size_t u = 0; u < num_units; ++u) {
+    if (reader_ok_[u] != 0) readers_[u]->BeginRun(&slot->raw[u]);
+  }
+  // Page by page: its cached rows first (without them the page must fully
+  // evaluate, and demoting before any unit reader has advanced keeps every
+  // unit's group available to the decoded prefetch), then each unit's
+  // group. A page that demotes ends the run before it.
+  size_t taken = 0;
+  bool last = false;  // the page just taken ends the run
+  for (size_t i = slot->first; i < end && !last; ++i) {
+    const Page& q_page =
+        previous.pages()[static_cast<size_t>(classes[i].previous)];
     bool found = false;
-    Status read = result_reader_->ReadPage(slot->q_page->did,
-                                           &slot->result_slice, &found);
+    Status read = result_reader_->LiftPage(q_page.did, &found);
     if (!read.ok()) {
       // Corrupt cache: its forward-scan position is untrustworthy from
       // here on, so drop it for the rest of the run. All remaining
@@ -381,72 +460,108 @@ Status DelexEngine::PrefetchSlot(PageSlot* slot) {
       DELEX_LOG(WARN) << "dropping result cache (corrupt): "
                       << read.ToString();
       ReuseCorruptDropCounter()->Increment();
-      ++slot->stats.reuse_corrupt_drops;
-      result_reader_.reset();
+      ++stats.reuse_corrupt_drops;
+      result_dropped_ = true;
       found = false;
-    }
-    if (found) {
-      Status decoded =
-          DecodeResultSlice(slot->result_slice, slot->page->did, &slot->rows);
-      if (!decoded.ok()) found = false;
     }
     if (!found) {
       DemoteResultCacheCounter()->Increment();
-      ++slot->stats.fast_path_demote_result_cache;
+      ++stats.fast_path_demote_result_cache;
       DELEX_LOG(DEBUG) << "fast path demoted (result cache miss) did="
-                       << slot->page->did;
-      slot->identical = false;
-      slot->rows.clear();
+                       << current.page(i).did;
+      *demoted = i;
+      break;
     }
-  }
-  if (slot->identical) {
-    slot->raw_slices.resize(num_units);
-    slot->raw_valid.assign(num_units, 0);
-    for (size_t u = 0; u < num_units; ++u) {
-      bool found = false;
+    bool missing = false;
+    for (size_t u = 0; u < num_units && !missing; ++u) {
+      bool unit_found = false;
       bool index_valid = false;
       if (reader_ok_[u] != 0) {
-        Status st = readers_[u]->ReadPageRaw(slot->q_page->did,
-                                             slot->q_page->content_hash,
-                                             &slot->raw_slices[u], &found,
-                                             &index_valid);
+        Status st = readers_[u]->LiftPage(q_page.did, q_page.content_hash,
+                                          &unit_found, &index_valid);
         if (!st.ok()) {
-          DropCorruptReader(u, st, &slot->stats);
-          found = false;
+          readers_[u]->EndRun(taken);
+          DropCorruptReader(u, st, &stats);
+          unit_found = false;
         }
       }
-      if (!found) {
+      if (!unit_found) {
         // The old generation has no group for this page (work dir out of
         // step with the corpus). Demote to full evaluation; units whose
-        // groups were already consumed above simply extract from scratch.
+        // groups were already lifted for it simply extract from scratch.
         DemoteMissingGroupCounter()->Increment();
-        ++slot->stats.fast_path_demote_missing_group;
+        ++stats.fast_path_demote_missing_group;
         DELEX_LOG(DEBUG) << "fast path demoted (missing reuse group) did="
-                         << slot->page->did << " unit=" << u;
-        slot->identical = false;
-        slot->rows.clear();
-        slot->raw_valid.assign(num_units, 0);
-        for (PageCapture& capture : slot->captures) capture.groups.clear();
-        break;
-      }
-      if (index_valid) {
-        slot->raw_valid[u] = 1;
-      } else {
+                         << current.page(i).did << " unit=" << u;
+        missing = true;
+      } else if (!index_valid) {
         // Decode-copy tier: the index entry was missing or failed
-        // validation, so the slice can't be trusted for a byte-range copy
+        // validation, so the group can't be trusted for a byte-range copy
         // — but its records decode fine, and an identical page's capture
-        // IS its old records.
+        // IS its old records. The page ends the run.
         DecodeCopyGroupCounter()->Increment();
-        ++slot->stats.fast_path_decode_copy_groups;
-        DELEX_RETURN_NOT_OK(
-            CaptureFromRawSlice(slot->raw_slices[u], &slot->captures[u]));
+        ++stats.fast_path_decode_copy_groups;
+        slot->decode_copied[u] = 1;
+        last = true;
+      }
+    }
+    if (missing) {
+      *demoted = i;
+      break;
+    }
+    ++taken;
+  }
+  // Every reader keeps the groups of the pages taken; the rest count as
+  // passed.
+  result_reader_->EndRun(taken);
+  for (size_t u = 0; u < num_units; ++u) {
+    if (reader_ok_[u] != 0) readers_[u]->EndRun(taken);
+  }
+  slot->captures.resize(num_units);
+  if (last && *demoted != slot->first + taken) {
+    for (size_t u = 0; u < num_units; ++u) {
+      if (slot->decode_copied[u] == 0) continue;
+      RawRun& unit_run = slot->raw[u];
+      Status copied = readers_[u]->LoadRun(&unit_run);
+      if (copied.ok()) {
+        copied = CaptureFromRawSlice(unit_run.Slice(unit_run.pages.size() - 1),
+                                     &slot->captures[u]);
+      }
+      unit_run.pages.pop_back();
+      if (!copied.ok()) {
+        // Its records do not decode either: the page is evaluated.
+        DemoteMissingGroupCounter()->Increment();
+        ++stats.fast_path_demote_missing_group;
+        --taken;
+        *demoted = slot->first + taken;
+        break;
       }
     }
   }
-  if (!slot->identical && slot->q_page != nullptr) {
-    DELEX_RETURN_NOT_OK(
-        PrefetchPageReuse(slot->q_page->did, &slot->reuse, &slot->stats));
+  if (*demoted == slot->first + taken) {
+    // A demoted last page leaves every part of the run.
+    slot->decode_copied.assign(num_units, 0);
+    for (PageCapture& capture : slot->captures) capture.groups.clear();
+    for (RawRun& unit_run : slot->raw) {
+      unit_run.pages.resize(std::min(unit_run.pages.size(), taken));
+    }
+    slot->results.pages.resize(std::min(slot->results.pages.size(), taken));
   }
+  if (taken == 0) {
+    slot->raw.clear();
+    slot->results = ResultRun();
+    return Status::OK();
+  }
+  slot->run = true;
+  slot->count = taken;
+  slot->dids.resize(taken);
+  for (size_t j = 0; j < taken; ++j) {
+    slot->dids[j] = current.page(slot->first + j).did;
+  }
+  stats.pages += static_cast<int64_t>(taken);
+  stats.pages_with_previous += static_cast<int64_t>(taken);
+  stats.pages_identical += static_cast<int64_t>(taken);
+  ++stats.identical_runs;
   return Status::OK();
 }
 
@@ -470,33 +585,131 @@ Result<std::vector<Tuple>> DelexEngine::EvalPage(PageContext* page_ctx) const {
   return rows;
 }
 
+Result<std::vector<Tuple>> DelexEngine::EvalFromScratch(
+    const Page& page, RunStats* stats,
+    std::vector<PageCapture>* captures) const {
+  captures->assign(analysis_.units.size(), PageCapture());
+  PageContext page_ctx;
+  page_ctx.engine = this;
+  page_ctx.page = &page;
+  page_ctx.captures = captures;
+  page_ctx.stats = stats;
+  return EvalPage(&page_ctx);
+}
+
+Status DelexEngine::CommitEntry(PageSlot* slot, const SnapshotView& current) {
+  // Reuse + result-cache write latency for this entry (write-back stage).
+  obs::ScopedLatencyTimer io_timer(nullptr, CommitIoHistogram());
+  return slot->run ? CommitRun(slot, current) : CommitPage(slot);
+}
+
 Status DelexEngine::CommitPage(PageSlot* slot) {
   const int64_t did = slot->page->did;
   DELEX_TRACE_SPAN("commit_page", did);
-  // Reuse + result-cache write latency for this page (write-back stage).
-  obs::ScopedLatencyTimer io_timer(nullptr, CommitIoHistogram());
   for (size_t u = 0; u < writers_.size(); ++u) {
     ScopedTimer capture_timer(&slot->stats.units[u].capture_us);
-    if (slot->identical && slot->raw_valid[u] != 0) {
-      const RawPageSlice& raw = slot->raw_slices[u];
-      if (paranoid::Enabled()) paranoid::CheckRawSlice(raw);
-      DELEX_RETURN_NOT_OK(writers_[u]->CommitPageRaw(did, raw));
-      slot->stats.raw_bytes_copied += raw.TotalBytes();
-      slot->stats.records_decoded_skipped += raw.n_inputs + raw.n_outputs;
+    DELEX_RETURN_NOT_OK(writers_[u]->CommitPage(
+        did, slot->page->content_hash, slot->captures[u]));
+  }
+  return result_writer_->CommitPage(did, slot->rows);
+}
+
+Status DelexEngine::CommitRun(PageSlot* slot, const SnapshotView& current) {
+  DELEX_TRACE_SPAN("commit_run", slot->dids.front());
+  RunStats& stats = slot->stats;
+  const std::span<const int64_t> dids(slot->dids);
+  const size_t count = dids.size();
+  const size_t num_units = writers_.size();
+  // The reader took each unit group where its index entry put it, unread:
+  // check its page headers and record framing here, off the reader. Then
+  // the cached rows, decoded by the committer too. A page whose bytes fail
+  // either is evaluated from scratch instead (degrade, never miscompute):
+  // its fresh rows and captures replace what was lifted.
+  // The lifted ranges are read back here first; a file that fails to read
+  // fails every page of the run the same way.
+  bool loaded = result_reader_->LoadRun(&slot->results).ok();
+  for (size_t u = 0; u < num_units; ++u) {
+    loaded = readers_[u]->LoadRun(&slot->raw[u]).ok() && loaded;
+  }
+  std::vector<size_t> row_begin(count + 1, 0);
+  std::vector<std::vector<PageCapture>> fresh;  // per page; evaluated if set
+  for (size_t j = 0; j < count; ++j) {
+    row_begin[j] = slot->rows.size();
+    bool framed = loaded;
+    for (size_t u = 0; u < num_units && framed; ++u) {
+      const RawRun& unit_run = slot->raw[u];
+      // A decode-copied last page has no raw group.
+      if (j < unit_run.pages.size()) framed = unit_run.PageHolds(j);
+    }
+    if (framed && DecodeResultSlice(slot->results.Slice(j), dids[j],
+                                    &slot->rows)
+                      .ok()) {
+      continue;
+    }
+    if (framed) {
+      DemoteResultCacheCounter()->Increment();
+      ++stats.fast_path_demote_result_cache;
     } else {
+      DemoteMissingGroupCounter()->Increment();
+      ++stats.fast_path_demote_missing_group;
+    }
+    --stats.pages_identical;
+    fresh.resize(count);
+    DELEX_ASSIGN_OR_RETURN(
+        std::vector<Tuple> page_rows,
+        EvalFromScratch(current.page(slot->first + j), &stats, &fresh[j]));
+    for (Tuple& row : page_rows) slot->rows.push_back(std::move(row));
+  }
+  row_begin[count] = slot->rows.size();
+  auto evaluated = [&fresh](size_t j) {
+    return !fresh.empty() && !fresh[j].empty();
+  };
+
+  // Each file takes maximal stretches of raw pages in one CommitRun; an
+  // evaluated page, or a decode-copied last page, commits its capture.
+  for (size_t u = 0; u < num_units; ++u) {
+    ScopedTimer capture_timer(&stats.units[u].capture_us);
+    const RawRun& unit_run = slot->raw[u];
+    for (size_t j = 0; j < count;) {
+      size_t end = j;
+      while (end < unit_run.pages.size() && !evaluated(end)) ++end;
+      for (size_t k = j; k < end; ++k) {
+        const RawPageSlice group = unit_run.Slice(k);
+        if (paranoid::Enabled()) paranoid::CheckRawSlice(group);
+        stats.raw_bytes_copied += group.TotalBytes();
+        stats.records_decoded_skipped += group.n_inputs + group.n_outputs;
+      }
+      if (end > j) {
+        DELEX_RETURN_NOT_OK(
+            writers_[u]->CommitRun(unit_run, j, dids.subspan(j, end - j)));
+      }
+      if (end == count) break;
+      const Page& page = current.page(slot->first + end);
       DELEX_RETURN_NOT_OK(writers_[u]->CommitPage(
-          did, slot->page->content_hash, slot->captures[u]));
+          page.did, page.content_hash,
+          evaluated(end) ? fresh[end][u] : slot->captures[u]));
+      j = end + 1;
     }
   }
-  if (slot->identical) {
-    slot->stats.pages_identical = 1;
-    // The cached rows were decoded once to recover this page's results;
-    // their bytes still relocate verbatim into the new cache.
-    DELEX_RETURN_NOT_OK(result_writer_->CommitPageRaw(did, slot->result_slice));
-    slot->stats.raw_bytes_copied +=
-        static_cast<int64_t>(slot->result_slice.bytes.size());
-  } else {
-    DELEX_RETURN_NOT_OK(result_writer_->CommitPage(did, slot->rows));
+
+  // The cached rows relocate verbatim into the new cache.
+  for (size_t j = 0; j < count;) {
+    size_t end = j;
+    while (end < count && !evaluated(end)) {
+      stats.raw_bytes_copied +=
+          static_cast<int64_t>(slot->results.Slice(end).bytes.size());
+      ++end;
+    }
+    if (end > j) {
+      DELEX_RETURN_NOT_OK(result_writer_->CommitRun(
+          slot->results, j, dids.subspan(j, end - j)));
+    }
+    if (end == count) break;
+    const std::vector<Tuple> page_rows(
+        slot->rows.begin() + static_cast<ptrdiff_t>(row_begin[end]),
+        slot->rows.begin() + static_cast<ptrdiff_t>(row_begin[end + 1]));
+    DELEX_RETURN_NOT_OK(result_writer_->CommitPage(dids[end], page_rows));
+    j = end + 1;
   }
   return Status::OK();
 }
@@ -519,13 +732,15 @@ Status DelexEngine::RunPages(const SnapshotView& current,
                              RunStats* stats) {
   const size_t num_pages = current.NumPages();
   const size_t num_units = analysis_.units.size();
+  Stopwatch reader_watch;
+  int64_t wait_us = 0;  // the reader's blocked time, outside the window
   // Two-level scheduling: a caller-provided shared pool (sharded
-  // execution) or a run-local one. Either way the reader and write-back
-  // stages stay on this thread; only page evaluation goes to the pool.
-  // With a shared pool, always go through it — even a 1-wide pool — so a
-  // sharded run's total compute is bounded by the pool width rather than
-  // by the number of engine driver threads. Otherwise width 1 (or a
-  // single page) evaluates inline on this thread and starts no pool.
+  // execution) or a run-local one. Either way the reader stays on this
+  // thread; page evaluation and most commits go to the pool. With a
+  // shared pool, always go through it — even a 1-wide pool — so a sharded
+  // run's total compute is bounded by the pool width rather than by the
+  // number of shard threads. Otherwise width 1 (or a single page)
+  // evaluates inline on this thread and starts no pool.
   const int num_threads = EffectiveThreads();
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options_.shared_pool;
@@ -534,8 +749,10 @@ Status DelexEngine::RunPages(const SnapshotView& current,
     pool = owned_pool.get();
   }
   // Identical pages take the fast path only if the previous result cache
-  // opened; one dropped mid-run demotes the rest in PrefetchSlot.
-  const bool fast_path = result_reader_ != nullptr;
+  // opened; one dropped mid-run demotes the rest in LiftRun.
+  const std::vector<PageClass> classes =
+      ClassifyPages(current, previous, result_reader_ != nullptr, pool,
+                    num_threads, &wait_us);
 
   // Declared before the TaskGroup, which settles every task referencing
   // them before they go out of scope. Never more slots than pages.
@@ -543,104 +760,129 @@ Status DelexEngine::RunPages(const SnapshotView& current,
       std::min(RingSlots(num_threads), std::max<size_t>(num_pages, 1)));
   RunState state(ring.size());
 
-  // Commits every ready page at the front of the snapshot order. Any
-  // finishing worker may become the committer; commit_mu serializes the
-  // writers, mu orders the done-flag handoff.
-  auto drain_commits = [this, &state, &ring]() -> Status {
-    MutexLock commit_lock(&state.commit_mu);
+  // Commits every ready entry at the front of the snapshot order, and
+  // retires each as it commits: its stats shard folds into the run's
+  // (integer sums, so totals equal a merge at run end), its rows move to
+  // the end of `*rows` and its buffers and charge are released. The caller
+  // has taken the draining role; it gives it up under mu when the front is
+  // not ready, so an entry marked done meanwhile is never stranded.
+  auto drain = [this, &state, &ring, &current, rows, stats]() {
     for (;;) {
-      size_t index = 0;
+      PageSlot* slot = nullptr;
       {
         MutexLock lock(&state.mu);
-        index = state.next_commit % ring.size();
-        if (!state.error.ok() || state.done[index] == 0) return Status::OK();
+        const size_t index = state.next_commit % ring.size();
+        if (!state.error.ok() || state.done[index] == 0) {
+          state.draining = false;
+          return;
+        }
+        slot = &ring[index];
       }
-      Status st = CommitPage(&ring[index]);
+      Status st = CommitEntry(slot, current);
+      const size_t count = slot->count;
+      if (st.ok()) {
+        stats->MergeFrom(slot->stats);
+        rows->insert(rows->end(), std::make_move_iterator(slot->rows.begin()),
+                     std::make_move_iterator(slot->rows.end()));
+        *slot = PageSlot();
+      }
       MutexLock lock(&state.mu);
       if (!st.ok()) {
+        state.draining = false;
         state.Fail(st);
-        return st;
+        return;
       }
-      state.done[index] = 0;
+      state.done[state.next_commit % ring.size()] = 0;
       ++state.next_commit;
+      state.pages_committed += count;
       state.slot_free.NotifyAll();
     }
   };
-
-  // Retires the committed pages [retired, end) in snapshot order, on the
-  // reader thread and outside commit_mu: folds each stats shard into the
-  // run's (integer sums, so totals equal a merge at run end), moves the
-  // rows out and releases the slot's buffers and charge.
-  size_t retired = 0;
-  auto retire_through = [&ring, &retired, rows, stats](size_t end) {
-    for (; retired < end; ++retired) {
-      PageSlot& slot = ring[retired % ring.size()];
-      stats->MergeFrom(slot.stats);
-      for (Tuple& row : slot.rows) rows->push_back(std::move(row));
-      slot = PageSlot();
+  // Marks the entry in ring slot `index` ready, then commits the front
+  // unless another thread is already committing.
+  auto complete = [&state, &drain](size_t index) {
+    {
+      MutexLock lock(&state.mu);
+      state.done[index] = 1;
+      if (state.draining) return;
+      state.draining = true;
     }
+    drain();
   };
 
   Status prefetch_error;
   Status task_status;
+  size_t entries = 0;
   {
     // Bound on submitted-but-unfinished pages: keeps the reader stage a few
     // pages ahead of the workers; the ring bounds how far it may run ahead
-    // of the oldest uncommitted page.
+    // of the oldest uncommitted page. Runs never take a window slot.
     TaskGroup tasks(pool, static_cast<size_t>(num_threads) * 2 + 2);
-    for (size_t i = 0; i < num_pages; ++i) {
-      size_t committed = 0;
+    // A page whose run lift demoted it: it is evaluated, never lifted again.
+    size_t demoted = num_pages;
+    for (size_t first = 0; first < num_pages; ++entries) {
+      const bool lift = classes[first].identical && first != demoted;
+      size_t end = first + 1;
+      while (lift && end < num_pages && end - first < kRunPages &&
+             classes[end].identical) {
+        ++end;
+      }
       {
-        // Page i's slot is free once page i - ring.size() has committed.
+        // The entry's slot is free, and its pages fit the ring, once every
+        // page ring.size() before `end` has committed.
         MutexLock lock(&state.mu);
-        while (state.error.ok() && state.next_commit + ring.size() <= i) {
-          state.slot_free.Wait(&state.mu);
+        if (state.error.ok() && state.pages_committed + ring.size() < end) {
+          Stopwatch waited;
+          while (state.error.ok() &&
+                 state.pages_committed + ring.size() < end) {
+            state.slot_free.Wait(&state.mu);
+          }
+          wait_us += waited.ElapsedMicros();
         }
         if (!state.error.ok()) break;
-        committed = state.next_commit;
       }
-      retire_through(committed);
 
-      // Reader stage: resolve the previous version, then one
-      // strictly-forward scan per reuse file, kept on this thread and in
-      // snapshot page order (§5.2).
-      PageSlot& slot = ring[i % ring.size()];
-      slot.page = &current.page(i);
-      if (previous != nullptr) {
-        if (auto idx = previous->FindByUrl(slot.page->url)) {
-          slot.q_page = &previous->pages()[*idx];
-        }
-      }
-      slot.captures.resize(num_units);
+      // Reader stage: one strictly-forward scan per reuse file, kept on
+      // this thread and in snapshot page order (§5.2).
+      const size_t index = entries % ring.size();
+      PageSlot& slot = ring[index];
+      slot.first = first;
       slot.stats.units.resize(num_units);
-      slot.stats.pages = 1;
-      if (slot.q_page != nullptr) slot.stats.pages_with_previous = 1;
-      // Whole-page fast path: digests first (O(1) per pair), then a byte
-      // compare so a digest collision can never relocate wrong records.
-      slot.identical =
-          fast_path && slot.q_page != nullptr &&
-          slot.q_page->content_hash == slot.page->content_hash &&
-          slot.q_page->content.size() == slot.page->content.size() &&
-          simd::BytesEqual(slot.q_page->content.data(),
-                           slot.page->content.data(),
-                           slot.page->content.size());
-      prefetch_error = PrefetchSlot(&slot);
-      if (!prefetch_error.ok()) break;
-      slot.mem.Set(slot.HeldBytes());
-      if (slot.identical) {
-        // Fast-path pages bypass the worker stage: rows are already
-        // recovered and nothing needs evaluating, but the commit still
-        // must land in snapshot order, so mark the slot done and drain
-        // from here (the reader thread). An error lands in state.error.
-        {
-          MutexLock lock(&state.mu);
-          state.done[i % ring.size()] = 1;
+      if (lift) {
+        prefetch_error =
+            LiftRun(current, *previous, classes, end, &slot, &demoted);
+        if (!prefetch_error.ok()) break;
+        if (slot.count > 0) {
+          // A run needs no evaluating: it is ready to commit at once, in
+          // snapshot order, by this thread or whichever is committing.
+          // After complete() the slot is the committer's.
+          slot.mem.Set(slot.HeldBytes());
+          first += slot.count;
+          complete(index);
+          continue;
         }
-        (void)drain_commits();
-        continue;
       }
-      tasks.Submit([this, index = i % ring.size(), &ring, &state,
-                    &drain_commits]() -> Status {
+      // One page for the pool.
+      {
+        DELEX_TRACE_SPAN("prefetch_page", current.page(first).did);
+        obs::ScopedLatencyTimer io_timer(nullptr, PrefetchIoHistogram());
+        slot.count = 1;
+        slot.page = &current.page(first);
+        if (classes[first].previous >= 0) {
+          slot.q_page =
+              &previous->pages()[static_cast<size_t>(classes[first].previous)];
+        }
+        slot.captures.resize(num_units);
+        ++slot.stats.pages;
+        if (slot.q_page != nullptr) {
+          ++slot.stats.pages_with_previous;
+          prefetch_error = PrefetchPageReuse(slot.q_page->did, &slot.reuse,
+                                             &slot.stats);
+          if (!prefetch_error.ok()) break;
+        }
+        slot.mem.Set(slot.HeldBytes());
+      }
+      tasks.Submit([this, index, &ring, &state, &complete]() -> Status {
         // Any failure, a throw included, must reach state.error: the
         // reader may be waiting for this page to commit.
         Status status = ThreadPool::RunTask([&]() -> Status {
@@ -654,11 +896,8 @@ Status DelexEngine::RunPages(const SnapshotView& current,
           page_ctx.stats = &slot->stats;
           DELEX_ASSIGN_OR_RETURN(slot->rows, EvalPage(&page_ctx));
           slot->mem.Set(slot->HeldBytes());
-          {
-            MutexLock lock(&state.mu);
-            state.done[index] = 1;
-          }
-          return drain_commits();
+          complete(index);
+          return Status::OK();
         });
         if (!status.ok()) {
           MutexLock lock(&state.mu);
@@ -666,21 +905,22 @@ Status DelexEngine::RunPages(const SnapshotView& current,
         }
         return status;
       });
+      ++first;
     }
+    Stopwatch waited;
     task_status = tasks.Wait();
+    wait_us += waited.ElapsedMicros() + tasks.blocked_us();
   }
   DELEX_RETURN_NOT_OK(prefetch_error);
   DELEX_RETURN_NOT_OK(task_status);
-  // Final drain: commits a trailing fast-path slot marked done after the
-  // last worker's drain pass (the inline drain above normally commits it
-  // already).
-  DELEX_RETURN_NOT_OK(drain_commits());
   {
     MutexLock lock(&state.mu);
     DELEX_RETURN_NOT_OK(state.error);
-    DELEX_CHECK(state.next_commit == num_pages);
+    DELEX_CHECK(state.next_commit == entries);
+    DELEX_CHECK(state.pages_committed == num_pages);
   }
-  retire_through(num_pages);
+  stats->reader_wait_us += wait_us;
+  stats->reader_busy_us += reader_watch.ElapsedMicros() - wait_us;
   return Status::OK();
 }
 
@@ -731,6 +971,7 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   result_writer_ = std::make_unique<ResultCacheWriter>();
   DELEX_RETURN_NOT_OK(result_writer_->Open(ResultCachePath(generation_)));
   result_reader_.reset();
+  result_dropped_ = false;
   if (previous != nullptr && !options_.disable_page_fast_path) {
     auto reader = std::make_unique<ResultCacheReader>();
     // A missing or corrupt previous cache (e.g. a resumed work dir from an
@@ -763,7 +1004,8 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   out_stats->reuse_write_io += result_writer_->stats();
   if (result_reader_ != nullptr) {
     DELEX_RETURN_NOT_OK(result_reader_->Close());
-    out_stats->reuse_read_io += result_reader_->stats();
+    // A cache dropped as corrupt counts as unread, as it was before runs.
+    if (!result_dropped_) out_stats->reuse_read_io += result_reader_->stats();
   }
 
   // Drop the now-consumed previous generation.

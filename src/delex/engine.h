@@ -125,13 +125,19 @@ class DelexEngine {
   /// Effective worker count of a run (resolves num_threads == 0).
   int EffectiveThreads() const;
 
-  /// Page slots in the pipeline ring of a run at `width` workers (fewer if
-  /// the snapshot has fewer pages): a fixed multiple of the task window
-  /// (2·width + 2 pages in evaluation), so identical pages can queue behind
-  /// a slow changed page while the reader goes on finding changed pages
-  /// for the workers. Pipeline memory is bounded by this many pages, not by
-  /// the snapshot.
+  /// Pages in flight in the pipeline ring of a run at `width` workers
+  /// (fewer if the snapshot has fewer pages): a fixed multiple of the task
+  /// window (2·width + 2 pages in evaluation), so identical pages can queue
+  /// behind a slow changed page while the reader goes on finding changed
+  /// pages for the workers. A run of identical pages takes one slot and
+  /// counts all its pages. Pipeline memory is bounded by this many pages,
+  /// not by the snapshot.
   static size_t RingSlots(int width);
+
+  /// Most pages one run of identical pages takes: a fixed cap, so run
+  /// boundaries depend only on the snapshot pair (and, past a damaged
+  /// page, on the reuse files), never on timing.
+  static constexpr size_t kRunPages = 64;
 
   /// Resumes an interrupted stream: positions the engine as if
   /// `generation` runs had completed in this work_dir, so the next
@@ -140,10 +146,20 @@ class DelexEngine {
   Status Resume(int generation);
 
  private:
+  struct PageClass;
   struct PageContext;
   struct PageReuse;
   struct PageSlot;
   struct RunState;
+
+  /// The classify pass: each page's previous version by URL, and whether
+  /// the whole-page fast path applies (digests, sizes, then bytes equal).
+  /// Runs in chunks on `pool` before the reader starts, inline without
+  /// one; `*wait_us` gains the time the calling thread spent blocked.
+  static std::vector<PageClass> ClassifyPages(const SnapshotView& current,
+                                              const Snapshot* previous,
+                                              bool fast_path, ThreadPool* pool,
+                                              int width, int64_t* wait_us);
 
   /// Drains each unit's reuse reader for `q_did` into `*reuse` (one
   /// forward seek per unit — §5.2). Must be called from the single reader
@@ -158,16 +174,17 @@ class DelexEngine {
   /// (logged + counted); subsequent pages see no reuse for that unit.
   void DropCorruptReader(size_t u, const Status& cause, RunStats* stats);
 
-  /// Reader-stage entry point for one slot, called in snapshot page order
-  /// on a slot the ring has just recycled (or never used) and on which
-  /// RunPages has set the page, its previous version and `identical`. For
-  /// a fast-path slot, recovers the page's result rows from the previous
-  /// generation's result cache and lifts each unit's reuse records as raw
-  /// slices; any missing piece demotes the slot tier by tier (raw copy →
-  /// decode-copy → full evaluation) so degradation never miscomputes. For
-  /// every other slot, prefetches the decoded per-unit reuse tuples. The
-  /// slot keeps all of it until the ring recycles it.
-  Status PrefetchSlot(PageSlot* slot);
+  /// Reader stage for a run of identical pages starting at `slot->first`
+  /// and ending before `end`: lifts each page's cached rows and each
+  /// unit's groups, page by page, raw (no decode, no record-by-record
+  /// copy). A page missing any piece ends the run before it and is left
+  /// for full evaluation (`*demoted`); a page whose index entry fails for a
+  /// unit ends the run with it, that unit's group decode-copied. Sets
+  /// `slot->count` to the pages the run took — 0 if its first page was
+  /// demoted, in which case the slot is for that page's evaluation.
+  Status LiftRun(const SnapshotView& current, const Snapshot& previous,
+                 const std::vector<PageClass>& classes, size_t end,
+                 PageSlot* slot, size_t* demoted);
 
   /// Evaluates one page end to end: xlog::WalkPlan with EvalUnit as the
   /// IE hook. Const: all mutable state — capture buffers, stats shard,
@@ -175,13 +192,22 @@ class DelexEngine {
   /// of pages can run concurrently.
   Result<std::vector<Tuple>> EvalPage(PageContext* page_ctx) const;
 
-  /// Commits one page: per-unit capture buffers (or raw slices, for
-  /// fast-path pages) are appended to the reuse writers, and the page's
-  /// result rows to this generation's result cache. Caller must serialize
-  /// commits in snapshot page order (the ordered write-back stage). Only
-  /// writes; the slot's buffers, rows and stats shard stay in place until
-  /// the reader recycles the slot, outside the commit lock.
+  /// Evaluates `page` with no previous version into `*captures` — the
+  /// fallback for a run's page whose lifted bytes fail at commit.
+  Result<std::vector<Tuple>> EvalFromScratch(
+      const Page& page, RunStats* stats,
+      std::vector<PageCapture>* captures) const;
+
+  /// Commits one ring entry: an evaluated page's capture buffers and rows,
+  /// or a run's lifted groups and cached rows, to the reuse writers and
+  /// this generation's result cache. A run's rows are decoded, and its
+  /// groups' record framing checked, here, by whichever thread commits it;
+  /// a page that fails either is evaluated from scratch instead. Caller
+  /// must serialize commits in snapshot page order (the ordered write-back
+  /// stage), and retires the entry after.
+  Status CommitEntry(PageSlot* slot, const SnapshotView& current);
   Status CommitPage(PageSlot* slot);
+  Status CommitRun(PageSlot* slot, const SnapshotView& current);
 
   /// Evaluates `unit` at its IE node (match → copy → extract → capture)
   /// over the walk's region `groups` of `inputs`. Sets (*outputs)[g] to
@@ -199,15 +225,19 @@ class DelexEngine {
                                  const Tuple& blackbox_output,
                                  std::string_view page_text) const;
 
-  /// The page pipeline over `current`: reader prefetch and ordered
-  /// write-back on this thread, page evaluation on a pool — or inline on
-  /// this thread at width 1 without a shared pool. Pages pass through a
-  /// fixed ring of R = RingSlots() slots: the reader fills page i into
-  /// slot i mod R once page i − R has committed, waiting if it has not.
-  /// Each committed slot is retired by the reader, in snapshot order: its
-  /// stats shard folds into `*stats`, its rows move to the end of `*rows`,
-  /// and its buffers are released. The slots still in the ring when the
-  /// last page commits retire before return.
+  /// The page pipeline over `current`. A classify pass resolves every
+  /// page's previous version and its identity on the pool. The reader (this
+  /// thread) then walks the pages in snapshot order as ring entries: a run
+  /// of consecutive identical pages is one entry, lifted raw and marked
+  /// ready at once; any other page is one entry, prefetched and evaluated
+  /// on the pool — or inline on this thread at width 1 without a shared
+  /// pool. Entries pass through a fixed ring of RingSlots() pages: the
+  /// reader fills an entry once every page RingSlots() before its end has
+  /// committed, waiting if it has not. Whichever thread finds the front
+  /// entry ready commits it and every ready entry behind it, and retires
+  /// each as it commits, in snapshot order: its stats shard folds into
+  /// `*stats`, its rows move to the end of `*rows`, and its buffers are
+  /// released.
   Status RunPages(const SnapshotView& current, const Snapshot* previous,
                   std::vector<Tuple>* rows, RunStats* stats);
 
@@ -235,6 +265,10 @@ class DelexEngine {
   // normally — degrade, never miscompute).
   std::unique_ptr<ResultCacheWriter> result_writer_;
   std::unique_ptr<ResultCacheReader> result_reader_;
+  // The previous cache failed validation mid-run: every identical page
+  // after that evaluates. The reader stays open until the run ends, for
+  // the runs lifted before the failure to load at commit.
+  bool result_dropped_ = false;
   const MatcherAssignment* assignment_ = nullptr;
 };
 

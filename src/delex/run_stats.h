@@ -135,6 +135,18 @@ struct RunStats {
   /// Previous-generation reuse records (inputs + outputs) the fast path
   /// relocated without ever decoding them.
   int64_t records_decoded_skipped = 0;
+  /// Runs of consecutive identical pages the fast path relocated, each
+  /// one pipeline entry: one ring slot, one stats shard, one commit.
+  int64_t identical_runs = 0;
+
+  /// The page pipeline's reader stage (the thread that calls RunSnapshot),
+  /// in wall-clock time: busy lifting runs, prefetching, committing what it
+  /// drains and retiring entries (and, at width 1, classifying and
+  /// evaluating pages inline); waiting on the classify pass, the ring, the
+  /// task window and the final wait. These are the reader stages of the
+  /// run's wall-clock stage breakdown; summed across shards.
+  int64_t reader_busy_us = 0;
+  int64_t reader_wait_us = 0;
 
   /// Fast-path degradations this run (the global metrics counters track
   /// the same events process-wide; these are the per-run view the run
@@ -174,6 +186,9 @@ struct RunStats {
     pages_identical += other.pages_identical;
     raw_bytes_copied += other.raw_bytes_copied;
     records_decoded_skipped += other.records_decoded_skipped;
+    identical_runs += other.identical_runs;
+    reader_busy_us += other.reader_busy_us;
+    reader_wait_us += other.reader_wait_us;
     fast_path_demote_result_cache += other.fast_path_demote_result_cache;
     fast_path_demote_missing_group += other.fast_path_demote_missing_group;
     fast_path_decode_copy_groups += other.fast_path_decode_copy_groups;

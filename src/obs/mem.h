@@ -10,7 +10,7 @@
 // the peak — cheap enough to stay compiled in unconditionally, which is
 // what lets ci/bench_compare.py gate its overhead at <= 2%.
 //
-//   // At an ownership point (member order discharges before the bytes go):
+//   // At an ownership point (a member; see ScopedMemCharge on teardown):
 //   obs::ScopedMemCharge mem_{obs::MemTag::kSnapshot};
 //   mem_.Set(bytes_now_owned);   // re-charge the delta on growth
 //
@@ -120,10 +120,13 @@ inline void MemResetForTesting() {
 
 /// \brief RAII charge bound to one owner object: Set() re-charges the
 /// delta as the owned footprint grows or shrinks, the destructor returns
-/// whatever is still charged. Declare it before the owned containers so it
-/// discharges first on teardown. Movable (ownership of the charge moves),
-/// copyable (the copy charges its own bytes) so owners keep their default
-/// copy/move semantics.
+/// whatever is still charged. Members are destroyed in reverse
+/// declaration order, so a charge declared before the owned containers is
+/// returned after they are freed, and one declared after them before.
+/// Either order is fine: teardown only lowers the current counts, and
+/// peaks are set while the owner grows, never while it is destroyed.
+/// Movable (ownership of the charge moves), copyable (the copy charges its
+/// own bytes) so owners keep their default copy/move semantics.
 class ScopedMemCharge {
  public:
   explicit ScopedMemCharge(MemTag tag, int64_t bytes = 0) : tag_(tag) {

@@ -97,6 +97,12 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
   json.KV("result_tuples", stats.result_tuples);
   json.KV("raw_bytes_copied", stats.raw_bytes_copied);
   json.KV("records_decoded_skipped", stats.records_decoded_skipped);
+  json.KV("identical_runs", stats.identical_runs);
+  json.Key("reader")
+      .BeginObject()
+      .KV("busy_us", stats.reader_busy_us)
+      .KV("wait_us", stats.reader_wait_us)
+      .EndObject();
 
   const PhaseBreakdown& phases = stats.phases;
   json.Key("phases")

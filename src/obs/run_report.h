@@ -18,6 +18,7 @@
 //    "tag":"fig11-talk",
 //    "pages":N,"pages_with_previous":N,"pages_identical":N,
 //    "result_tuples":N,"raw_bytes_copied":N,"records_decoded_skipped":N,
+//    "identical_runs":N,"reader":{"busy_us":..,"wait_us":..},  // v8
 //    "phases":{"match_us":..,"extract_us":..,"copy_us":..,"opt_us":..,
 //              "capture_us":..,"total_us":..,"others_us":..,
 //              "phase_drift_us":..},
@@ -97,6 +98,11 @@
 // drops "learning" and "coeffs", and decision "inputs" drop "gain",
 // "bias" and "samples"; "cost_drift" stays and now measures the analytic
 // model. Readers ignore those keys in older lines.
+//
+// v7 → v8: the page pipeline's reader stage. Every line gains
+// "identical_runs" (runs of identical pages relocated as one pipeline
+// entry each) and "reader":{"busy_us":..,"wait_us":..} (the reader
+// thread's wall clock, busy and blocked, summed across shards).
 
 #include <cstdint>
 #include <cstdio>
@@ -110,7 +116,7 @@
 namespace delex {
 namespace obs {
 
-inline constexpr int kRunReportSchemaVersion = 7;
+inline constexpr int kRunReportSchemaVersion = 8;
 
 /// \brief Run identity and execution-environment metadata for one line.
 struct RunReportMeta {

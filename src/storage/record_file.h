@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -71,9 +72,15 @@ class RecordWriter {
 /// \brief Sequential reader over a RecordWriter file.
 ///
 /// Supports exactly the access pattern §5.2 requires: one front-to-back
-/// scan; no random probes.
+/// scan; no random probes. The file is read in kReadChunk pieces straight
+/// into the reader's own buffer; IoStats still counts the bytes a reader
+/// fetching one kBlockSize block at a time, as needed, would have read, so
+/// the per-run I/O figures do not depend on the chunk size.
 class RecordReader {
  public:
+  /// Bytes per fread.
+  static constexpr size_t kReadChunk = 64 * 1024;
+
   RecordReader() = default;
   ~RecordReader();
 
@@ -91,21 +98,62 @@ class RecordReader {
   /// truncation checks as Next.
   Status NextView(std::string_view* record, bool* at_end);
 
+  /// Reads past the next `count` records with NextView's checks, without
+  /// handing them out. Running out of records is Corruption.
+  Status Skip(int64_t count);
+
+  /// Moves the scan forward to file offset `offset` (at least Offset()),
+  /// past `records` records, reading nothing in between that is not
+  /// buffered yet. Stats count them as read, as a scan would have.
+  Status SkipTo(int64_t offset, int64_t records);
+
+  /// Reads `length` bytes at file offset `offset` into `out`, wherever the
+  /// scan is: a positioned read, safe from any thread while the reader is
+  /// open. Bytes the scan already passed are read again, so they are not
+  /// counted in stats().
+  Status ReadAt(int64_t offset, int64_t length, char* out) const;
+
   Status Close();
 
   bool IsOpen() const { return file_ != nullptr; }
-  const IoStats& stats() const { return stats_; }
+  IoStats stats() const;
+
+  /// The file's size when it was opened.
+  int64_t FileSize() const { return file_size_; }
+
+  /// File offset just past the last record read (RecordWriter::
+  /// logical_size coordinates).
+  int64_t Offset() const { return base_ + static_cast<int64_t>(pos_); }
+
+  /// Bytes the buffer holds (it grows only to fit one record).
+  size_t BufferCapacity() const { return capacity_; }
 
  private:
+  /// Makes `need` unread bytes available, unless the file ends first.
   Status FillBuffer(size_t need);
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  std::string buffer_;
-  size_t buffer_pos_ = 0;
+  std::unique_ptr<char[]> buffer_;
+  size_t capacity_ = 0;
+  size_t pos_ = 0;  // next unread byte
+  size_t end_ = 0;  // one past the last byte read from the file
   bool hit_eof_ = false;
-  IoStats stats_;
+  int64_t file_size_ = 0;
+  int64_t base_ = 0;  // file offset of buffer_[0]
+  // Set once a read needed bytes past the end of the file: a block reader
+  // would then have read all of it.
+  bool needed_eof_ = false;
+  // A block reader's extra need on a failed read (the record header of a
+  // record whose length was rejected).
+  int64_t needed_floor_ = 0;
+  IoStats stats_;  // records; bytes_read is derived in stats()
 };
+
+/// True when `framed` is exactly `count` records as RecordWriter lays them
+/// out (8-byte length prefix + payload each), every length within
+/// kMaxRecordLength.
+bool FramedRecordsHold(std::string_view framed, int64_t count);
 
 }  // namespace delex
 

@@ -36,33 +36,12 @@ bool GetFixed(std::string_view data, size_t* offset, int64_t* v) {
   return true;
 }
 
-// Page header record shared by .in and .out: {did, record count}.
-void EncodePageHeader(int64_t did, int64_t count, std::string* out) {
-  PutFixed(static_cast<uint64_t>(did), out);
-  PutFixed(static_cast<uint64_t>(count), out);
-}
-
-bool DecodePageHeader(std::string_view data, int64_t* did, int64_t* count) {
-  size_t offset = 0;
-  // Negative fields can only come from corrupt bytes; letting them through
-  // would turn into huge size_t casts at the reserve/skip sites.
-  return GetFixed(data, &offset, did) && GetFixed(data, &offset, count) &&
-         offset == data.size() && *did >= 0 && *count >= 0;
-}
-
 /// Clamp an untrusted record count to a sane reservation: each record
 /// costs ≥ 8 framing bytes, so a count beyond this bound is necessarily a
 /// truncation error waiting to surface — never pre-allocate for it.
 size_t ClampedReserve(int64_t count) {
   constexpr int64_t kMaxReserve = 1 << 20;
   return static_cast<size_t>(std::min<int64_t>(count, kMaxReserve));
-}
-
-// Re-frames one record exactly as RecordWriter::Append lays it out, so a
-// RawPageSlice can be replayed through AppendRaw byte for byte.
-void AppendFramed(std::string_view record, std::string* out) {
-  PutFixed(record.size(), out);
-  out->append(record);
 }
 
 }  // namespace
@@ -130,7 +109,7 @@ Result<PageIndexEntry> DecodePageIndexEntry(std::string_view data) {
   }
   // Index entries gate the raw byte-range passthrough, so every field the
   // relocation arithmetic touches must be range-checked here — an entry
-  // with a negative offset or count must never survive to ReadPageRaw's
+  // with a negative offset or count must never survive to LiftPage's
   // offset comparison.
   if (entry.did < 0 || entry.in_offset < 0 || entry.in_bytes < 0 ||
       entry.n_inputs < 0 || entry.out_offset < 0 || entry.out_bytes < 0 ||
@@ -197,31 +176,63 @@ Status UnitReuseWriter::CommitPage(int64_t did, uint64_t page_digest,
   return index_writer_.Append(scratch_);
 }
 
-Status UnitReuseWriter::CommitPageRaw(int64_t did, const RawPageSlice& raw) {
-  DELEX_TRACE_SPAN("reuse_commit_page_raw", did, "io");
-  PageIndexEntry entry;
-  entry.did = did;
-  entry.page_digest = raw.page_digest;
-  entry.n_inputs = raw.n_inputs;
-  entry.n_outputs = raw.n_outputs;
+RawPageSlice RawRun::Slice(size_t j) const {
+  const Page& page = pages[j];
+  RawPageSlice slice;
+  slice.page_digest = page.page_digest;
+  slice.in_bytes = std::string_view(in_bytes).substr(
+      static_cast<size_t>(page.in_offset), static_cast<size_t>(page.in_length));
+  slice.n_inputs = page.n_inputs;
+  slice.out_bytes = std::string_view(out_bytes).substr(
+      static_cast<size_t>(page.out_offset),
+      static_cast<size_t>(page.out_length));
+  slice.n_outputs = page.n_outputs;
+  return slice;
+}
 
-  scratch_.clear();
-  EncodePageHeader(did, raw.n_inputs, &scratch_);
-  DELEX_RETURN_NOT_OK(input_writer_.Append(scratch_));
-  entry.in_offset = input_writer_.logical_size();
-  DELEX_RETURN_NOT_OK(input_writer_.AppendRaw(raw.in_bytes, raw.n_inputs));
-  entry.in_bytes = input_writer_.logical_size() - entry.in_offset;
+bool RawRun::PageHolds(size_t j) const {
+  const Page& page = pages[j];
+  const RawPageSlice slice = Slice(j);
+  return PageHeaderAt(in_bytes, page.in_offset - kFramedPageHeaderBytes,
+                      page.did, page.n_inputs) &&
+         PageHeaderAt(out_bytes, page.out_offset - kFramedPageHeaderBytes,
+                      page.did, page.n_outputs) &&
+         FramedRecordsHold(slice.in_bytes, slice.n_inputs) &&
+         FramedRecordsHold(slice.out_bytes, slice.n_outputs);
+}
 
-  scratch_.clear();
-  EncodePageHeader(did, raw.n_outputs, &scratch_);
-  DELEX_RETURN_NOT_OK(output_writer_.Append(scratch_));
-  entry.out_offset = output_writer_.logical_size();
-  DELEX_RETURN_NOT_OK(output_writer_.AppendRaw(raw.out_bytes, raw.n_outputs));
-  entry.out_bytes = output_writer_.logical_size() - entry.out_offset;
+Status UnitReuseWriter::CommitRun(const RawRun& run, size_t first,
+                                  std::span<const int64_t> dids) {
+  DELEX_TRACE_SPAN("reuse_commit_run", dids.empty() ? -1 : dids.front(),
+                   "io");
+  for (size_t j = 0; j < dids.size(); ++j) {
+    const RawPageSlice raw = run.Slice(first + j);
+    PageIndexEntry entry;
+    entry.did = dids[j];
+    entry.page_digest = raw.page_digest;
+    entry.n_inputs = raw.n_inputs;
+    entry.n_outputs = raw.n_outputs;
 
-  scratch_.clear();
-  EncodePageIndexEntry(entry, &scratch_);
-  return index_writer_.Append(scratch_);
+    scratch_.clear();
+    EncodePageHeader(entry.did, raw.n_inputs, &scratch_);
+    DELEX_RETURN_NOT_OK(input_writer_.Append(scratch_));
+    entry.in_offset = input_writer_.logical_size();
+    DELEX_RETURN_NOT_OK(input_writer_.AppendRaw(raw.in_bytes, raw.n_inputs));
+    entry.in_bytes = static_cast<int64_t>(raw.in_bytes.size());
+
+    scratch_.clear();
+    EncodePageHeader(entry.did, raw.n_outputs, &scratch_);
+    DELEX_RETURN_NOT_OK(output_writer_.Append(scratch_));
+    entry.out_offset = output_writer_.logical_size();
+    DELEX_RETURN_NOT_OK(
+        output_writer_.AppendRaw(raw.out_bytes, raw.n_outputs));
+    entry.out_bytes = static_cast<int64_t>(raw.out_bytes.size());
+
+    scratch_.clear();
+    EncodePageIndexEntry(entry, &scratch_);
+    DELEX_RETURN_NOT_OK(index_writer_.Append(scratch_));
+  }
+  return Status::OK();
 }
 
 Status UnitReuseWriter::Close() {
@@ -241,24 +252,21 @@ IoStats UnitReuseWriter::CombinedStats() const {
 }
 
 Status UnitReuseReader::Open(const std::string& path_prefix) {
-  DELEX_RETURN_NOT_OK(input_.reader.Open(path_prefix + ".in"));
-  DELEX_RETURN_NOT_OK(output_.reader.Open(path_prefix + ".out"));
+  DELEX_RETURN_NOT_OK(input_.reader().Open(path_prefix + ".in"));
+  DELEX_RETURN_NOT_OK(output_.reader().Open(path_prefix + ".out"));
   DELEX_RETURN_NOT_OK(CheckMagic(&input_, kInputMagic));
   DELEX_RETURN_NOT_OK(CheckMagic(&output_, kOutputMagic));
   LoadIndex(path_prefix + ".idx").ok();  // failure just disables the index
+  UpdateMemCharge();
   return Status::OK();
 }
 
-Status UnitReuseReader::NextRecord(PageCursor* cursor, bool* at_end) {
-  DELEX_RETURN_NOT_OK(cursor->reader.Next(&scratch_, at_end));
-  if (!*at_end) cursor->pos += 8 + static_cast<int64_t>(scratch_.size());
-  return Status::OK();
-}
-
-Status UnitReuseReader::CheckMagic(PageCursor* cursor, std::string_view magic) {
+Status UnitReuseReader::CheckMagic(PageGroupScanner* scanner,
+                                   std::string_view magic) {
+  std::string_view record;
   bool at_end = false;
-  DELEX_RETURN_NOT_OK(NextRecord(cursor, &at_end));
-  if (at_end || scratch_ != magic) {
+  DELEX_RETURN_NOT_OK(scanner->reader().NextView(&record, &at_end));
+  if (at_end || record != magic) {
     return Status::Corruption("bad reuse file magic (expected format v2)");
   }
   return Status::OK();
@@ -270,12 +278,12 @@ Status UnitReuseReader::LoadIndex(const std::string& path) {
   RecordReader reader;
   Status st = reader.Open(path);
   if (!st.ok()) return st;
-  std::string record;
+  std::string_view record;
   bool at_end = false;
-  st = reader.Next(&record, &at_end);
+  st = reader.NextView(&record, &at_end);
   bool ok = st.ok() && !at_end && record == kIndexMagic;
   while (ok) {
-    st = reader.Next(&record, &at_end);
+    st = reader.NextView(&record, &at_end);
     if (!st.ok()) {
       ok = false;
       break;
@@ -300,57 +308,23 @@ Status UnitReuseReader::LoadIndex(const std::string& path) {
     return st.ok() ? Status::Corruption("bad page index " + path) : st;
   }
   index_ok_ = true;
-  UpdateMemCharge();
   return Status::OK();
 }
 
 void UnitReuseReader::UpdateMemCharge() {
-  // The index map dominates (one entry per page); the shared scratch
-  // record buffer is the only other footprint that grows with input.
+  // The index map dominates (one entry per page); then the two read
+  // buffers.
   constexpr int64_t kEntryOverhead =
       static_cast<int64_t>(sizeof(PageIndexEntry)) + 32;  // bucket + links
   mem_.Set(static_cast<int64_t>(index_.size()) * kEntryOverhead +
-           static_cast<int64_t>(scratch_.capacity()));
+           static_cast<int64_t>(input_.reader().BufferCapacity() +
+                                output_.reader().BufferCapacity()));
 }
 
 const PageIndexEntry* UnitReuseReader::FindIndexEntry(int64_t did) const {
   if (!index_ok_) return nullptr;
   auto it = index_.find(did);
   return it == index_.end() ? nullptr : &it->second;
-}
-
-Status UnitReuseReader::AdvanceTo(PageCursor* cursor, int64_t did,
-                                  bool* found) {
-  *found = false;
-  while (!cursor->done) {
-    if (!cursor->header_pending) {
-      bool at_end = false;
-      DELEX_RETURN_NOT_OK(NextRecord(cursor, &at_end));
-      if (at_end) {
-        cursor->done = true;
-        return Status::OK();
-      }
-      if (!DecodePageHeader(scratch_, &cursor->pending_did,
-                            &cursor->pending_count)) {
-        return Status::Corruption("bad reuse page header");
-      }
-      cursor->header_pending = true;
-    }
-    if (cursor->pending_did < did) {
-      // Skip a passed group (deleted page / no matching page in the new
-      // snapshot) without decoding its records.
-      for (int64_t i = 0; i < cursor->pending_count; ++i) {
-        bool at_end = false;
-        DELEX_RETURN_NOT_OK(NextRecord(cursor, &at_end));
-        if (at_end) return Status::Corruption("truncated reuse page group");
-      }
-      cursor->header_pending = false;
-      continue;
-    }
-    if (cursor->pending_did == did) *found = true;
-    return Status::OK();  // header for did (or a later page) stays pending
-  }
-  return Status::OK();
 }
 
 Status UnitReuseReader::SeekPage(int64_t did,
@@ -361,29 +335,26 @@ Status UnitReuseReader::SeekPage(int64_t did,
   outputs->clear();
 
   bool found = false;
-  DELEX_RETURN_NOT_OK(AdvanceTo(&input_, did, &found));
+  std::string_view record;
+  DELEX_RETURN_NOT_OK(input_.Seek(did, &found));
   if (found) {
-    inputs->reserve(ClampedReserve(input_.pending_count));
-    for (int64_t ord = 0; ord < input_.pending_count; ++ord) {
-      bool at_end = false;
-      DELEX_RETURN_NOT_OK(NextRecord(&input_, &at_end));
-      if (at_end) return Status::Corruption("truncated reuse page group");
-      DELEX_ASSIGN_OR_RETURN(InputTupleRec rec, DecodeInputTuple(scratch_));
+    inputs->reserve(ClampedReserve(input_.count()));
+    for (int64_t ord = 0; ord < input_.count(); ++ord) {
+      DELEX_RETURN_NOT_OK(input_.NextRecord(&record));
+      DELEX_ASSIGN_OR_RETURN(InputTupleRec rec, DecodeInputTuple(record));
       rec.tid = ord;
       rec.did = did;
       inputs->push_back(std::move(rec));
     }
-    input_.header_pending = false;
+    input_.EndGroup();
   }
 
-  DELEX_RETURN_NOT_OK(AdvanceTo(&output_, did, &found));
+  DELEX_RETURN_NOT_OK(output_.Seek(did, &found));
   if (found) {
-    outputs->reserve(ClampedReserve(output_.pending_count));
-    for (int64_t ord = 0; ord < output_.pending_count; ++ord) {
-      bool at_end = false;
-      DELEX_RETURN_NOT_OK(NextRecord(&output_, &at_end));
-      if (at_end) return Status::Corruption("truncated reuse page group");
-      DELEX_ASSIGN_OR_RETURN(OutputTupleRec rec, DecodeOutputTuple(scratch_));
+    outputs->reserve(ClampedReserve(output_.count()));
+    for (int64_t ord = 0; ord < output_.count(); ++ord) {
+      DELEX_RETURN_NOT_OK(output_.NextRecord(&record));
+      DELEX_ASSIGN_OR_RETURN(OutputTupleRec rec, DecodeOutputTuple(record));
       if (rec.itid < 0 || rec.itid >= static_cast<int64_t>(inputs->size())) {
         // An output must name an input of its own page; anything else is
         // corrupt bytes, rejected here so downstream consumers (and the
@@ -394,72 +365,113 @@ Status UnitReuseReader::SeekPage(int64_t did,
       rec.did = did;
       outputs->push_back(std::move(rec));
     }
-    output_.header_pending = false;
+    output_.EndGroup();
   }
   UpdateMemCharge();
   return Status::OK();
 }
 
-Status UnitReuseReader::ReadPageRaw(int64_t did, uint64_t expected_digest,
-                                    RawPageSlice* slice, bool* found,
-                                    bool* index_valid) {
-  DELEX_TRACE_SPAN("reuse_read_page_raw", did, "io");
+void UnitReuseReader::BeginRun(RawRun* run) {
+  run->pages.clear();
+  run->in_bytes.clear();
+  run->out_bytes.clear();
+  run->loaded = false;
+  input_.BeginRun(&run->in_ranges);
+  output_.BeginRun(&run->out_ranges);
+  run_ = run;
+}
+
+Status UnitReuseReader::LiftPage(int64_t did, uint64_t expected_digest,
+                                 bool* found, bool* index_valid) {
   *found = false;
   *index_valid = false;
-  slice->page_digest = 0;
-  slice->in_bytes.clear();
-  slice->out_bytes.clear();
-  slice->n_inputs = 0;
-  slice->n_outputs = 0;
-
-  bool found_in = false;
-  bool found_out = false;
-  DELEX_RETURN_NOT_OK(AdvanceTo(&input_, did, &found_in));
-  DELEX_RETURN_NOT_OK(AdvanceTo(&output_, did, &found_out));
-  if (found_in != found_out) {
-    return Status::Corruption("reuse files out of sync at page group");
-  }
-  if (!found_in) return Status::OK();
-
-  int64_t in_start = input_.pos;
-  slice->n_inputs = input_.pending_count;
-  for (int64_t i = 0; i < slice->n_inputs; ++i) {
-    bool at_end = false;
-    DELEX_RETURN_NOT_OK(NextRecord(&input_, &at_end));
-    if (at_end) return Status::Corruption("truncated reuse page group");
-    AppendFramed(scratch_, &slice->in_bytes);
-  }
-  input_.header_pending = false;
-  int64_t in_len = input_.pos - in_start;
-
-  int64_t out_start = output_.pos;
-  slice->n_outputs = output_.pending_count;
-  for (int64_t i = 0; i < slice->n_outputs; ++i) {
-    bool at_end = false;
-    DELEX_RETURN_NOT_OK(NextRecord(&output_, &at_end));
-    if (at_end) return Status::Corruption("truncated reuse page group");
-    AppendFramed(scratch_, &slice->out_bytes);
-  }
-  output_.header_pending = false;
-  int64_t out_len = output_.pos - out_start;
-
-  *found = true;
-
   const PageIndexEntry* entry = FindIndexEntry(did);
-  if (entry != nullptr && entry->page_digest == expected_digest &&
-      entry->in_offset == in_start && entry->in_bytes == in_len &&
-      entry->n_inputs == slice->n_inputs && entry->out_offset == out_start &&
-      entry->out_bytes == out_len && entry->n_outputs == slice->n_outputs) {
-    slice->page_digest = entry->page_digest;
+  const bool digest_ok =
+      entry != nullptr && entry->page_digest == expected_digest;
+  // An entry must put the page's groups where the scan is, with lengths
+  // inside the files.
+  auto at_scan = [](const PageGroupScanner& scanner, int64_t offset,
+                    int64_t bytes) {
+    return offset == scanner.reader().Offset() &&
+           bytes <= scanner.reader().FileSize() - offset;
+  };
+  LiftedGroup in;
+  LiftedGroup out;
+  if (digest_ok && input_.PendingIsNoneOr(did) &&
+      output_.PendingIsNoneOr(did) &&
+      entry->in_offset ==
+          input_.NextHeaderOffset() + kFramedPageHeaderBytes &&
+      entry->out_offset ==
+          output_.NextHeaderOffset() + kFramedPageHeaderBytes &&
+      entry->in_bytes <= input_.reader().FileSize() - entry->in_offset &&
+      entry->out_bytes <= output_.reader().FileSize() - entry->out_offset) {
+    // The common case: the page's groups are the next ones, where the
+    // index puts them. They are taken without reading them; the committer
+    // checks their headers and record framing when it reads them back.
+    DELEX_RETURN_NOT_OK(
+        input_.LiftAt(entry->in_offset, entry->in_bytes, entry->n_inputs, &in));
+    DELEX_RETURN_NOT_OK(output_.LiftAt(entry->out_offset, entry->out_bytes,
+                                       entry->n_outputs, &out));
+    *found = true;
     *index_valid = true;
+  } else {
+    // Otherwise the scan looks for the groups (past the groups of passed
+    // pages). An entry that agrees with where it finds them, and with
+    // their headers' counts, gives their lengths; without one the records
+    // are walked, for the decode-copy tier.
+    bool found_in = false;
+    bool found_out = false;
+    DELEX_RETURN_NOT_OK(input_.Seek(did, &found_in));
+    DELEX_RETURN_NOT_OK(output_.Seek(did, &found_out));
+    if (found_in != found_out) {
+      return Status::Corruption("reuse files out of sync at page group");
+    }
+    if (!found_in) return Status::OK();
+    *found = true;
+    *index_valid = digest_ok && entry->n_inputs == input_.count() &&
+                   entry->n_outputs == output_.count() &&
+                   at_scan(input_, entry->in_offset, entry->in_bytes) &&
+                   at_scan(output_, entry->out_offset, entry->out_bytes);
+    DELEX_RETURN_NOT_OK(input_.Lift(*index_valid ? entry->in_bytes : -1, &in));
+    DELEX_RETURN_NOT_OK(
+        output_.Lift(*index_valid ? entry->out_bytes : -1, &out));
   }
-  UpdateMemCharge();
+  RawRun::Page& page = run_->pages.emplace_back();
+  page.did = did;
+  page.page_digest = *index_valid ? entry->page_digest : 0;
+  page.index_valid = *index_valid;
+  page.in_offset = in.offset;
+  page.in_length = in.length;
+  page.n_inputs = in.count;
+  page.out_offset = out.offset;
+  page.out_length = out.length;
+  page.n_outputs = out.count;
+  return Status::OK();
+}
+
+void UnitReuseReader::EndRun(size_t keep) {
+  if (run_ == nullptr) return;
+  keep = std::min(keep, run_->pages.size());
+  const RawRun::Page* last = keep > 0 ? &run_->pages[keep - 1] : nullptr;
+  input_.EndRun(last != nullptr ? last->in_offset + last->in_length : 0);
+  output_.EndRun(last != nullptr ? last->out_offset + last->out_length : 0);
+  run_->pages.resize(keep);
+  run_ = nullptr;
+}
+
+Status UnitReuseReader::LoadRun(RawRun* run) const {
+  if (run->loaded) return Status::OK();
+  DELEX_RETURN_NOT_OK(
+      LoadRanges(input_.reader(), run->in_ranges, &run->in_bytes));
+  DELEX_RETURN_NOT_OK(
+      LoadRanges(output_.reader(), run->out_ranges, &run->out_bytes));
+  run->loaded = true;
   return Status::OK();
 }
 
 Status UnitReuseReader::Close() {
-  Status st = input_.reader.Close();
-  Status st_out = output_.reader.Close();
+  Status st = input_.reader().Close();
+  Status st_out = output_.reader().Close();
   index_.clear();
   index_ok_ = false;
   UpdateMemCharge();
@@ -468,8 +480,8 @@ Status UnitReuseReader::Close() {
 }
 
 IoStats UnitReuseReader::CombinedStats() const {
-  IoStats stats = input_.reader.stats();
-  stats += output_.reader.stats();
+  IoStats stats = input_.reader().stats();
+  stats += output_.reader().stats();
   stats += index_io_;
   return stats;
 }
@@ -480,7 +492,7 @@ Status DecodeRawPageSlice(const RawPageSlice& slice, int64_t did,
   inputs->clear();
   outputs->clear();
 
-  auto walk = [](const std::string& framed, int64_t expect_count,
+  auto walk = [](std::string_view framed, int64_t expect_count,
                  auto&& per_record) -> Status {
     size_t offset = 0;
     int64_t count = 0;

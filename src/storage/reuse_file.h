@@ -2,7 +2,9 @@
 #define DELEX_STORAGE_REUSE_FILE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/value.h"
 #include "obs/mem.h"
 #include "storage/io_stats.h"
+#include "storage/page_groups.h"
 #include "storage/record_file.h"
 
 namespace delex {
@@ -85,25 +88,63 @@ struct PageCapture {
   std::vector<Group> groups;
 };
 
-/// \brief One page group lifted out of a unit's reuse files *without*
-/// decoding: the framed record bytes plus their counts and the digest of
-/// the page they were captured over.
-///
-/// Produced by UnitReuseReader::ReadPageRaw, consumed by
-/// UnitReuseWriter::CommitPageRaw — the zero-decode passthrough for
-/// byte-identical pages. `in_bytes`/`out_bytes` hold whole framed records
-/// (8-byte length prefix + payload each), exactly as they sit in the
-/// files.
+/// \brief One page group of a unit's reuse files as framed bytes: the
+/// records exactly as they sit in the files (8-byte length prefix +
+/// payload each), their counts, and the digest of the page they were
+/// captured over. A view: it points into the RawRun it came from.
 struct RawPageSlice {
   uint64_t page_digest = 0;
-  std::string in_bytes;
+  std::string_view in_bytes;
   int64_t n_inputs = 0;
-  std::string out_bytes;
+  std::string_view out_bytes;
   int64_t n_outputs = 0;
 
   int64_t TotalBytes() const {
     return static_cast<int64_t>(in_bytes.size() + out_bytes.size());
   }
+};
+
+/// \brief Consecutive pages' groups lifted out of a unit's reuse files
+/// without decoding: the zero-decode passthrough for byte-identical pages.
+///
+/// Produced by UnitReuseReader::BeginRun / LiftPage / EndRun as byte
+/// ranges of the files, read back by LoadRun when the run commits, and
+/// consumed by UnitReuseWriter::CommitRun. A page alone is the run of one.
+struct RawRun {
+  /// One range per stretch of adjacent groups: the groups' records and the
+  /// old page headers between them, verbatim.
+  std::vector<FileRange> in_ranges;
+  std::vector<FileRange> out_ranges;
+  /// The ranges read back to back (LoadRun); pages locate their groups
+  /// here by offset.
+  std::string in_bytes;
+  std::string out_bytes;
+  bool loaded = false;
+
+  struct Page {
+    int64_t did = 0;  ///< in the files it was lifted from
+    /// The index entry's digest when `index_valid`, else 0.
+    uint64_t page_digest = 0;
+    /// The sidecar index has an entry for the page whose digest equals the
+    /// expected one and whose offsets, lengths and counts agree with the
+    /// scan: the precondition for committing the group raw.
+    bool index_valid = false;
+    int64_t in_offset = 0;  ///< into in_bytes
+    int64_t in_length = 0;
+    int64_t n_inputs = 0;
+    int64_t out_offset = 0;  ///< into out_bytes
+    int64_t out_length = 0;
+    int64_t n_outputs = 0;
+  };
+  std::vector<Page> pages;
+
+  /// Page `j`'s group, once loaded; views into this run.
+  RawPageSlice Slice(size_t j) const;
+
+  /// Whether page `j`'s loaded bytes hold its page headers (its old did
+  /// and its counts) and records framed as the counts say: what the
+  /// committer checks before relocating the page raw.
+  bool PageHolds(size_t j) const;
 };
 
 /// \brief One page's entry in the per-unit sidecar page index (`.idx`).
@@ -155,11 +196,13 @@ class UnitReuseWriter {
   Status CommitPage(int64_t did, uint64_t page_digest,
                     const PageCapture& capture);
 
-  /// Appends one page's records verbatim from `raw` (no decode, no
-  /// re-encode): fresh page headers under the new `did`, then the framed
-  /// bytes. Given a RawPageSlice read from an equivalent capture, the
-  /// resulting files are byte-identical to CommitPage's output.
-  Status CommitPageRaw(int64_t did, const RawPageSlice& raw);
+  /// Appends pages [first, first + dids.size()) of `run` under `dids`,
+  /// each page's records verbatim (no decode, no re-encode) between a
+  /// fresh page header and a fresh index entry. Every such page must have
+  /// lifted with a valid index entry. Given a run read from an equivalent
+  /// capture, the files are byte-identical to CommitPage's output.
+  Status CommitRun(const RawRun& run, size_t first,
+                   std::span<const int64_t> dids);
 
   Status Close();
 
@@ -175,14 +218,14 @@ class UnitReuseWriter {
 /// \brief Sequential reader over one IE unit's reuse files.
 ///
 /// §5.2 guarantees per-page tuple groups appear in processing order, so a
-/// single forward scan serves all pages; SeekPage/ReadPageRaw never
+/// single forward scan serves all pages; SeekPage and LiftPage never
 /// rewind. A did whose group has already been passed (possible only if the
 /// snapshot order was perturbed) yields an empty group, which degrades
 /// reuse but never correctness.
 ///
 /// The sidecar index is loaded wholesale at Open. A missing, truncated, or
 /// corrupt index never fails Open: `has_page_index()` turns false and
-/// ReadPageRaw reports `index_valid = false`, pushing callers onto the
+/// LiftPage reports `index_valid = false`, pushing callers onto the
 /// decode path — degrade, never miscompute.
 class UnitReuseReader {
  public:
@@ -204,51 +247,45 @@ class UnitReuseReader {
   Status SeekPage(int64_t did, std::vector<InputTupleRec>* inputs,
                   std::vector<OutputTupleRec>* outputs);
 
-  /// Scans forward to page `did`, capturing the page's framed record bytes
-  /// without decoding them. `*found` reports whether the page group was
-  /// reached. `*index_valid` is true only when the sidecar index has an
-  /// entry for `did` whose digest equals `expected_digest` and whose
-  /// offsets/lengths/counts agree with the scan — the precondition for
-  /// committing the slice raw. On `found && !index_valid` callers can
-  /// still decode the slice (DecodeRawPageSlice) instead of re-seeking.
-  Status ReadPageRaw(int64_t did, uint64_t expected_digest,
-                     RawPageSlice* slice, bool* found, bool* index_valid);
+  /// Starts lifting a run of pages into `*run` (cleared). Until EndRun,
+  /// LiftPage adds pages to it; SeekPage must not be called.
+  void BeginRun(RawRun* run);
+
+  /// Moves the scan forward to page `did` and lifts its groups into the run
+  /// as byte ranges, neither decoded nor copied. `*found` reports whether
+  /// they were reached; if so, the page is appended to the run with
+  /// `index_valid` as RawRun::Page defines it against `expected_digest`.
+  /// Groups an entry places right where the scan is are taken unread (the
+  /// committer checks them, RawRun::PageHolds); otherwise the scan reads
+  /// the headers, and without a valid entry walks the records, so the
+  /// groups can still be decoded once loaded (CaptureFromRawSlice).
+  Status LiftPage(int64_t did, uint64_t expected_digest, bool* found,
+                  bool* index_valid);
+
+  /// Ends the run after its first `keep` pages. Later lifted pages leave
+  /// the run; their groups count as passed.
+  void EndRun(size_t keep);
+
+  /// Reads `run`'s ranges back into its bytes (positioned reads, safe from
+  /// any thread while the reader is open). A no-op once loaded.
+  Status LoadRun(RawRun* run) const;
 
   Status Close();
 
   IoStats CombinedStats() const;
 
  private:
-  /// Forward-scan cursor over one record file of page groups.
-  struct PageCursor {
-    RecordReader reader;
-    bool done = false;
-    bool header_pending = false;
-    int64_t pending_did = 0;
-    int64_t pending_count = 0;
-    int64_t pos = 0;  ///< logical byte offset just past the last record read
-  };
-
-  /// Reads the next record into scratch_, advancing cursor.pos. Sets
-  /// *at_end at EOF.
-  Status NextRecord(PageCursor* cursor, bool* at_end);
-
-  /// Advances `cursor` to page `did`'s header, skipping earlier groups
-  /// without decoding them. On return *found tells whether the header for
-  /// `did` is pending (its records not yet consumed).
-  Status AdvanceTo(PageCursor* cursor, int64_t did, bool* found);
-
-  Status CheckMagic(PageCursor* cursor, std::string_view magic);
+  Status CheckMagic(PageGroupScanner* scanner, std::string_view magic);
   Status LoadIndex(const std::string& path);
-  /// Re-states the reader's reuse_reader memory charge (index + scratch).
+  /// Re-states the reader's reuse_reader memory charge (index + buffers).
   void UpdateMemCharge();
 
-  PageCursor input_;
-  PageCursor output_;
+  PageGroupScanner input_;
+  PageGroupScanner output_;
+  RawRun* run_ = nullptr;
   std::unordered_map<int64_t, PageIndexEntry> index_;
   bool index_ok_ = false;
   IoStats index_io_;
-  std::string scratch_;
   obs::ScopedMemCharge mem_{obs::MemTag::kReuseReader};
 };
 
@@ -263,8 +300,8 @@ void EncodePageIndexEntry(const PageIndexEntry& entry, std::string* out);
 Result<PageIndexEntry> DecodePageIndexEntry(std::string_view data);
 
 /// \brief Decodes a RawPageSlice into the records SeekPage would have
-/// produced for page `did` — the fallback when a slice was captured but
-/// its index entry failed validation.
+/// produced for page `did` — the fallback when a group was lifted but its
+/// index entry failed validation.
 Status DecodeRawPageSlice(const RawPageSlice& slice, int64_t did,
                           std::vector<InputTupleRec>* inputs,
                           std::vector<OutputTupleRec>* outputs);

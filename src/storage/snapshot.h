@@ -20,7 +20,8 @@ namespace delex {
 ///
 /// `content_hash` is the FNV-1a digest of `content`, computed once when
 /// the page enters a Snapshot: by AddPage for one page, and for a whole
-/// snapshot at once (Fnv1a64Batch) by ReadSnapshot and ReindexUrls. The
+/// snapshot at once (Fnv1a64Batch, in parallel chunks) by ReadSnapshot and
+/// ReindexUrls. The
 /// engine's whole-page fast path compares digests of consecutive versions
 /// of a URL before falling back to a byte compare, so the 96–98 % of
 /// DBLife pages that are byte-identical between snapshots are detected in
@@ -70,7 +71,9 @@ class Snapshot {
   std::optional<size_t> FindByUrl(const std::string& url) const;
 
   /// Rebuilds the url index and page content digests (call after mutating
-  /// pages in place). The digests take one Fnv1a64Batch pass.
+  /// pages in place). A large snapshot is hashed in byte-balanced chunks
+  /// on a temporary pool, one Fnv1a64Batch pass per chunk, while this
+  /// thread rebuilds the url index.
   void ReindexUrls();
 
  private:

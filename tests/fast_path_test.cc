@@ -2,7 +2,8 @@
 // every observer that matters — the result multiset per snapshot and the
 // *decoded* reuse records captured for the next generation — must equal
 // the fast-path-off run, across both dataset profiles × all four matchers
-// × serial and parallel execution. File bytes are NOT compared across
+// × serial and parallel execution, and on a series that sets every kind
+// of boundary of a run of identical pages (RunBoundarySeries). File bytes are NOT compared across
 // on/off: the copy path may order a group's outputs differently than a
 // fresh capture; the decoded-record multiset is the format's meaning.
 
@@ -18,6 +19,7 @@
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "ring_series.h"
 #include "run_stats_counters.h"
 #include "storage/reuse_file.h"
 
@@ -119,7 +121,20 @@ EngineRun RunEngine(const ProgramSpec& spec,
 struct Case {
   const char* program;  // chair → DBLife profile, play → Wikipedia
   MatcherKind matcher;
+  bool boundaries = false;  // RunBoundarySeries over the profile's pages
 };
+
+/// The case's series: three generated snapshots, or the run-boundary
+/// series over a generated first snapshot.
+std::vector<Snapshot> CaseSeries(const Case& c, DatasetProfile profile,
+                                 uint64_t seed) {
+  if (!c.boundaries) {
+    profile.num_sources = 14;
+    return GenerateSeries(profile, 3, seed);
+  }
+  profile.num_sources = static_cast<int>(3 * DelexEngine::kRunPages + 20);
+  return RunBoundarySeries(GenerateSeries(profile, 1, seed)[0], 3);
+}
 
 class FastPathEquivalence : public ::testing::TestWithParam<Case> {};
 
@@ -127,12 +142,12 @@ TEST_P(FastPathEquivalence, OnOffAgreeAtEveryThreadCount) {
   const Case& c = GetParam();
   ProgramSpec spec = *MakeProgram(c.program);
   DatasetProfile profile = spec.Profile();
-  profile.num_sources = 14;
-  std::vector<Snapshot> series = GenerateSeries(profile, 3, 41);
+  std::vector<Snapshot> series = CaseSeries(c, profile, 41);
   const bool dblife = profile.identical_fraction >= 0.9;
 
   std::string tag_base = std::string(c.program) + "-" +
-                         MatcherKindName(c.matcher) + "-t";
+                         MatcherKindName(c.matcher) +
+                         (c.boundaries ? "-runs" : "") + "-t";
   for (int threads : {1, 2, 8}) {
     std::string tag = tag_base + std::to_string(threads);
     EngineRun off =
@@ -175,6 +190,17 @@ TEST_P(FastPathEquivalence, OnOffAgreeAtEveryThreadCount) {
       EXPECT_GT(raw_bytes, 0) << "threads=" << threads;
       EXPECT_GE(skipped, 0);
     }
+    if (c.boundaries) {
+      // Every snapshot after the first splits into at least five runs
+      // (at the inserted page, the swapped pair, the edited page and the
+      // cap), and the second page of the swapped pair, whose groups the
+      // scan has passed, demotes.
+      for (size_t i = 1; i < on.stats.size(); ++i) {
+        EXPECT_GE(on.stats[i].identical_runs, 5) << "snapshot=" << i;
+        EXPECT_EQ(on.stats[i].fast_path_demote_result_cache, 1)
+            << "snapshot=" << i;
+      }
+    }
     for (const RunStats& s : off.stats) {
       EXPECT_EQ(s.pages_identical, 0);
       EXPECT_EQ(s.raw_bytes_copied, 0);
@@ -184,7 +210,8 @@ TEST_P(FastPathEquivalence, OnOffAgreeAtEveryThreadCount) {
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
   return std::string(info.param.program) + "_" +
-         MatcherKindName(info.param.matcher);
+         MatcherKindName(info.param.matcher) +
+         (info.param.boundaries ? "_run_boundaries" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -196,7 +223,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"play", MatcherKind::kDN},    // Wikipedia profile
                       Case{"play", MatcherKind::kUD},
                       Case{"play", MatcherKind::kST},
-                      Case{"play", MatcherKind::kRU}),
+                      Case{"play", MatcherKind::kRU},
+                      Case{"chair", MatcherKind::kST, true}),
     CaseName);
 
 TEST(FastPath, ThreadCountsAgreeByteForByteWithFastPathOn) {

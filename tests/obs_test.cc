@@ -794,6 +794,8 @@ int64_t CountSpans(const char* name) {
 TEST(TraceTest, EvalPageSpanCountMatchesNonIdenticalPages) {
   // The acceptance invariant: worker ("eval_page") spans == pages −
   // pages_identical, because the whole-page fast path bypasses EvalPage.
+  // Each evaluated page commits alone ("commit_page"); identical pages
+  // commit a run at a time ("commit_run").
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   recorder.ClearForTesting();
   std::string path = TempPath("delex-obs-trace-count.json");
@@ -818,6 +820,7 @@ TEST(TraceTest, EvalPageSpanCountMatchesNonIdenticalPages) {
 
   int64_t total_pages = 0;
   int64_t total_identical = 0;
+  int64_t total_runs = 0;
   for (size_t i = 0; i < series.size(); ++i) {
     RunStats stats;
     ASSERT_TRUE(engine
@@ -826,10 +829,14 @@ TEST(TraceTest, EvalPageSpanCountMatchesNonIdenticalPages) {
                     .ok());
     total_pages += stats.pages;
     total_identical += stats.pages_identical;
+    total_runs += stats.identical_runs;
   }
   EXPECT_GT(total_identical, 0) << "corpus produced no identical pages";
+  EXPECT_GT(total_runs, 0);
+  EXPECT_LE(total_runs, total_identical);
   EXPECT_EQ(CountSpans("eval_page"), total_pages - total_identical);
-  EXPECT_EQ(CountSpans("commit_page"), total_pages);
+  EXPECT_EQ(CountSpans("commit_page"), total_pages - total_identical);
+  EXPECT_EQ(CountSpans("commit_run"), total_runs);
   EXPECT_EQ(CountSpans("run_snapshot"), static_cast<int64_t>(series.size()));
   ASSERT_TRUE(recorder.Stop().ok());
   std::filesystem::remove(path);

@@ -16,8 +16,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -32,6 +34,9 @@
 #include "ring_series.h"
 #include "run_stats_counters.h"
 #include "shard/sharded_engine.h"
+#include "storage/page_groups.h"
+#include "storage/record_file.h"
+#include "storage/reuse_file.h"
 
 namespace delex {
 namespace {
@@ -95,10 +100,12 @@ EngineRun RunEngine(const ProgramSpec& spec, const std::vector<Snapshot>& series
   return run;
 }
 
-/// Profile tag × matcher: the full determinism matrix of the issue.
+/// Profile tag × matcher: the full determinism matrix, plus a series that
+/// sets every kind of boundary of a run of identical pages.
 struct Case {
   const char* program;  // chair → DBLife profile, play → Wikipedia
   MatcherKind matcher;
+  bool boundaries = false;  // RunBoundarySeries over the profile's pages
 };
 
 class ParallelDeterminism : public ::testing::TestWithParam<Case> {};
@@ -107,11 +114,16 @@ TEST_P(ParallelDeterminism, ThreadCountsAgreeByteForByte) {
   const Case& c = GetParam();
   ProgramSpec spec = *MakeProgram(c.program);
   DatasetProfile profile = spec.Profile();
-  profile.num_sources = 15;
-  std::vector<Snapshot> series = GenerateSeries(profile, 3, 97);
+  profile.num_sources = c.boundaries
+                            ? static_cast<int>(3 * DelexEngine::kRunPages + 20)
+                            : 15;
+  std::vector<Snapshot> series =
+      c.boundaries ? RunBoundarySeries(GenerateSeries(profile, 1, 97)[0], 3)
+                   : GenerateSeries(profile, 3, 97);
 
   std::string tag_base = std::string(c.program) + "-" +
-                         MatcherKindName(c.matcher) + "-t";
+                         MatcherKindName(c.matcher) +
+                         (c.boundaries ? "-runs" : "") + "-t";
   EngineRun serial = RunEngine(spec, series, c.matcher, 1, tag_base + "1");
   for (int threads : {2, 8}) {
     EngineRun parallel = RunEngine(spec, series, c.matcher, threads,
@@ -139,7 +151,8 @@ TEST_P(ParallelDeterminism, ThreadCountsAgreeByteForByte) {
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
   return std::string(info.param.program) + "_" +
-         MatcherKindName(info.param.matcher);
+         MatcherKindName(info.param.matcher) +
+         (info.param.boundaries ? "_run_boundaries" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,7 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"play", MatcherKind::kDN},    // Wikipedia profile
                       Case{"play", MatcherKind::kUD},
                       Case{"play", MatcherKind::kST},
-                      Case{"play", MatcherKind::kRU}),
+                      Case{"play", MatcherKind::kRU},
+                      Case{"chair", MatcherKind::kRU, true}),
     CaseName);
 
 TEST(ParallelEngine, HardwareConcurrencyOptionRuns) {
@@ -290,17 +304,19 @@ RingRun RunRingSeries(Engine* engine, const std::string& work_dir,
   return run;
 }
 
-RingRun RunUnsharded(const std::vector<Snapshot>& series, int threads) {
+RingRun RunUnsharded(const std::vector<Snapshot>& series, int threads,
+                     const std::string& tag = "ring") {
   DelexEngine::Options options;
-  options.work_dir = FreshDir("ring-t" + std::to_string(threads));
+  options.work_dir = FreshDir(tag + "-t" + std::to_string(threads));
   options.num_threads = threads;
   DelexEngine engine(MarkerPlan(), options);
   return RunRingSeries(&engine, options.work_dir, series);
 }
 
-RingRun RunTwoShards(const std::vector<Snapshot>& series, int threads) {
+RingRun RunTwoShards(const std::vector<Snapshot>& series, int threads,
+                     const std::string& tag = "ring") {
   shard::ShardedEngine::Options options;
-  options.work_dir = FreshDir("ring-s2-t" + std::to_string(threads));
+  options.work_dir = FreshDir(tag + "-s2-t" + std::to_string(threads));
   options.num_shards = 2;
   options.num_threads = threads;
   shard::ShardedEngine engine(MarkerPlan(), options);
@@ -333,6 +349,205 @@ TEST(PipelineRing, SlowPageFillsTheRingAndEveryWidthAgrees) {
   EXPECT_TRUE(serial.rows == sharded.rows);
   EXPECT_TRUE(sharded_serial.files == sharded.files);
   EXPECT_EQ(sharded_serial.counters, sharded.counters);
+}
+
+TEST(PipelineRing, RunBoundariesAgreeAcrossWidthsAndShards) {
+  // Every kind of run boundary — a deleted old page and an inserted new
+  // page inside a run, two swapped URLs, an edited page, a run longer than
+  // the cap that ends the snapshot — at every width: rows, every
+  // generation's files and the counters equal the width-1 run's.
+  const std::vector<Snapshot> series =
+      RunBoundarySeries(MarkerPages(3 * DelexEngine::kRunPages + 20), 3);
+  const RingRun serial = RunUnsharded(series, 1, "runs");
+  for (size_t i = 1; i < serial.counters.size(); ++i) {
+    // Runs split at the inserted page, the swapped pair, the edited page
+    // and the cap; the passed page of the swapped pair demotes.
+    EXPECT_GE(serial.counters[i].at("identical_runs"), 5) << i;
+    EXPECT_EQ(serial.counters[i].at("fast_path_demote_result_cache"), 1) << i;
+    EXPECT_EQ(serial.counters[i].at("pages_identical"),
+              static_cast<int64_t>(series[i].NumPages()) - 3)
+        << i;
+  }
+  for (int threads : {2, 8}) {
+    const RingRun parallel = RunUnsharded(series, threads, "runs");
+    EXPECT_TRUE(serial.rows == parallel.rows) << "threads=" << threads;
+    EXPECT_TRUE(serial.files == parallel.files) << "threads=" << threads;
+    EXPECT_EQ(serial.counters, parallel.counters) << "threads=" << threads;
+  }
+  const RingRun sharded_serial = RunTwoShards(series, 1, "runs");
+  const RingRun sharded = RunTwoShards(series, 8, "runs");
+  EXPECT_TRUE(serial.rows == sharded_serial.rows);
+  EXPECT_TRUE(serial.rows == sharded.rows);
+  EXPECT_TRUE(sharded_serial.files == sharded.files);
+  EXPECT_EQ(sharded_serial.counters, sharded.counters);
+}
+
+/// Rewrites the record file at `path`, passing every record after the
+/// magic through `keep`, which may edit it and returns false to drop it.
+void RewriteRecords(const std::string& path,
+                    const std::function<bool(std::string*)>& keep) {
+  std::vector<std::string> records;
+  {
+    RecordReader reader;
+    ASSERT_TRUE(reader.Open(path).ok()) << path;
+    std::string record;
+    bool at_end = false;
+    while (true) {
+      ASSERT_TRUE(reader.Next(&record, &at_end).ok());
+      if (at_end) break;
+      records.push_back(record);
+    }
+    ASSERT_TRUE(reader.Close().ok());
+  }
+  RecordWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == 0 || keep(&records[i])) {
+      ASSERT_TRUE(writer.Append(records[i]).ok());
+    }
+  }
+  ASSERT_TRUE(writer.Close().ok());
+}
+
+enum class Damage { kGarbledIndexEntry, kFlippedDigest, kDroppedResultGroup };
+
+struct DamageRun {
+  std::vector<Tuple> rows;                  // of the damaged snapshot
+  std::map<std::string, int64_t> counters;  // of the damaged snapshot
+  std::map<std::string, std::string> files;  // the generation it wrote
+  int64_t unit_bytes = 0;    // the damaged page's unit group, framed
+  int64_t unit_records = 0;  // and its records
+  int64_t result_bytes = 0;  // the damaged page's cached rows, framed
+};
+
+/// Runs `series` (three snapshots), damaging generation 1's page `did`
+/// before the last snapshot reads it (no damage with `damage` empty).
+DamageRun RunDamaged(const std::vector<Snapshot>& series, int threads,
+                     std::optional<Damage> damage, int64_t did,
+                     const std::string& tag) {
+  DamageRun run;
+  DelexEngine::Options options;
+  options.work_dir = FreshDir(tag + "-t" + std::to_string(threads));
+  options.num_threads = threads;
+  DelexEngine engine(MarkerPlan(), options);
+  EXPECT_TRUE(engine.Init().ok());
+  const MatcherAssignment st = MatcherAssignment::Uniform(1, MatcherKind::kST);
+  EXPECT_TRUE(engine.RunSnapshot(series[0], nullptr, st, nullptr).ok());
+  EXPECT_TRUE(engine.RunSnapshot(series[1], &series[0], st, nullptr).ok());
+
+  const std::string unit = options.work_dir + "/unit0.gen1";
+  const std::string results = options.work_dir + "/results.gen1";
+  {
+    UnitReuseReader reader;
+    EXPECT_TRUE(reader.Open(unit).ok());
+    const PageIndexEntry* entry = reader.FindIndexEntry(did);
+    EXPECT_NE(entry, nullptr);
+    if (entry != nullptr) {
+      run.unit_bytes = entry->in_bytes + entry->out_bytes;
+      run.unit_records = entry->n_inputs + entry->n_outputs;
+    }
+  }
+  // Walks the result cache's page groups; drops page `did`'s group when
+  // asked to, measuring its rows either way.
+  int64_t rows_left = 0;
+  bool in_target = false;
+  RewriteRecords(results, [&](std::string* record) {
+    if (rows_left > 0) {
+      --rows_left;
+      if (in_target) run.result_bytes += 8 + static_cast<int64_t>(record->size());
+      return !(in_target && damage == Damage::kDroppedResultGroup);
+    }
+    int64_t page_did = 0;
+    EXPECT_TRUE(DecodePageHeader(*record, &page_did, &rows_left));
+    in_target = page_did == did;
+    return !(in_target && damage == Damage::kDroppedResultGroup);
+  });
+  if (damage == Damage::kGarbledIndexEntry ||
+      damage == Damage::kFlippedDigest) {
+    RewriteRecords(unit + ".idx", [&](std::string* record) {
+      Result<PageIndexEntry> entry = DecodePageIndexEntry(*record);
+      EXPECT_TRUE(entry.ok());
+      if (entry.ok() && entry->did == did) {
+        PageIndexEntry edited = *entry;
+        if (damage == Damage::kGarbledIndexEntry) {
+          edited.in_offset += 8;
+        } else {
+          edited.page_digest ^= 1;
+        }
+        record->clear();
+        EncodePageIndexEntry(edited, record);
+      }
+      return true;
+    });
+  }
+
+  RunStats stats;
+  auto rows = engine.RunSnapshot(series[2], &series[1], st, &stats);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  run.rows = std::move(rows).ValueOrDie();
+  run.counters = CountValuedFields(stats);
+  run.files = ReuseFileBytes(options.work_dir);
+  return run;
+}
+
+TEST(PipelineRing, DamageInsideARunDemotesOnlyThatPage) {
+  // 150 pages, all but the first identical from one snapshot to the next:
+  // a stretch of 149 identical pages, damaged at page 50.
+  std::vector<Snapshot> series(3);
+  series[0] = MarkerPages(150);
+  for (size_t s = 1; s < series.size(); ++s) {
+    for (const Page& page : series[s - 1].pages()) {
+      series[s].AddPage(page.url, page.did == 0 ? page.content + " a"
+                                                 : page.content);
+    }
+  }
+  constexpr int64_t kDamaged = 50;
+  for (int threads : {1, 8}) {
+    const DamageRun clean =
+        RunDamaged(series, threads, std::nullopt, kDamaged, "damage-clean");
+    EXPECT_EQ(clean.counters.at("pages_identical"), 149);
+    EXPECT_GT(clean.unit_bytes, 0);
+    EXPECT_GT(clean.result_bytes, 0);
+    for (Damage damage : {Damage::kGarbledIndexEntry, Damage::kFlippedDigest,
+                          Damage::kDroppedResultGroup}) {
+      const std::string name =
+          "damage-" + std::to_string(static_cast<int>(damage));
+      const DamageRun damaged =
+          RunDamaged(series, threads, damage, kDamaged, name);
+      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+      // An evaluated page may emit its copied rows in another order.
+      EXPECT_TRUE(SameResults(Canonicalize(damaged.rows),
+                              Canonicalize(clean.rows)));
+      std::map<std::string, int64_t> expected = clean.counters;
+      // The page's unit group is not relocated raw; its neighbours are.
+      expected["raw_bytes_copied"] -= clean.unit_bytes;
+      expected["records_decoded_skipped"] -= clean.unit_records;
+      if (damage == Damage::kDroppedResultGroup) {
+        // The page is evaluated, with its decoded reuse records.
+        expected["fast_path_demote_result_cache"] = 1;
+        expected["pages_identical"] -= 1;
+        expected["raw_bytes_copied"] -= clean.result_bytes;
+        expected["page_eval_hist.count"] += 1;
+      } else {
+        // The page stays identical; its unit group is decode-copied, which
+        // reproduces the clean generation byte for byte.
+        expected["fast_path_decode_copy_groups"] = 1;
+        EXPECT_TRUE(damaged.files == clean.files);
+      }
+      // Which runs the damaged page splits, and what the reader reads for
+      // it, follow from the damage; the rest is the clean run's.
+      for (const char* free_key :
+           {"identical_runs", "reuse_read_io.bytes_read",
+            "reuse_read_io.records_read", "unit0.input_tuples",
+            "unit0.output_tuples", "unit0.copied_tuples",
+            "unit0.exact_region_hits", "unit0.extract_hist.count",
+            "unit0.extracted_tuples", "unit0.chars_extracted",
+            "match_hist.ST.count", "unit0.matcher_calls"}) {
+        expected[free_key] = damaged.counters.at(free_key);
+      }
+      EXPECT_EQ(damaged.counters, expected);
+    }
+  }
 }
 
 TEST(PipelineRing, ThrowingPageFailsTheRunInsteadOfHangingIt) {

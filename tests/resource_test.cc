@@ -22,11 +22,13 @@
 #include "harness/experiment.h"
 #include "harness/programs.h"
 #include "obs/history.h"
+#include "obs/log.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "ring_series.h"
+#include "shard/sharded_engine.h"
 
 namespace delex {
 namespace {
@@ -381,10 +383,51 @@ TEST(SpanProfilerTest, StartStopIsIdempotentAndRestartable) {
 // Thread-pool queue depth + saturation
 // ---------------------------------------------------------------------------
 
+/// WARN lines logged while a SaturationLogCapture lives.
+std::vector<std::string>& CapturedWarnings() {
+  static std::vector<std::string> lines;
+  return lines;
+}
+
+void CaptureWarnings(obs::LogLevel level, const std::string& line) {
+  if (level == obs::LogLevel::kWARN) CapturedWarnings().push_back(line);
+}
+
 TEST(ThreadPoolObsTest, QueueDepthGaugeAndSaturationWarnOncePerRun) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter* saturations = registry.GetCounter("pool.saturation_warns");
   const int64_t warns_before = saturations->value();
+
+  // Normal sharded operation is not saturation: 4 shards on a 4-wide pool
+  // each keep up to a window of 2·4 + 2 pages queued (40 > 4 × 4), and the
+  // pool allows for every live TaskGroup's window.
+  {
+    ProgramSpec spec = *MakeProgram("play");
+    DatasetProfile profile = spec.Profile();
+    profile.num_sources = 48;
+    const std::vector<Snapshot> series = GenerateSeries(profile, 2, 5);
+    shard::ShardedEngine::Options options;
+    options.work_dir = FreshDir("saturation-shards");
+    options.num_shards = 4;
+    options.num_threads = 4;
+    shard::ShardedEngine engine(spec.plan, options);
+    ASSERT_TRUE(engine.Init().ok());
+    const MatcherAssignment st =
+        MatcherAssignment::Uniform(engine.NumUnits(), MatcherKind::kST);
+    CapturedWarnings().clear();
+    obs::SetLogSinkForTesting(&CaptureWarnings);
+    for (size_t i = 0; i < series.size(); ++i) {
+      EXPECT_TRUE(engine
+                      .RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
+                                   st, nullptr)
+                      .ok());
+    }
+    obs::SetLogSinkForTesting(nullptr);
+    EXPECT_EQ(saturations->value(), warns_before);
+    for (const std::string& line : CapturedWarnings()) {
+      EXPECT_EQ(line.find("saturated"), std::string::npos) << line;
+    }
+  }
 
   obs::MemResetForTesting();
   {

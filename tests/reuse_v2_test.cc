@@ -1,7 +1,8 @@
 // Tests for reuse format v2's sidecar page index and the zero-decode raw
-// passthrough: ReadPageRaw/CommitPageRaw must reproduce CommitPage's bytes
-// exactly, and a missing/truncated/corrupt index must degrade to the
-// decode path — never miscompute.
+// passthrough: runs lifted with BeginRun/LiftPage/EndRun and committed
+// with CommitRun must reproduce CommitPage's bytes exactly, and a
+// missing/truncated/corrupt index must degrade to the decode path — never
+// miscompute.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/page_groups.h"
 #include "storage/result_cache.h"
 #include "storage/reuse_file.h"
 
@@ -50,6 +52,24 @@ PageCapture MakeCapture() {
   c.region_hash = 779;
   c.outputs.push_back({TextSpan(161, 170), std::string("gamma")});
   return capture;
+}
+
+/// One page lifted as a run of one.
+struct Lifted {
+  RawRun run;
+  bool found = false;
+  bool index_valid = false;
+  Status status;
+};
+
+Lifted LiftOne(UnitReuseReader* reader, int64_t did, uint64_t digest) {
+  Lifted lifted;
+  reader->BeginRun(&lifted.run);
+  lifted.status =
+      reader->LiftPage(did, digest, &lifted.found, &lifted.index_valid);
+  reader->EndRun(lifted.found ? 1 : 0);
+  EXPECT_TRUE(reader->LoadRun(&lifted.run).ok());
+  return lifted;
 }
 
 constexpr uint64_t kDigest0 = 0xAAAA0000;
@@ -117,18 +137,23 @@ TEST(ReuseV2Index, RawPassthroughReproducesCommitPageBytes) {
     UnitReuseWriter writer;
     ASSERT_TRUE(writer.Open(raw_prefix).ok());
     const uint64_t digests[] = {kDigest0, kDigest1, kDigest2};
+    RawRun run;
+    reader.BeginRun(&run);
     for (int64_t did = 0; did < 3; ++did) {
-      RawPageSlice slice;
       bool found = false;
       bool index_valid = false;
-      ASSERT_TRUE(reader.ReadPageRaw(did, digests[did], &slice, &found,
-                                     &index_valid)
-                      .ok());
+      ASSERT_TRUE(reader.LiftPage(did, digests[did], &found, &index_valid).ok());
       ASSERT_TRUE(found);
       ASSERT_TRUE(index_valid);
-      EXPECT_EQ(slice.page_digest, digests[did]);
-      ASSERT_TRUE(writer.CommitPageRaw(did + 10, slice).ok());
     }
+    reader.EndRun(3);
+    ASSERT_TRUE(reader.LoadRun(&run).ok());
+    ASSERT_EQ(run.pages.size(), 3u);
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(run.Slice(j).page_digest, digests[j]);
+    }
+    const int64_t dids[] = {10, 11, 12};
+    ASSERT_TRUE(writer.CommitRun(run, 0, dids).ok());
     ASSERT_TRUE(writer.Close().ok());
     ASSERT_TRUE(reader.Close().ok());
   }
@@ -143,15 +168,11 @@ TEST(ReuseV2Index, RawPassthroughReproducesCommitPageBytes) {
     ASSERT_TRUE(writer.Open(dec_prefix).ok());
     const uint64_t digests[] = {kDigest0, kDigest1, kDigest2};
     for (int64_t did = 0; did < 3; ++did) {
-      RawPageSlice slice;
-      bool found = false;
-      bool index_valid = false;
-      ASSERT_TRUE(reader.ReadPageRaw(did, digests[did], &slice, &found,
-                                     &index_valid)
-                      .ok());
-      ASSERT_TRUE(found);
+      Lifted lifted = LiftOne(&reader, did, digests[did]);
+      ASSERT_TRUE(lifted.status.ok());
+      ASSERT_TRUE(lifted.found);
       PageCapture capture;
-      ASSERT_TRUE(CaptureFromRawSlice(slice, &capture).ok());
+      ASSERT_TRUE(CaptureFromRawSlice(lifted.run.Slice(0), &capture).ok());
       ASSERT_TRUE(writer.CommitPage(did + 10, digests[did], capture).ok());
     }
     ASSERT_TRUE(writer.Close().ok());
@@ -196,19 +217,17 @@ TEST(ReuseV2Index, DigestMismatchInvalidatesIndexButSliceStillDecodes) {
 
   UnitReuseReader reader;
   ASSERT_TRUE(reader.Open(prefix).ok());
-  RawPageSlice slice;
-  bool found = false;
-  bool index_valid = true;
   // Expected digest disagrees with the recorded one → no raw relocation.
-  ASSERT_TRUE(
-      reader.ReadPageRaw(0, kDigest0 + 1, &slice, &found, &index_valid).ok());
-  EXPECT_TRUE(found);
-  EXPECT_FALSE(index_valid);
+  Lifted lifted = LiftOne(&reader, 0, kDigest0 + 1);
+  ASSERT_TRUE(lifted.status.ok());
+  EXPECT_TRUE(lifted.found);
+  EXPECT_FALSE(lifted.index_valid);
 
-  // The slice itself is still sound: the decode fallback recovers the page.
+  // The group itself is still sound: the decode fallback recovers the page.
   std::vector<InputTupleRec> inputs;
   std::vector<OutputTupleRec> outputs;
-  ASSERT_TRUE(DecodeRawPageSlice(slice, 0, &inputs, &outputs).ok());
+  ASSERT_TRUE(
+      DecodeRawPageSlice(lifted.run.Slice(0), 0, &inputs, &outputs).ok());
   ASSERT_EQ(inputs.size(), 3u);
   EXPECT_EQ(inputs[0].region, TextSpan(10, 90));
   EXPECT_EQ(inputs[0].did, 0);
@@ -236,18 +255,16 @@ TEST_P(ReuseV2IndexDamageTest, DamagedIndexDegradesToDecodePath) {
   EXPECT_EQ(reader.FindIndexEntry(0), nullptr);
 
   // Raw relocation is off...
-  RawPageSlice slice;
-  bool found = false;
-  bool index_valid = true;
-  ASSERT_TRUE(
-      reader.ReadPageRaw(0, kDigest0, &slice, &found, &index_valid).ok());
-  EXPECT_TRUE(found);
-  EXPECT_FALSE(index_valid);
+  Lifted lifted = LiftOne(&reader, 0, kDigest0);
+  ASSERT_TRUE(lifted.status.ok());
+  EXPECT_TRUE(lifted.found);
+  EXPECT_FALSE(lifted.index_valid);
 
-  // ...but every record is still recoverable from the captured slice.
+  // ...but every record is still recoverable from the lifted group.
   std::vector<InputTupleRec> inputs;
   std::vector<OutputTupleRec> outputs;
-  ASSERT_TRUE(DecodeRawPageSlice(slice, 0, &inputs, &outputs).ok());
+  ASSERT_TRUE(
+      DecodeRawPageSlice(lifted.run.Slice(0), 0, &inputs, &outputs).ok());
   EXPECT_EQ(inputs.size(), 3u);
   EXPECT_EQ(outputs.size(), 3u);
 
@@ -298,17 +315,96 @@ TEST(ReuseV2Index, BackwardRawReadReportsNotFound) {
   WriteFixture(prefix);
   UnitReuseReader reader;
   ASSERT_TRUE(reader.Open(prefix).ok());
-  RawPageSlice slice;
+  Lifted later = LiftOne(&reader, 2, kDigest2);
+  ASSERT_TRUE(later.status.ok());
+  ASSERT_TRUE(later.found);
+  // Page 0 was passed by the forward scan: not found, never invented.
+  Lifted earlier = LiftOne(&reader, 0, kDigest0);
+  ASSERT_TRUE(earlier.status.ok());
+  EXPECT_FALSE(earlier.found);
+  EXPECT_FALSE(earlier.index_valid);
+  EXPECT_TRUE(earlier.run.pages.empty());
+}
+
+TEST(ReuseV2Index, RunAcrossAPassedPageHoldsOnlyItsOwnGroups) {
+  // Pages 0 and 2 lifted as one run, page 1 passed between them: the run
+  // holds two pieces, page 1's group is in neither, and its raw commit
+  // equals committing the two pages through the decode path.
+  std::string dir = TempDir("gap");
+  std::string prefix = dir + "/unit0";
+  WriteFixture(prefix);
+  UnitReuseReader reader;
+  ASSERT_TRUE(reader.Open(prefix).ok());
+  RawRun run;
+  reader.BeginRun(&run);
   bool found = false;
   bool index_valid = false;
-  ASSERT_TRUE(
-      reader.ReadPageRaw(2, kDigest2, &slice, &found, &index_valid).ok());
-  ASSERT_TRUE(found);
-  // Page 0 was passed by the forward scan: not found, never invented.
-  ASSERT_TRUE(
-      reader.ReadPageRaw(0, kDigest0, &slice, &found, &index_valid).ok());
-  EXPECT_FALSE(found);
-  EXPECT_FALSE(index_valid);
+  ASSERT_TRUE(reader.LiftPage(0, kDigest0, &found, &index_valid).ok());
+  ASSERT_TRUE(found && index_valid);
+  ASSERT_TRUE(reader.LiftPage(2, kDigest2, &found, &index_valid).ok());
+  ASSERT_TRUE(found && index_valid);
+  reader.EndRun(2);
+  ASSERT_TRUE(reader.LoadRun(&run).ok());
+  ASSERT_EQ(run.pages.size(), 2u);
+  // Page 1's header sits between pages 0 and 2: one range per page, each
+  // its page's header and group, and nothing of page 1.
+  EXPECT_EQ(run.in_ranges.size(), 2u);
+  EXPECT_EQ(static_cast<int64_t>(run.in_bytes.size()),
+            static_cast<int64_t>(run.Slice(0).in_bytes.size() +
+                                 run.Slice(1).in_bytes.size()) +
+                2 * kFramedPageHeaderBytes);
+  EXPECT_TRUE(run.PageHolds(0));
+  EXPECT_TRUE(run.PageHolds(1));
+
+  const int64_t dids[] = {7, 8};
+  UnitReuseWriter raw_writer;
+  ASSERT_TRUE(raw_writer.Open(dir + "/raw").ok());
+  ASSERT_TRUE(raw_writer.CommitRun(run, 0, dids).ok());
+  ASSERT_TRUE(raw_writer.Close().ok());
+  UnitReuseWriter dec_writer;
+  ASSERT_TRUE(dec_writer.Open(dir + "/dec").ok());
+  PageCapture last;
+  PageCapture::Group& g = last.groups.emplace_back();
+  g.region = TextSpan(0, 30);
+  g.region_hash = 900;
+  ASSERT_TRUE(dec_writer.CommitPage(7, kDigest0, MakeCapture()).ok());
+  ASSERT_TRUE(dec_writer.CommitPage(8, kDigest2, last).ok());
+  ASSERT_TRUE(dec_writer.Close().ok());
+  for (const char* suffix : {".in", ".out", ".idx"}) {
+    EXPECT_EQ(ReadFileBytes(dir + "/raw" + suffix),
+              ReadFileBytes(dir + "/dec" + suffix))
+        << suffix;
+  }
+}
+
+TEST(ReuseV2Index, EndRunDropsPagesPastTheKeptOnes) {
+  // A run that lifted three pages but keeps two (the third demoted) holds
+  // exactly the first two pages' groups.
+  std::string prefix = TempDir("keep") + "/unit0";
+  WriteFixture(prefix);
+  UnitReuseReader reader;
+  ASSERT_TRUE(reader.Open(prefix).ok());
+  RawRun run;
+  reader.BeginRun(&run);
+  const uint64_t digests[] = {kDigest0, kDigest1, kDigest2};
+  for (int64_t did = 0; did < 3; ++did) {
+    bool found = false;
+    bool index_valid = false;
+    ASSERT_TRUE(reader.LiftPage(did, digests[did], &found, &index_valid).ok());
+    ASSERT_TRUE(found);
+  }
+  reader.EndRun(2);
+  ASSERT_TRUE(reader.LoadRun(&run).ok());
+  ASSERT_EQ(run.pages.size(), 2u);
+  const RawRun::Page& kept = run.pages.back();
+  EXPECT_EQ(static_cast<int64_t>(run.in_bytes.size()),
+            kept.in_offset + kept.in_length);
+  EXPECT_EQ(static_cast<int64_t>(run.out_bytes.size()),
+            kept.out_offset + kept.out_length);
+  // The dropped page's group was passed.
+  Lifted again = LiftOne(&reader, 2, kDigest2);
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_FALSE(again.found);
 }
 
 TEST(ReuseV2Index, CaptureFromRawSliceRejectsOrphanedOutputs) {
@@ -322,12 +418,10 @@ TEST(ReuseV2Index, CaptureFromRawSliceRejectsOrphanedOutputs) {
 
   UnitReuseReader reader;
   ASSERT_TRUE(reader.Open(prefix).ok());
-  RawPageSlice slice;
-  bool found = false;
-  bool index_valid = false;
-  ASSERT_TRUE(
-      reader.ReadPageRaw(0, kDigest0, &slice, &found, &index_valid).ok());
-  ASSERT_TRUE(found);
+  Lifted lifted = LiftOne(&reader, 0, kDigest0);
+  ASSERT_TRUE(lifted.status.ok());
+  ASSERT_TRUE(lifted.found);
+  RawPageSlice slice = lifted.run.Slice(0);
   // Keep only the first input record (length-prefixed framing): the output
   // produced by input ordinal 2 is now orphaned.
   uint64_t first_len = 0;
@@ -335,7 +429,7 @@ TEST(ReuseV2Index, CaptureFromRawSliceRejectsOrphanedOutputs) {
     first_len = (first_len << 8) |
                 static_cast<unsigned char>(slice.in_bytes[i]);
   }
-  slice.in_bytes.resize(8 + first_len);
+  slice.in_bytes = slice.in_bytes.substr(0, 8 + first_len);
   slice.n_inputs = 1;
   PageCapture rebuilt;
   EXPECT_FALSE(CaptureFromRawSlice(slice, &rebuilt).ok());
@@ -360,34 +454,41 @@ TEST(ResultCache, RoundTripsRowsAndStripsDids) {
 
   ResultCacheReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
-  ResultPageSlice slice;
-  bool found = false;
-  ASSERT_TRUE(reader.ReadPage(0, &slice, &found).ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(slice.n_rows, 2);
+  ResultRun run;
+  reader.BeginRun(&run);
+  for (int64_t did = 0; did < 3; ++did) {
+    bool found = false;
+    ASSERT_TRUE(reader.LiftPage(did, &found).ok());
+    ASSERT_TRUE(found) << did;
+  }
+  reader.EndRun(3);
+  ASSERT_TRUE(reader.LoadRun(&run).ok());
+  ASSERT_EQ(run.pages.size(), 3u);
+  EXPECT_EQ(run.Slice(0).n_rows, 2);
 
   // Re-prefix under a new did — the fast path's row recovery.
   std::vector<Tuple> decoded;
-  ASSERT_TRUE(DecodeResultSlice(slice, 42, &decoded).ok());
+  ASSERT_TRUE(DecodeResultSlice(run.Slice(0), 42, &decoded).ok());
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(std::get<int64_t>(decoded[0][0]), 42);
   EXPECT_EQ(std::get<TextSpan>(decoded[0][1]), TextSpan(3, 9));
   EXPECT_EQ(std::get<std::string>(decoded[1][2]), "m2");
 
-  ASSERT_TRUE(reader.ReadPage(1, &slice, &found).ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(slice.n_rows, 0);
+  EXPECT_EQ(run.Slice(1).n_rows, 0);
 
-  ASSERT_TRUE(reader.ReadPage(2, &slice, &found).ok());
-  ASSERT_TRUE(found);
-  decoded.clear();
-  ASSERT_TRUE(DecodeResultSlice(slice, 7, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(std::get<int64_t>(decoded[0][0]), 7);
+  // Decoding appends: page 2's row lands after page 0's two.
+  ASSERT_TRUE(DecodeResultSlice(run.Slice(2), 7, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 3u);
+  EXPECT_EQ(std::get<int64_t>(decoded[2][0]), 7);
 
   // Absent page: found=false, never an error.
-  ASSERT_TRUE(reader.ReadPage(9, &slice, &found).ok());
+  ResultRun absent;
+  reader.BeginRun(&absent);
+  bool found = true;
+  ASSERT_TRUE(reader.LiftPage(9, &found).ok());
   EXPECT_FALSE(found);
+  reader.EndRun(0);
+  EXPECT_TRUE(absent.pages.empty());
   ASSERT_TRUE(reader.Close().ok());
 }
 
@@ -414,24 +515,28 @@ TEST(ResultCache, RawRecommitReproducesBytes) {
   // Relocate page 0 raw into gen2, and rebuild it via decode into gen2b.
   std::string gen2 = dir + "/results.gen2";
   std::string gen2b = dir + "/results.gen2b";
-  ResultPageSlice slice;
-  bool found = false;
+  ResultRun run;
   {
     ResultCacheReader reader;
     ASSERT_TRUE(reader.Open(gen1).ok());
-    ASSERT_TRUE(reader.ReadPage(0, &slice, &found).ok());
+    reader.BeginRun(&run);
+    bool found = false;
+    ASSERT_TRUE(reader.LiftPage(0, &found).ok());
     ASSERT_TRUE(found);
+    reader.EndRun(1);
+    ASSERT_TRUE(reader.LoadRun(&run).ok());
     ASSERT_TRUE(reader.Close().ok());
   }
   {
     ResultCacheWriter writer;
     ASSERT_TRUE(writer.Open(gen2).ok());
-    ASSERT_TRUE(writer.CommitPageRaw(5, slice).ok());
+    const int64_t dids[] = {5};
+    ASSERT_TRUE(writer.CommitRun(run, 0, dids).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   {
     std::vector<Tuple> rows;
-    ASSERT_TRUE(DecodeResultSlice(slice, 5, &rows).ok());
+    ASSERT_TRUE(DecodeResultSlice(run.Slice(0), 5, &rows).ok());
     ResultCacheWriter writer;
     ASSERT_TRUE(writer.Open(gen2b).ok());
     ASSERT_TRUE(writer.CommitPage(5, rows).ok());
@@ -453,9 +558,11 @@ TEST(ResultCache, TruncatedFileReportsCorruptionOnRead) {
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
   ResultCacheReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
-  ResultPageSlice slice;
+  ResultRun run;
+  reader.BeginRun(&run);
   bool found = false;
-  EXPECT_FALSE(reader.ReadPage(0, &slice, &found).ok());
+  EXPECT_FALSE(reader.LiftPage(0, &found).ok());
+  reader.EndRun(0);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #ifndef DELEX_TESTS_RING_SERIES_H_
 #define DELEX_TESTS_RING_SERIES_H_
 
-// A plan and a snapshot series that fill the engine's page ring: a fresh
-// page that extracts slowly near the front of each snapshot, with
-// thousands of identical pages behind it. Shared by the pipeline tests
-// and the `pipeline` memory-tag test.
+// A plan and snapshot series for the page pipeline's tests: one that fills
+// the engine's page ring (a fresh page that extracts slowly near the front
+// of each snapshot, with thousands of identical pages behind it), and one
+// that sets every kind of boundary of a run of identical pages. Shared by
+// the pipeline and fast-path tests and the `pipeline` memory-tag test.
 
 #include <chrono>
 #include <cstdint>
@@ -15,8 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include <utility>
+
 #include "common/span.h"
 #include "common/value.h"
+#include "delex/engine.h"
 #include "extract/extractor.h"
 #include "storage/snapshot.h"
 #include "xlog/plan.h"
@@ -96,6 +100,50 @@ inline std::vector<Snapshot> RingSeries(size_t num_pages, size_t throw_at) {
         series[s].AddPage(std::string("u").append(index), content);
       }
     }
+  }
+  return series;
+}
+
+/// `num_pages` short pages for MarkerPlan, none of them slow.
+inline Snapshot MarkerPages(size_t num_pages) {
+  Snapshot snapshot;
+  for (size_t i = 0; i < num_pages; ++i) {
+    const std::string index = std::to_string(i);
+    snapshot.AddPage(std::string("u").append(index),
+                     std::string("page ").append(index).append(
+                         " banana bandana cabana alabama panama canal"));
+  }
+  return snapshot;
+}
+
+/// `count` snapshots starting with `first` (at least 3 ×
+/// DelexEngine::kRunPages pages), each of the others the one before it
+/// with every kind of run boundary of the identical-page fast path:
+///   - an old page deleted inside a run (at 1/8 of the pages);
+///   - a new page inserted inside a run (after 1/4);
+///   - two adjacent URLs swapped (at 3/8);
+///   - one page edited (at 1/2);
+///   - the rest unchanged, so the snapshot ends with a run of identical
+///     pages longer than the cap.
+inline std::vector<Snapshot> RunBoundarySeries(const Snapshot& first,
+                                               size_t count) {
+  std::vector<Snapshot> series;
+  series.push_back(first);
+  for (size_t s = 1; s < count; ++s) {
+    std::vector<std::pair<std::string, std::string>> pages;
+    for (const Page& page : series.back().pages()) {
+      pages.emplace_back(page.url, page.content);
+    }
+    const size_t n = pages.size();
+    const std::string gen = std::to_string(s);
+    pages[n / 2].second.append(" edited ").append(gen);
+    std::swap(pages[3 * n / 8], pages[3 * n / 8 + 1]);
+    pages.insert(pages.begin() + static_cast<std::ptrdiff_t>(n / 4 + 1),
+                 {"inserted-" + gen, pages[n / 4].second + " inserted"});
+    pages.erase(pages.begin() + static_cast<std::ptrdiff_t>(n / 8));
+    Snapshot next;
+    for (auto& [url, content] : pages) next.AddPage(url, content);
+    series.push_back(std::move(next));
   }
   return series;
 }

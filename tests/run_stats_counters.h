@@ -24,6 +24,7 @@ inline std::map<std::string, int64_t> CountValuedFields(const RunStats& stats) {
       {"result_tuples", stats.result_tuples},
       {"raw_bytes_copied", stats.raw_bytes_copied},
       {"records_decoded_skipped", stats.records_decoded_skipped},
+      {"identical_runs", stats.identical_runs},
       {"fast_path_demote_result_cache", stats.fast_path_demote_result_cache},
       {"fast_path_demote_missing_group", stats.fast_path_demote_missing_group},
       {"fast_path_decode_copy_groups", stats.fast_path_decode_copy_groups},
