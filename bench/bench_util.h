@@ -35,9 +35,9 @@
 #include "harness/experiment.h"
 #include "harness/programs.h"
 #include "harness/table.h"
-#include "obs/export.h"
 #include "obs/json_writer.h"
 #include "obs/mem.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 #ifndef DELEX_GIT_SHA
@@ -117,7 +117,8 @@ inline int64_t PeakRssBytes() {
 
 /// Standard bench entry point. Parses `--stats-json <path>` (run-report
 /// JSONL destination, same effect as DELEX_STATS_JSON), starts the trace
-/// recorder if DELEX_TRACE is set, and — unless `print_meta_line` is false
+/// recorder if DELEX_TRACE is set and the span profiler if DELEX_PROFILE
+/// is set, and — unless `print_meta_line` is false
 /// (JSON-document benches, which embed MetaJson() instead) — prints the
 /// shared metadata header line.
 inline void BenchInit(int& argc, char** argv, bool print_meta_line = true) {
@@ -133,7 +134,7 @@ inline void BenchInit(int& argc, char** argv, bool print_meta_line = true) {
   }
   argc = out;
   obs::MaybeStartTraceFromEnv();
-  obs::MaybeStartExportersFromEnv();
+  obs::MaybeStartProfilerFromEnv();
   if (print_meta_line) {
     std::printf("{\"bench_meta\": %s}\n\n", MetaJson().c_str());
   }

@@ -7,8 +7,8 @@
 #             and a clang++ build with -Werror=thread-safety checking
 #             the DELEX_GUARDED_BY/DELEX_REQUIRES annotations.
 #   Release   build + full ctest + the refreshbench self-test +
-#             pipeline-memory/bench/obs/metrics smokes + the
-#             perf-regression gate over bench/baselines/.
+#             pipeline-memory/bench/obs smokes + the perf-regression
+#             gate over bench/baselines/.
 #   fuzz      extended deterministic mutation budget for every fuzz
 #             harness against the committed corpora (the per-harness
 #             512-run replay already runs inside every ctest leg).
@@ -206,43 +206,36 @@ print(f"traced smoke OK: {delex_lines} Delex report lines")
 EOF
 
   # Profiled smoke (observability layer 4): a 3-generation parallel DBLife
-  # run with the span profiler and memory sampler on. The folded profile
-  # must be non-empty with a positive top-span count, every frame must be
-  # a span name from the source tree's trace vocabulary, and /memz +
-  # /profilez must be scrapeable live.
+  # run with the span profiler and run reports on. Every run-report line
+  # must carry the resources block (positive RSS, the snapshot, matcher
+  # and thread_pool tags) and at least one its profiler rollup with a
+  # positive top span; the folded profile must be non-empty with a
+  # positive top-span count, and every frame must be a span name from the
+  # source tree's trace vocabulary.
   echo "=== Release: profiled dblife smoke ==="
   prof_tmp="$(scratch_dir)"
-  prof_port=19466
   DELEX_PROFILE="${prof_tmp}/profile.folded" \
     DELEX_PROFILE_HZ=997 \
-    DELEX_MEM_SAMPLE_MS=20 \
-    DELEX_METRICS_PORT="${prof_port}" \
-    DELEX_METRICS_LINGER_MS=8000 \
+    DELEX_STATS_JSON="${prof_tmp}/stats.jsonl" \
     DELEX_THREADS=2 \
-    ./build-release/examples/dblife_portal 128 3 >/dev/null &
-  prof_pid=$!
-  for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:${prof_port}/healthz" \
-        >/dev/null 2>&1; then
-      break
-    fi
-    sleep 0.1
-  done
-  curl -fsS "http://127.0.0.1:${prof_port}/memz" -o "${prof_tmp}/memz.json"
-  curl -fsS "http://127.0.0.1:${prof_port}/profilez" \
-    -o "${prof_tmp}/profilez.txt"
-  wait "${prof_pid}"
-  python3 - "${prof_tmp}/memz.json" <<'EOF'
+    ./build-release/examples/dblife_portal 128 3 >/dev/null
+  python3 - "${prof_tmp}/stats.jsonl" <<'EOF'
 import json, sys
 
-memz = json.load(open(sys.argv[1]))
-for key in ("rss_bytes", "peak_rss_bytes", "tracked_bytes",
-            "tracked_peak_bytes", "subsystems"):
-    assert key in memz, f"/memz missing {key}"
-assert memz["rss_bytes"] > 0, memz
-tags = {s["tag"] for s in memz["subsystems"]}
-assert {"snapshot", "matcher", "thread_pool"} <= tags, tags
-print(f"memz OK: {len(memz['subsystems'])} subsystems")
+lines = [json.loads(raw) for raw in open(sys.argv[1])]
+assert lines, "no run-report lines"
+profiled = 0
+for line in lines:
+    res = line.get("resources")
+    assert res is not None, "run-report line without a resources block"
+    assert res["rss_bytes"] > 0, res
+    tags = {s["tag"] for s in res["subsystems"]}
+    assert {"snapshot", "matcher", "thread_pool"} <= tags, tags
+    top = res.get("profile", {}).get("top_spans", [])
+    if top and top[0]["self_samples"] > 0:
+        profiled += 1
+assert profiled > 0, "no run-report line carries a positive top span"
+print(f"resources OK: {len(lines)} lines, {profiled} with a profile")
 EOF
   PROFILE_VOCAB="$(grep -rhoE 'DELEX_TRACE_SPAN\("[a-z_]+"' src \
     | sed 's/.*"\(.*\)"/\1/' | sort -u)" \
@@ -280,7 +273,7 @@ delex_lines = 0
 with open(sys.argv[1]) as f:
     for raw in f:
         line = json.loads(raw)
-        assert line["schema_version"] == 8, line["schema_version"]
+        assert line["schema_version"] == 9, line["schema_version"]
         assert "resources" in line, "missing v6 resources block"
         assert line["resources"]["rss_bytes"] > 0, line["resources"]
         if line["solution"] != "Delex" or line["warmup"]:
@@ -301,164 +294,20 @@ assert delex_lines > 0, "no non-warm-up sharded Delex report lines"
 print(f"sharded smoke OK: {delex_lines} merged report lines")
 EOF
 
-  # Metrics exposition smoke: run the portal with the stats server and the
-  # periodic snapshot writer on, scrape /metrics and /healthz live with
-  # curl, and validate the scrape against the Prometheus text-format
-  # grammar (every line; cumulative monotone buckets; +Inf == _count).
-  # DELEX_METRICS_LINGER_MS keeps the server up after the run finishes so
-  # the scrape can never lose the race against a fast portal.
-  echo "=== Release: metrics exposition smoke ==="
-  metrics_tmp="$(scratch_dir)"
-  metrics_port=19464
-  DELEX_METRICS_PORT="${metrics_port}" \
-    DELEX_METRICS_LINGER_MS=8000 \
-    DELEX_METRICS_SNAPSHOT_MS=200 \
-    DELEX_METRICS_SNAPSHOT_PATH="${metrics_tmp}/metrics.jsonl" \
-    ./build-release/examples/dblife_portal 8 3 >/dev/null &
-  portal_pid=$!
-  for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:${metrics_port}/healthz" \
-        >/dev/null 2>&1; then
-      break
-    fi
-    sleep 0.1
-  done
-  curl -fsS "http://127.0.0.1:${metrics_port}/healthz" | grep -q '^ok$'
-  # The engine registers its histograms lazily: keep scraping until the
-  # page-eval series shows up (the linger window keeps the server alive
-  # even after a fast portal run finishes).
-  for _ in $(seq 1 300); do
-    if curl -fsS "http://127.0.0.1:${metrics_port}/metrics" \
-        -o "${metrics_tmp}/metrics.prom" 2>/dev/null \
-        && grep -q "page_eval" "${metrics_tmp}/metrics.prom"; then
-      break
-    fi
-    sleep 0.1
-  done
-  if curl -fsS "http://127.0.0.1:${metrics_port}/no-such" \
-      >/dev/null 2>&1; then
-    echo "FAIL: stats server did not 404 an unknown path" >&2
-    exit 1
-  fi
-  wait "${portal_pid}"
-  python3 - "${metrics_tmp}/metrics.prom" <<'EOF'
-import re, sys
-
-NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-SAMPLE = re.compile(
-    r"^(" + NAME + r")(\{[a-zA-Z0-9_]+=\"[^\"]*\"(,[a-zA-Z0-9_]+=\"[^\"]*\")*\})? "
-    r"(-?[0-9.eE+-]+|\+Inf)$")
-LE = re.compile(r'le="([^"]+)"')
-
-types = {}
-buckets = {}   # family -> list of (le, cumulative) in exposition order
-counts = {}
-samples = 0
-with open(sys.argv[1]) as f:
-    for raw in f:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            assert len(parts) >= 3 and parts[1] in ("HELP", "TYPE"), line
-            if parts[1] == "TYPE":
-                assert parts[3] in ("counter", "gauge", "histogram"), line
-                types[parts[2]] = parts[3]
-            continue
-        m = SAMPLE.match(line)
-        assert m, f"malformed sample line: {line!r}"
-        samples += 1
-        name = m.group(1)
-        family = name
-        for suffix in ("_total", "_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                family = name[: -len(suffix)]
-                break
-        assert family in types, f"sample without TYPE: {line!r}"
-        if name.endswith("_bucket"):
-            le = LE.search(m.group(2) or "")
-            assert le, f"bucket without le label: {line!r}"
-            bound = float("inf") if le.group(1) == "+Inf" else float(le.group(1))
-            buckets.setdefault(family, []).append((bound, float(m.group(4))))
-        elif name.endswith("_count") and types.get(family) == "histogram":
-            counts[family] = float(m.group(4))
-for family, rows in buckets.items():
-    for (le1, c1), (le2, c2) in zip(rows, rows[1:]):
-        assert le2 > le1 and c2 >= c1, f"non-monotone buckets in {family}"
-    assert rows[-1][0] == float("inf"), f"missing +Inf bucket in {family}"
-    assert rows[-1][1] == counts.get(family), f"+Inf != _count in {family}"
-assert samples > 0 and buckets, "empty or histogram-free exposition"
-assert any("page_eval" in f for f in buckets), "engine histograms missing"
-print(f"metrics smoke OK: {samples} samples, {len(buckets)} histograms")
-EOF
-  python3 - "${metrics_tmp}/metrics.jsonl" <<'EOF'
-import json, sys
-
-lines = 0
-with open(sys.argv[1]) as f:
-    for raw in f:
-        snap = json.loads(raw)
-        assert "uptime_ms" in snap and "counters" in snap, "bad snapshot"
-        assert "histograms" in snap, "snapshot without histograms"
-        lines += 1
-assert lines > 0, "snapshot writer produced no lines"
-print(f"snapshot writer OK: {lines} lines")
-EOF
-
-  # Generation-history + introspection smoke: a 3-generation portal run
-  # with the stats server up. TMPDIR points at CI scratch so the portal's
-  # work dirs land there. Validates every task's history.jsonl at the
-  # byte level (fixed-offset FNV-1a checksums, one record per generation,
-  # monotone gap-free gens), scrapes /statusz and /varz live, streams
-  # /history as NDJSON, and requires delex_inspect diff to attribute at
-  # least one matcher switch to its audited cost margin.
-  echo "=== Release: generation-history + introspection smoke ==="
+  # Generation-history smoke: a 3-generation portal run. TMPDIR points at
+  # CI scratch so the portal's work dirs land there. Validates every
+  # task's history.jsonl at the byte level (fixed-offset FNV-1a
+  # checksums, one record per generation, monotone gap-free gens), checks
+  # that every record body is a run-report line, and requires
+  # delex_inspect diff to attribute at least one matcher switch to its
+  # audited cost margin.
+  echo "=== Release: generation-history smoke ==="
   history_tmp="$(scratch_dir)"
-  history_port=19465
   # 64 pages (not 16): at 16 every page is identical across days, the
   # optimizer never leaves DN, and there is no matcher switch to audit.
   TMPDIR="${history_tmp}" \
-    DELEX_METRICS_PORT="${history_port}" \
-    DELEX_METRICS_LINGER_MS=8000 \
     DELEX_THREADS=2 \
-    ./build-release/examples/dblife_portal 64 3 >/dev/null &
-  history_pid=$!
-  for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:${history_port}/healthz" \
-        >/dev/null 2>&1; then
-      break
-    fi
-    sleep 0.1
-  done
-  # The linger window keeps the endpoints alive after the run finishes
-  # (but only until the process exits): poll /history until the final
-  # task's store shows all three generations, scrape everything, THEN
-  # wait for the portal.
-  for _ in $(seq 1 300); do
-    if curl -fsS "http://127.0.0.1:${history_port}/history" \
-        -o "${history_tmp}/history.ndjson" 2>/dev/null \
-        && [[ "$(wc -l < "${history_tmp}/history.ndjson")" -ge 3 ]]; then
-      break
-    fi
-    sleep 0.1
-  done
-  curl -fsS "http://127.0.0.1:${history_port}/statusz" \
-    -o "${history_tmp}/statusz.html"
-  grep -q "<title>delex /statusz</title>" "${history_tmp}/statusz.html"
-  grep -q "DELEX_HISTORY_RETAIN" "${history_tmp}/statusz.html"
-  grep -q "Last generation" "${history_tmp}/statusz.html"
-  curl -fsS "http://127.0.0.1:${history_port}/varz" \
-    -o "${history_tmp}/varz.json"
-  wait "${history_pid}"
-  python3 - "${history_tmp}/varz.json" <<'EOF'
-import json, sys
-
-varz = json.load(open(sys.argv[1]))
-for key in ("uptime_ms", "counters", "gauges", "histograms"):
-    assert key in varz, f"/varz missing {key}"
-print("varz OK")
-EOF
+    ./build-release/examples/dblife_portal 64 3 >/dev/null
   for task in talk chair advise; do
     python3 - "${history_tmp}/delex-dblife/delex-${task}/history.jsonl" 3 \
         <<'EOF'
@@ -484,35 +333,15 @@ with open(path, "rb") as f:
         assert line[-1:] == b"}", "envelope not closed"
         assert int(line[8:24], 16) == fnv1a64(line[32:-1]), \
             f"checksum mismatch in {path}"
-        gens.append(json.loads(line[32:-1])["gen"])
+        rec = json.loads(line[32:-1])
+        for key in ("schema_version", "reader", "identical_runs"):
+            assert key in rec, f"{path}: body is not a run-report line ({key})"
+        gens.append(rec["generation"])
 assert gens == list(range(1, days + 1)), \
     f"{path}: want one record per generation 1..{days}, got {gens}"
 print(f"history OK: {path} ({len(gens)} generations)")
 EOF
   done
-  python3 - "${history_tmp}/history.ndjson" <<'EOF'
-import json, sys
-
-FNV_OFFSET, FNV_PRIME, MASK = 0xCBF29CE484222325, 0x100000001B3, 2**64 - 1
-
-
-def fnv1a64(data):
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK
-    return h
-
-
-gens = []
-with open(sys.argv[1], "rb") as f:
-    for raw in f:
-        line = raw.rstrip(b"\n")
-        assert int(line[8:24], 16) == fnv1a64(line[32:-1]), \
-            "/history line failed its checksum"
-        gens.append(json.loads(line[32:-1])["gen"])
-assert gens and gens == sorted(set(gens)), f"/history gens not monotone: {gens}"
-print(f"/history endpoint OK: {len(gens)} records")
-EOF
   inspect=./build-release/src/tools/delex_inspect
   switch_attributed=0
   for task in talk chair advise; do

@@ -32,8 +32,8 @@ Rules (each has an id; suppress a finding with a trailing or preceding
                          and signal-handler installation (sigaction,
                          SIGPROF, setitimer) are confined to src/obs/ —
                          everything else goes through obs/mem.h and
-                         obs/profiler.h so there is exactly one sampler
-                         and one SIGPROF owner per process.
+                         obs/profiler.h so there is exactly one process
+                         reader and one SIGPROF owner per process.
   raw-mutex              std::mutex / lock_guard / unique_lock /
                          scoped_lock / condition_variable are confined to
                          src/common/mutex.h — everything else uses
@@ -51,6 +51,12 @@ Rules (each has an id; suppress a finding with a trailing or preceding
                          src/obs/profiler.cc must stay async-signal-safe:
                          no allocation, locks, logging, or stdio between
                          the definition and its closing brace.
+  env-knob-doc           EXPERIMENTS.md's knob table stays honest: every
+                         DELEX_* knob that src/, bench/ or examples/ read
+                         (getenv or the benches' EnvInt) has a row, and
+                         every row names a knob the repo reads somewhere
+                         (src/, bench/, examples/, ci/ or a
+                         CMakeLists.txt).
 
 Format rules (clang-format is not in the CI image, so the invariants that
 matter are enforced here; .clang-format remains the source of truth for
@@ -281,6 +287,88 @@ def lint_file(rel_path, text):
     return findings
 
 
+# --- knob table (repo-level rule) -------------------------------------------
+
+KNOB_DOC = "EXPERIMENTS.md"
+KNOB_TABLE_HEADER = "| knob | default | meaning |"
+KNOB_RE = re.compile(r"\bDELEX_[A-Z0-9_]+\b")
+KNOB_READ_RE = re.compile(r"\b(?:getenv|EnvInt)\(\s*\"(DELEX_[A-Z0-9_]+)\"")
+KNOB_READ_DIRS = ("src", "bench", "examples")
+
+
+def knob_table_rows(text):
+    """(line number, knob) for every knob named in the first cell of the
+    knob table's rows."""
+    rows = []
+    in_table = False
+    for i, line in enumerate(text.split("\n"), 1):
+        if line.strip() == KNOB_TABLE_HEADER:
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            break
+        first_cell = line.split("|")[1]
+        rows.extend((i, knob) for knob in KNOB_RE.findall(first_cell))
+    return rows
+
+
+def walk_files(root, top):
+    top_dir = os.path.join(root, top)
+    for dirpath, dirnames, filenames in os.walk(top_dir):
+        dirnames.sort()
+        if os.path.basename(dirpath) == "corpus":
+            dirnames[:] = []
+            continue
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            yield os.path.relpath(path, root).replace(os.sep, "/"), path
+
+
+def read_text(path):
+    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+        return f.read()
+
+
+def lint_knob_table(root):
+    findings = []
+    reads = {}  # knob -> (rel path, line) of its first read
+    for top in KNOB_READ_DIRS:
+        for rel, path in walk_files(root, top):
+            if not rel.endswith(CXX_EXTENSIONS):
+                continue
+            text = read_text(path)
+            for m in KNOB_READ_RE.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                reads.setdefault(m.group(1), (rel, line))
+    mentioned = set(reads)
+    for rel, path in walk_files(root, "ci"):
+        if rel != "ci/lint.py":  # its self-test cases name made-up knobs
+            mentioned.update(KNOB_RE.findall(read_text(path)))
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not d.startswith((".", "build"))]
+        if "CMakeLists.txt" in filenames:
+            mentioned.update(KNOB_RE.findall(
+                read_text(os.path.join(dirpath, "CMakeLists.txt"))))
+
+    doc_path = os.path.join(root, KNOB_DOC)
+    rows = knob_table_rows(read_text(doc_path)) if os.path.exists(doc_path) else []
+    documented = {knob for _line, knob in rows}
+    for knob, (rel, line) in sorted(reads.items()):
+        if knob not in documented:
+            findings.append((rel, line, "env-knob-doc",
+                             f"{knob} is read but has no row in "
+                             f"{KNOB_DOC}'s knob table"))
+    for line, knob in rows:
+        if knob not in mentioned:
+            findings.append((KNOB_DOC, line, "env-knob-doc",
+                             f"{knob} has a knob-table row but nothing "
+                             f"in the repo reads it"))
+    return findings
+
+
 def lint_tree(root):
     findings = []
     for top in LINT_DIRS:
@@ -407,8 +495,59 @@ SELF_TEST_CLEAN = {
 }
 
 
-def self_test():
+KNOB_SELF_TEST_FIRING = {
+    # an undocumented read and a row nothing reads: two findings
+    "src/delex/knob.cc":
+        "const char* v = std::getenv(\"DELEX_UNDOCUMENTED\");\n",
+    KNOB_DOC:
+        KNOB_TABLE_HEADER + "\n|---|---|---|\n"
+        "| `DELEX_STALE_ROW` | 0 | nothing reads this |\n",
+}
+
+KNOB_SELF_TEST_CLEAN = {
+    # every read documented, every row read somewhere
+    "src/delex/knob.cc":
+        "const char* v = std::getenv(\n    \"DELEX_SRC_KNOB\");\n",
+    "bench/bench_knob.h":
+        "int n = EnvInt(\"DELEX_BENCH_KNOB\", 3);\n",
+    "ci/check.sh":
+        "if [[ \"${DELEX_CI_KNOB:-0}\" == 1 ]]; then :; fi\n",
+    "CMakeLists.txt":
+        "option(DELEX_CMAKE_KNOB \"doc\" OFF)\n",
+    KNOB_DOC:
+        "intro\n\n" + KNOB_TABLE_HEADER + "\n|---|---|---|\n"
+        "| `DELEX_SRC_KNOB` / `DELEX_BENCH_KNOB` | 1 | read in code |\n"
+        "| `DELEX_CI_KNOB` | 0 | read by CI |\n"
+        "| `DELEX_CMAKE_KNOB` (cmake) | OFF | a build option |\n"
+        "\nText after the table naming DELEX_NOT_A_ROW.\n",
+}
+
+
+def write_tree(root, files):
+    for rel, content in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path) or root, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            f.write(content)
+
+
+def self_test_knob_table():
     failures = []
+    with tempfile.TemporaryDirectory(prefix="delex-lint-knobs-") as root:
+        write_tree(root, KNOB_SELF_TEST_FIRING)
+        fired = {(rel, rule) for rel, _line, rule, _msg in lint_knob_table(root)}
+        for rel in ("src/delex/knob.cc", KNOB_DOC):
+            if (rel, "env-knob-doc") not in fired:
+                failures.append(f"rule 'env-knob-doc' did not fire on {rel}")
+    with tempfile.TemporaryDirectory(prefix="delex-lint-knobs-") as root:
+        write_tree(root, KNOB_SELF_TEST_CLEAN)
+        for rel, line, rule, msg in lint_knob_table(root):
+            failures.append(f"clean knob table drew {rule} at {rel}:{line}: {msg}")
+    return failures
+
+
+def self_test():
+    failures = self_test_knob_table()
     with tempfile.TemporaryDirectory(prefix="delex-lint-selftest-") as root:
         for rule, (rel, content) in SELF_TEST_CASES.items():
             path = os.path.join(root, rel)
@@ -438,8 +577,9 @@ def self_test():
         for f in failures:
             print(f"lint self-test FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"lint self-test OK: {len(SELF_TEST_CASES)} rules fire, "
-          f"{len(SELF_TEST_CLEAN)} clean files stay clean")
+    print(f"lint self-test OK: {len(SELF_TEST_CASES) + 1} rules fire, "
+          f"{len(SELF_TEST_CLEAN)} clean files and a clean knob table "
+          f"stay clean")
     return 0
 
 
@@ -456,7 +596,7 @@ def main():
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    findings = lint_tree(root)
+    findings = lint_tree(root) + lint_knob_table(root)
     for rel, line, rule, message in findings:
         print(f"{rel}:{line}: [{rule}] {message}")
     if findings:

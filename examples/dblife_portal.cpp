@@ -8,9 +8,8 @@
 //
 // Honors DELEX_THREADS and DELEX_SHARDS for the engine-backed solutions,
 // and the observability knobs (DELEX_TRACE, DELEX_STATS_JSON,
-// DELEX_LOG_LEVEL, DELEX_METRICS_PORT, DELEX_METRICS_SNAPSHOT_MS) — the
-// CI traced-smoke, metrics-scrape, and sharded-smoke legs drive this
-// binary.
+// DELEX_PROFILE, DELEX_HISTORY, DELEX_LOG_LEVEL) — the CI traced,
+// profiled, sharded and history smokes drive this binary.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,17 +18,12 @@
 #include "harness/experiment.h"
 #include "harness/programs.h"
 #include "harness/table.h"
-#include "obs/export.h"
 
 using namespace delex;
 
 int main(int argc, char** argv) {
   int pages = argc > 1 ? std::atoi(argv[1]) : 120;
   int days = argc > 2 ? std::atoi(argv[2]) : 5;
-  // A long-running portal is exactly what the stats server exists for:
-  // DELEX_METRICS_PORT / DELEX_METRICS_SNAPSHOT_MS make this process
-  // scrapeable before the first engine even initializes.
-  obs::MaybeStartExportersFromEnv();
   const char* threads_env = std::getenv("DELEX_THREADS");
   int threads = threads_env != nullptr ? std::atoi(threads_env) : 1;
   const char* shards_env = std::getenv("DELEX_SHARDS");

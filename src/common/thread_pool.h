@@ -71,7 +71,6 @@ class ThreadPool {
     }
     work_cv_.NotifyOne();
     obs::MemCharge(obs::MemTag::kThreadPool, kQueuedTaskBytes);
-    QueueDepthGauge()->Set(static_cast<int64_t>(depth));
     // Saturation: a queue deeper than 4x the workers, beyond what the live
     // TaskGroups' windows allow, means submitters are outrunning the pool
     // and the "never blocks" contract is buffering real memory. WARN once
@@ -107,7 +106,6 @@ class ThreadPool {
     Status status = std::move(first_error_);
     first_error_ = Status::OK();
     saturation_warned_.store(false, std::memory_order_relaxed);
-    QueueDepthGauge()->Set(0);
     return status;
   }
 
@@ -132,25 +130,16 @@ class ThreadPool {
   static constexpr int64_t kQueuedTaskBytes =
       static_cast<int64_t>(sizeof(std::function<Status()>)) + 32;
 
-  static obs::Gauge* QueueDepthGauge() {
-    static obs::Gauge* depth =
-        obs::MetricsRegistry::Global().GetGauge("pool.queue_depth");
-    return depth;
-  }
-
   void WorkerLoop() {
     for (;;) {
       std::function<Status()> task;
-      size_t depth;
       {
         MutexLock lock(&mu_);
         while (!shutdown_ && queue_.empty()) work_cv_.Wait(&mu_);
         if (queue_.empty()) return;  // shutdown with a drained queue
         task = std::move(queue_.front());
         queue_.pop_front();
-        depth = queue_.size();
       }
-      QueueDepthGauge()->Set(static_cast<int64_t>(depth));
       obs::MemCharge(obs::MemTag::kThreadPool, -kQueuedTaskBytes);
       Status status = RunTask(task);
       {

@@ -20,9 +20,9 @@
 #include "delex/paranoid.h"
 #include "delex/region_derivation.h"
 #include "text/suffix_matcher.h"
-#include "obs/export.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace delex {
@@ -52,41 +52,6 @@ obs::Counter* ReuseCorruptDropCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "engine.reuse.corrupt_drops");
   return counter;
-}
-
-/// Process-wide latency series (observability layer 2). Hot per-sample
-/// recording goes into the per-page RunStats shards; these registry
-/// histograms take one bulk MergeFrom per run (plus per-page samples for
-/// the two pipeline-stage timers below). All pointers are resolved once —
-/// GetHistogram takes a mutex-guarded map lookup.
-obs::Histogram* PageEvalHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("engine.page_eval_us");
-  return hist;
-}
-obs::Histogram* ExtractHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("engine.extract_us");
-  return hist;
-}
-obs::Histogram* PrefetchIoHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("io.prefetch_us");
-  return hist;
-}
-obs::Histogram* CommitIoHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("io.commit_us");
-  return hist;
-}
-obs::Histogram* MatchHistogram(MatcherKind kind) {
-  static obs::Histogram* const hists[kNumMatcherKinds] = {
-      obs::MetricsRegistry::Global().GetHistogram("matcher.dn.match_us"),
-      obs::MetricsRegistry::Global().GetHistogram("matcher.ud.match_us"),
-      obs::MetricsRegistry::Global().GetHistogram("matcher.st.match_us"),
-      obs::MetricsRegistry::Global().GetHistogram("matcher.ru.match_us"),
-  };
-  return hists[static_cast<size_t>(kind)];
 }
 
 }  // namespace
@@ -286,12 +251,11 @@ Status DelexEngine::Init() {
       DELEX_LOG(WARN) << "trace_path: " << st.ToString();
     }
   }
-  // DELEX_TRACE works for any engine-embedding binary (examples, tests)
-  // without per-main wiring; a no-op if a session is already recording.
+  // DELEX_TRACE and DELEX_PROFILE work for any engine-embedding binary
+  // (examples, tests) without per-main wiring; each is a no-op if a
+  // session is already running.
   obs::MaybeStartTraceFromEnv();
-  // Same deal for the metrics exposition knobs (DELEX_METRICS_PORT,
-  // DELEX_METRICS_SNAPSHOT_MS): any engine-embedding binary is scrapeable.
-  obs::MaybeStartExportersFromEnv();
+  obs::MaybeStartProfilerFromEnv();
   DELEX_LOG(INFO) << "engine initialized: " << analysis_.units.size()
                   << " IE units, work_dir=" << options_.work_dir;
   initialized_ = true;
@@ -423,8 +387,6 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
                             const std::vector<PageClass>& classes, size_t end,
                             PageSlot* slot, size_t* demoted) {
   DELEX_TRACE_SPAN("lift_run", current.page(slot->first).did);
-  // Reuse + result-cache read latency for this entry (reader stage).
-  obs::ScopedLatencyTimer io_timer(nullptr, PrefetchIoHistogram());
   const size_t num_units = analysis_.units.size();
   RunStats& stats = slot->stats;
   slot->count = 0;
@@ -598,8 +560,6 @@ Result<std::vector<Tuple>> DelexEngine::EvalFromScratch(
 }
 
 Status DelexEngine::CommitEntry(PageSlot* slot, const SnapshotView& current) {
-  // Reuse + result-cache write latency for this entry (write-back stage).
-  obs::ScopedLatencyTimer io_timer(nullptr, CommitIoHistogram());
   return slot->run ? CommitRun(slot, current) : CommitPage(slot);
 }
 
@@ -865,7 +825,6 @@ Status DelexEngine::RunPages(const SnapshotView& current,
       // One page for the pool.
       {
         DELEX_TRACE_SPAN("prefetch_page", current.page(first).did);
-        obs::ScopedLatencyTimer io_timer(nullptr, PrefetchIoHistogram());
         slot.count = 1;
         slot.page = &current.page(first);
         if (classes[first].previous >= 0) {
@@ -1041,21 +1000,6 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   // shards) can legitimately sum past the single wall clock; record the
   // overshoot instead of silently clamping it away in OthersUs().
   out_stats->phases.FinalizeDrift();
-  // Fold this run's merged latency shards into the process-wide registry
-  // histograms — one bulk add per run, nothing on the per-sample path.
-  if (obs::HistogramsEnabled()) {
-    PageEvalHistogram()->MergeFrom(out_stats->page_eval_hist);
-    for (MatcherKind kind : kAllMatcherKinds) {
-      MatchHistogram(kind)->MergeFrom(
-          out_stats->match_hist[static_cast<size_t>(kind)]);
-    }
-    for (const UnitRunStats& u : out_stats->units) {
-      ExtractHistogram()->MergeFrom(u.extract_hist);
-    }
-  }
-  static obs::Gauge* generation_gauge =
-      obs::MetricsRegistry::Global().GetGauge("engine.generation");
-  generation_gauge->Set(generation_);
   // Bridge the text-layer truncation tally into the metrics registry
   // (delex_text cannot depend on obs) and WARN at most once per run.
   {

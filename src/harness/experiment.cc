@@ -11,7 +11,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "delex/engine.h"
-#include "obs/export.h"
 #include "obs/history.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
@@ -205,11 +204,11 @@ class EngineSolution : public Solution {
     meta->fast_path_enabled = !options_.disable_page_fast_path;
     meta->generation = engine_->generation();
     optimizer->has_optimizer = last_had_previous_;
-    if (!last_had_previous_) return;
     optimizer->unit_matchers.clear();
     for (MatcherKind kind : last_assignment_.per_unit) {
       optimizer->unit_matchers.emplace_back(MatcherKindName(kind));
     }
+    if (!last_had_previous_) return;
     optimizer->predicted_unit_us = last_predicted_unit_us_;
     optimizer->predicted_total_us = last_predicted_total_us_;
     optimizer->cost_drift = last_drift_;
@@ -384,7 +383,7 @@ class ShardedEngineSolution : public Solution {
       meta->shards.push_back(summary);
     }
     optimizer->has_optimizer = last_had_previous_;
-    if (!last_had_previous_ || last_assignments_.empty()) return;
+    if (last_assignments_.empty()) return;
     // Per-unit matchers from shard 0 (shards usually agree; LastAssignment
     // surfaces disagreement); predicted µs summed across shards so the
     // total still compares against the merged measured phases.
@@ -392,6 +391,7 @@ class ShardedEngineSolution : public Solution {
     for (MatcherKind kind : last_assignments_[0].per_unit) {
       optimizer->unit_matchers.emplace_back(MatcherKindName(kind));
     }
+    if (!last_had_previous_) return;
     optimizer->predicted_unit_us.clear();
     optimizer->predicted_total_us = -1;
     for (const std::vector<double>& predicted : shard_predicted_unit_us_) {
@@ -499,6 +499,8 @@ Result<SeriesRun> RunSeries(Solution* solution,
       !history_dir.empty() && obs::HistoryEnabledFromEnv();
   obs::HistoryStore::Options history_options;
   history_options.retain_gens = obs::HistoryRetainFromEnv();
+  obs::HistoryStore history(history_dir + "/" + obs::kHistoryFileName,
+                            history_options);
   for (size_t i = 0; i < series.size(); ++i) {
     const Snapshot* previous = i == 0 ? nullptr : &series[i - 1];
     RunStats stats;
@@ -513,60 +515,28 @@ Result<SeriesRun> RunSeries(Solution* solution,
     meta.snapshot_index = static_cast<int>(i) + 1;
     meta.warmup = i == 0;
     meta.histograms_enabled = obs::HistogramsEnabled();
+    meta.assignment = solution->LastAssignment();
     obs::OptimizerReport optimizer;
     solution->DescribeRun(&meta, &optimizer);
-    if (report.is_open()) {
-      DELEX_RETURN_NOT_OK(report.Append(meta, stats, optimizer));
-    }
-    // Generation history (observability layer 3): one checksummed record
-    // per completed generation in the solution's work dir, plus a pared
-    // per-shard view in each shard<K>/ dir. A failed append degrades to a
-    // WARN — telemetry must never fail the run it describes.
-    if (write_history && meta.generation >= 0) {
-      obs::HistoryStore store(history_dir + "/" + obs::kHistoryFileName,
-                              history_options);
-      obs::HistoryRecord rec = obs::MakeHistoryRecord(
-          meta, stats, optimizer, solution->LastAssignment());
-      Status appended = store.Append(rec);
-      if (!appended.ok()) {
-        DELEX_LOG(WARN) << "history append: " << appended.ToString();
-      } else {
-        obs::PublishHistoryForStatus(store.path(),
-                                     obs::HistoryStore::FormatLine(rec));
-      }
-      for (const obs::RunReportMeta::ShardSummary& s : meta.shards) {
-        obs::HistoryRecord view;
-        view.gen = meta.generation;
-        view.shard = s.shard;
-        view.solution = meta.solution;
-        view.tag = meta.tag;
-        view.warmup = meta.warmup;
-        view.threads = meta.num_threads;
-        view.num_shards = meta.num_shards;
-        view.fast_path = meta.fast_path_enabled;
-        view.assignment = s.assignment;
-        view.pages = s.pages;
-        view.pages_identical = s.pages_identical;
-        view.result_tuples = s.result_tuples;
-        view.total_us = s.total_us;
-        view.reuse_corrupt_drops = s.reuse_corrupt_drops;
-        view.has_optimizer = optimizer.has_optimizer;
-        view.cost_drift = s.cost_drift;
-        obs::HistoryStore shard_store(history_dir + "/shard" +
-                                          std::to_string(s.shard) + "/" +
-                                          obs::kHistoryFileName,
-                                      history_options);
-        Status shard_appended = shard_store.Append(view);
-        if (!shard_appended.ok()) {
-          DELEX_LOG(WARN) << "shard history append: "
-                          << shard_appended.ToString();
+    // One run record, two sinks: the stats-JSON file takes the line bare,
+    // and the solution's work dir keeps it framed as the generation's
+    // history record. A failed history append degrades to a WARN —
+    // telemetry must never fail the run it describes.
+    const bool record_history = write_history && meta.generation >= 0;
+    if (report.is_open() || record_history) {
+      const std::string line = obs::RunReportLine(meta, stats, optimizer);
+      if (report.is_open()) DELEX_RETURN_NOT_OK(report.Append(line));
+      if (record_history) {
+        Status appended = history.Append(line);
+        if (!appended.ok()) {
+          DELEX_LOG(WARN) << "history append: " << appended.ToString();
         }
       }
     }
     if (i == 0) continue;  // warm-up snapshot, not reported (as in §8)
     run.seconds.push_back(seconds);
     run.stats.push_back(stats);
-    run.assignments.push_back(solution->LastAssignment());
+    run.assignments.push_back(std::move(meta.assignment));
     if (keep_results) run.results.push_back(Canonicalize(std::move(results)));
   }
   if (report.is_open()) DELEX_RETURN_NOT_OK(report.Close());

@@ -33,12 +33,14 @@ class Solution {
 
   /// The matcher assignment used by the most recent RunSnapshot, as a
   /// display string ("ST,RU,DN,..."); empty for solutions without plans.
+  /// RunSeries records it as the run report's top-level "assignment".
   virtual std::string LastAssignment() const { return ""; }
 
   /// Fills run-report metadata describing the most recent RunSnapshot:
   /// execution environment into `meta` (threads, fast path) and, for
-  /// engine-backed solutions, the chosen per-unit matchers plus the cost
-  /// model's predicted µs into `optimizer`. Baselines leave the defaults.
+  /// engine-backed solutions, the executed per-unit matchers (warm-up
+  /// included) plus the cost model's predicted µs into `optimizer`.
+  /// Baselines leave the defaults.
   virtual void DescribeRun(obs::RunReportMeta* meta,
                            obs::OptimizerReport* optimizer) const {
     (void)meta;
@@ -124,7 +126,9 @@ struct SeriesRun {
 /// --stats-json flag — or the DELEX_STATS_JSON env var), every snapshot
 /// run, warm-up included, appends one obs::RunReportLine to that file, so
 /// any bench or example built on RunSeries produces machine-readable run
-/// reports for free. `tag` labels the lines (bench/program name).
+/// reports for free. `tag` labels the lines (bench/program name). The
+/// same line, framed, is the generation's record in the history store of
+/// an engine-backed solution (HistoryDir, obs/history.h).
 Result<SeriesRun> RunSeries(Solution* solution,
                             const std::vector<Snapshot>& series,
                             bool keep_results = false,

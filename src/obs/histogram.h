@@ -13,16 +13,12 @@
 //   - 36 octaves cover [16, 2^40) µs ≈ 12.7 days; larger values clamp
 //     into the last bucket. 16 + 36*16 = 592 buckets total.
 //
-// Two concrete histogram types share the scheme:
-//   - LocalHistogram: plain (non-atomic) counts, single writer. These are
-//     the per-thread shards: each per-page RunStats owns LocalHistograms
-//     and the engine folds them together through RunStats::MergeFrom, so
-//     the hot path never touches shared cache lines. Buckets allocate
-//     lazily on the first Record — an empty histogram is a null vector.
-//   - Histogram: relaxed-atomic counts, lives in the MetricsRegistry for
-//     process-wide series (exporters scrape it). Lock-free: Record is a
-//     handful of relaxed fetch_adds; merged run shards are folded in
-//     once per run via MergeFrom(LocalHistogram).
+// LocalHistogram holds plain (non-atomic) counts with a single writer.
+// These are the per-thread shards: each per-page RunStats owns
+// LocalHistograms and the engine folds them together through
+// RunStats::MergeFrom, so the hot path never touches shared cache lines.
+// Buckets allocate lazily on the first Record — an empty histogram is a
+// null vector. The run report summarizes the merged shards.
 //
 // Recording is gated on HistogramsEnabled() (env DELEX_HISTOGRAMS,
 // default on). Call sites should skip the clock reads entirely when the
@@ -35,8 +31,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cmath>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace delex {
@@ -97,8 +91,7 @@ inline void SetHistogramsEnabled(bool on) {
   hist_internal::EnabledFlag().store(on, std::memory_order_relaxed);
 }
 
-/// \brief Single-writer histogram shard; also the snapshot/summary type
-/// every exporter consumes (Histogram::Snapshot returns one).
+/// \brief Single-writer histogram shard, merged per run.
 class LocalHistogram {
  public:
   void Record(int64_t value_us) {
@@ -149,19 +142,6 @@ class LocalHistogram {
     return max_;  // unreachable: cumulative == count_ after the loop
   }
 
-  /// Observations known to be ≤ bound (sums buckets wholly below it) —
-  /// the cumulative count a Prometheus `le` bucket reports. Never
-  /// overcounts; by construction monotone in `bound`.
-  int64_t CumulativeLE(int64_t bound) const {
-    if (buckets_.empty()) return 0;  // lazy vector: nothing recorded yet
-    int64_t cumulative = 0;
-    for (int i = 0; i < hist::kBucketCount; ++i) {
-      if (hist::BucketUpperBound(i) > bound) break;
-      cumulative += buckets_[i];
-    }
-    return cumulative;
-  }
-
   /// Raw bucket counts (empty vector until the first Record).
   const std::vector<int64_t>& buckets() const { return buckets_; }
 
@@ -173,8 +153,6 @@ class LocalHistogram {
   }
 
  private:
-  friend class Histogram;  // Snapshot() loads atomics straight into a shard
-
   void EnsureBuckets() {
     if (buckets_.empty()) buckets_.assign(hist::kBucketCount, 0);
   }
@@ -185,96 +163,21 @@ class LocalHistogram {
   int64_t max_ = 0;
 };
 
-/// \brief Lock-free process-wide histogram. Lifetime: owned by the
-/// MetricsRegistry, valid until process exit — cache the pointer.
-class Histogram {
- public:
-  void Record(int64_t value_us) {
-    if (value_us < 0) value_us = 0;
-    buckets_[hist::BucketIndex(value_us)].fetch_add(1,
-                                                    std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value_us, std::memory_order_relaxed);
-    int64_t seen = max_.load(std::memory_order_relaxed);
-    while (value_us > seen &&
-           !max_.compare_exchange_weak(seen, value_us,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Folds a merged run shard in — one bulk add per run instead of an
-  /// atomic RMW per sample on the hot path.
-  void MergeFrom(const LocalHistogram& shard) {
-    if (shard.count() == 0) return;
-    const std::vector<int64_t>& counts = shard.buckets();
-    for (int i = 0; i < hist::kBucketCount; ++i) {
-      if (counts[i] != 0) {
-        buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-      }
-    }
-    count_.fetch_add(shard.count(), std::memory_order_relaxed);
-    sum_.fetch_add(shard.sum(), std::memory_order_relaxed);
-    int64_t seen = max_.load(std::memory_order_relaxed);
-    while (shard.max() > seen &&
-           !max_.compare_exchange_weak(seen, shard.max(),
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Consistent-enough copy for exporters (concurrent Records may land in
-  /// some buckets and not the totals or vice versa; each value is atomic).
-  LocalHistogram Snapshot() const {
-    LocalHistogram out;
-    if (count_.load(std::memory_order_relaxed) == 0) return out;
-    out.EnsureBuckets();
-    for (int i = 0; i < hist::kBucketCount; ++i) {
-      out.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-    out.count_ = count_.load(std::memory_order_relaxed);
-    out.sum_ = sum_.load(std::memory_order_relaxed);
-    out.max_ = max_.load(std::memory_order_relaxed);
-    return out;
-  }
-
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::string name) : name_(std::move(name)) {}
-
-  void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
-
-  std::string name_;
-  std::atomic<int64_t> buckets_[hist::kBucketCount] = {};
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
-  std::atomic<int64_t> max_{0};
-};
-
-/// \brief RAII latency sample into a shard and/or a registry histogram.
-/// When histograms are disabled the constructor is one relaxed load and a
-/// predicted branch — no clock reads at all.
+/// \brief RAII latency sample into a histogram shard. When histograms are
+/// disabled the constructor is one relaxed load and a predicted branch —
+/// no clock reads at all.
 class ScopedLatencyTimer {
  public:
-  explicit ScopedLatencyTimer(LocalHistogram* shard,
-                              Histogram* global = nullptr)
-      : shard_(shard), global_(global), armed_(HistogramsEnabled()) {
+  explicit ScopedLatencyTimer(LocalHistogram* shard)
+      : shard_(shard), armed_(HistogramsEnabled()) {
     if (armed_) start_ = std::chrono::steady_clock::now();
   }
 
   ~ScopedLatencyTimer() {
     if (!armed_) return;
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
-    if (shard_ != nullptr) shard_->Record(us);
-    if (global_ != nullptr) global_->Record(us);
+    shard_->Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - start_)
+                       .count());
   }
 
   ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
@@ -282,7 +185,6 @@ class ScopedLatencyTimer {
 
  private:
   LocalHistogram* shard_;
-  Histogram* global_;
   bool armed_;
   std::chrono::steady_clock::time_point start_;
 };

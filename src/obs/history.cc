@@ -6,8 +6,6 @@
 
 #include "common/hash.h"
 #include "obs/json_reader.h"
-#include "obs/json_writer.h"
-#include "obs/trace.h"
 
 namespace delex {
 namespace obs {
@@ -21,114 +19,6 @@ constexpr std::string_view kEnvelopePrefix = "{\"crc\":\"";
 constexpr std::string_view kEnvelopeMid = "\",\"rec\":";
 constexpr size_t kRecOffset = 32;
 constexpr size_t kMinLineSize = kRecOffset + 3;  // "{}" rec + final '}'
-
-std::string RecordBody(const HistoryRecord& r) {
-  JsonWriter json;
-  json.BeginObject();
-  json.KV("gen", r.gen);
-  if (r.shard >= 0) json.KV("shard", r.shard);
-  json.KV("solution", r.solution);
-  if (!r.tag.empty()) json.KV("tag", r.tag);
-  json.KV("warmup", r.warmup);
-  json.KV("threads", r.threads);
-  json.KV("num_shards", r.num_shards);
-  json.KV("fast_path", r.fast_path);
-  if (!r.assignment.empty()) json.KV("assignment", r.assignment);
-  json.KV("pages", r.pages);
-  json.KV("pages_identical", r.pages_identical);
-  json.KV("result_tuples", r.result_tuples);
-  json.Key("phases")
-      .BeginObject()
-      .KV("match_us", r.match_us)
-      .KV("extract_us", r.extract_us)
-      .KV("copy_us", r.copy_us)
-      .KV("opt_us", r.opt_us)
-      .KV("capture_us", r.capture_us)
-      .KV("total_us", r.total_us)
-      .KV("others_us", r.others_us)
-      .KV("phase_drift_us", r.phase_drift_us)
-      .EndObject();
-  json.Key("counters")
-      .BeginObject()
-      .KV("demote_result_cache", r.demote_result_cache)
-      .KV("demote_missing_group", r.demote_missing_group)
-      .KV("decode_copy_groups", r.decode_copy_groups)
-      .KV("reuse_corrupt_drops", r.reuse_corrupt_drops)
-      .KV("trace_dropped_events", r.trace_dropped_events)
-      .EndObject();
-  if (r.has_optimizer) {
-    json.Key("optimizer").BeginObject();
-    if (r.predicted_total_us >= 0) {
-      json.KV("predicted_total_us", r.predicted_total_us);
-    }
-    if (r.cost_drift >= 0) json.KV("cost_drift", r.cost_drift);
-    if (!r.decisions.empty()) {
-      json.Key("decisions").BeginArray();
-      for (const OptimizerReport::UnitDecision& d : r.decisions) {
-        WriteUnitDecision(d, &json);
-      }
-      json.EndArray();
-    }
-    json.EndObject();
-  }
-  if (!r.units.empty()) {
-    json.Key("units").BeginArray();
-    for (const HistoryRecord::UnitSummary& u : r.units) {
-      json.BeginObject().KV("matcher", u.matcher);
-      if (u.predicted_us >= 0) json.KV("predicted_us", u.predicted_us);
-      json.KV("actual_us", u.actual_us).EndObject();
-    }
-    json.EndArray();
-  }
-  if (!r.shards.empty()) {
-    json.Key("shards").BeginArray();
-    for (const RunReportMeta::ShardSummary& s : r.shards) {
-      json.BeginObject()
-          .KV("shard", s.shard)
-          .KV("pages", s.pages)
-          .KV("pages_identical", s.pages_identical)
-          .KV("result_tuples", s.result_tuples)
-          .KV("total_us", s.total_us)
-          .KV("reuse_corrupt_drops", s.reuse_corrupt_drops);
-      if (!s.assignment.empty()) json.KV("assignment", s.assignment);
-      if (s.cost_drift >= 0) json.KV("cost_drift", s.cost_drift);
-      json.EndObject();
-    }
-    json.EndArray();
-  }
-  if (r.has_resources) {
-    json.Key("resources").BeginObject();
-    json.KV("rss_bytes", r.resources.rss_bytes);
-    json.KV("vm_bytes", r.resources.vm_bytes);
-    json.KV("peak_rss_bytes", r.resources.peak_rss_bytes);
-    json.KV("tracked_bytes", r.resources.tracked_bytes);
-    json.KV("tracked_peak_bytes", r.resources.tracked_peak_bytes);
-    json.Key("subsystems").BeginArray();
-    for (const ResourceUsage::Subsystem& sub : r.resources.subsystems) {
-      json.BeginObject()
-          .KV("tag", sub.tag)
-          .KV("current_bytes", sub.current_bytes)
-          .KV("peak_bytes", sub.peak_bytes)
-          .EndObject();
-    }
-    json.EndArray();
-    if (r.profile_samples > 0) {
-      json.KV("profile_samples", r.profile_samples);
-      json.KV("profile_lost", r.profile_lost);
-      json.Key("top_spans").BeginArray();
-      for (const SpanSelfSample& sample : r.top_spans) {
-        json.BeginObject()
-            .KV("span", sample.span)
-            .KV("self_samples", sample.self_samples)
-            .EndObject();
-      }
-      json.EndArray();
-    }
-    json.EndObject();
-  }
-  json.EndObject();
-  return json.TakeString();
-}
 
 bool ParseHex16(std::string_view hex, uint64_t* out) {
   *out = 0;
@@ -160,6 +50,13 @@ void ParseDecision(const JsonValue& v, OptimizerReport::UnitDecision* d) {
   d->a = in.At("a").NumberOr(0);
   d->l = in.At("l").NumberOr(0);
   d->history_window = static_cast<int>(in.At("history").IntOr(0));
+}
+
+// The run-report key's value when present, else the key a pre-v9
+// history body used for the same field.
+const JsonValue& KeyOr(const JsonValue& v, std::string_view key,
+                       std::string_view old_key) {
+  return v.Has(key) ? v.At(key) : v.At(old_key);
 }
 
 void ParseShardRow(const JsonValue& v, RunReportMeta::ShardSummary* s) {
@@ -233,95 +130,7 @@ void NoteDrop(HistoryLoadInfo* info, const Status& why) {
 
 }  // namespace
 
-HistoryRecord MakeHistoryRecord(const RunReportMeta& meta,
-                                const RunStats& stats,
-                                const OptimizerReport& optimizer,
-                                const std::string& assignment) {
-  HistoryRecord r;
-  r.gen = meta.generation;
-  r.solution = meta.solution;
-  r.tag = meta.tag;
-  r.warmup = meta.warmup;
-  r.threads = meta.num_threads;
-  r.num_shards = meta.num_shards;
-  r.fast_path = meta.fast_path_enabled;
-  r.assignment = assignment;
-
-  r.pages = stats.pages;
-  r.pages_identical = stats.pages_identical;
-  r.result_tuples = stats.result_tuples;
-
-  const PhaseBreakdown& phases = stats.phases;
-  r.match_us = phases.match_us;
-  r.extract_us = phases.extract_us;
-  r.copy_us = phases.copy_us;
-  r.opt_us = phases.opt_us;
-  r.capture_us = phases.capture_us;
-  r.total_us = phases.total_us;
-  r.others_us = phases.OthersUs();
-  r.phase_drift_us = phases.phase_drift_us;
-
-  r.demote_result_cache = stats.fast_path_demote_result_cache;
-  r.demote_missing_group = stats.fast_path_demote_missing_group;
-  r.decode_copy_groups = stats.fast_path_decode_copy_groups;
-  r.reuse_corrupt_drops = stats.reuse_corrupt_drops;
-  r.trace_dropped_events = TraceRecorder::Global().DroppedEventCount();
-
-  r.has_optimizer = optimizer.has_optimizer;
-  r.predicted_total_us = optimizer.predicted_total_us;
-  r.cost_drift = optimizer.cost_drift;
-  r.decisions = optimizer.decisions;
-
-  // The executed plan labels every unit even when the optimizer block is
-  // absent (warm-up runs report no unit_matchers): fall back to the
-  // assignment string when it is one plain comma-separated plan covering
-  // every unit, so a diff against a warm-up generation can still detect
-  // matcher switches. A '|'-joined per-shard plan list is not per-unit
-  // and is left alone.
-  std::vector<std::string> plan;
-  if (optimizer.unit_matchers.empty() && !assignment.empty() &&
-      assignment.find('|') == std::string::npos) {
-    size_t start = 0;
-    while (start <= assignment.size()) {
-      size_t comma = assignment.find(',', start);
-      if (comma == std::string::npos) comma = assignment.size();
-      plan.push_back(assignment.substr(start, comma - start));
-      start = comma + 1;
-    }
-    if (plan.size() != stats.units.size()) plan.clear();
-  }
-
-  for (size_t u = 0; u < stats.units.size(); ++u) {
-    HistoryRecord::UnitSummary unit;
-    if (u < optimizer.unit_matchers.size()) {
-      unit.matcher = optimizer.unit_matchers[u];
-    } else if (u < plan.size()) {
-      unit.matcher = plan[u];
-    }
-    if (u < optimizer.predicted_unit_us.size()) {
-      unit.predicted_us = optimizer.predicted_unit_us[u];
-    }
-    const UnitRunStats& s = stats.units[u];
-    unit.actual_us = static_cast<double>(s.match_us + s.extract_us +
-                                         s.copy_us + s.capture_us);
-    r.units.push_back(std::move(unit));
-  }
-
-  if (meta.num_shards > 1) r.shards = meta.shards;
-
-  // Layer-4 resource view: sample the process and freeze the tagged
-  // peaks/profiler rollup into the generation's record.
-  r.has_resources = true;
-  r.resources = CollectResourceUsage();
-  SpanProfiler& profiler = SpanProfiler::Global();
-  r.profile_samples = profiler.TotalSamples();
-  r.profile_lost = profiler.LostSamples();
-  if (r.profile_samples > 0) r.top_spans = profiler.TopSelfSamples(10);
-  return r;
-}
-
-std::string HistoryStore::FormatLine(const HistoryRecord& rec) {
-  std::string body = RecordBody(rec);
+std::string HistoryStore::FrameLine(std::string_view body) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(Fnv1a64(body)));
@@ -357,11 +166,10 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
   if (!v.is_object()) {
     return Status::Corruption("history record: not a JSON object");
   }
-  rec->gen = static_cast<int>(v.At("gen").IntOr(-1));
+  rec->gen = static_cast<int>(KeyOr(v, "generation", "gen").IntOr(-1));
   if (rec->gen < 0) {
     return Status::Corruption("history record: missing generation");
   }
-  rec->shard = static_cast<int>(v.At("shard").IntOr(-1));
   rec->solution = v.At("solution").StringOr("");
   rec->tag = v.At("tag").StringOr("");
   rec->warmup = v.At("warmup").BoolOr(false);
@@ -383,12 +191,20 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
   rec->others_us = phases.At("others_us").IntOr(0);
   rec->phase_drift_us = phases.At("phase_drift_us").IntOr(0);
 
-  const JsonValue& counters = v.At("counters");
+  if (v.Has("reader")) {
+    rec->reader_busy_us = v.At("reader").At("busy_us").IntOr(0);
+    rec->reader_wait_us = v.At("reader").At("wait_us").IntOr(0);
+  }
+  rec->identical_runs = v.At("identical_runs").IntOr(-1);
+
+  const JsonValue& counters = KeyOr(v, "fast_path_counters", "counters");
   rec->demote_result_cache = counters.At("demote_result_cache").IntOr(0);
   rec->demote_missing_group = counters.At("demote_missing_group").IntOr(0);
   rec->decode_copy_groups = counters.At("decode_copy_groups").IntOr(0);
   rec->reuse_corrupt_drops = counters.At("reuse_corrupt_drops").IntOr(0);
-  rec->trace_dropped_events = counters.At("trace_dropped_events").IntOr(0);
+  rec->trace_dropped_events =
+      v.Has("trace") ? v.At("trace").At("dropped_events").IntOr(0)
+                     : v.At("counters").At("trace_dropped_events").IntOr(0);
 
   if (v.Has("optimizer")) {
     const JsonValue& opt = v.At("optimizer");
@@ -429,9 +245,15 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
       sub.peak_bytes = row.At("peak_bytes").IntOr(0);
       rec->resources.subsystems.push_back(std::move(sub));
     }
-    rec->profile_samples = res.At("profile_samples").IntOr(0);
-    rec->profile_lost = res.At("profile_lost").IntOr(0);
-    for (const JsonValue& row : res.At("top_spans").array) {
+    // The run report nests the profiler rollup; pre-v9 history bodies
+    // kept it flat in the resources block.
+    const bool nested = res.Has("profile");
+    const JsonValue& profile = nested ? res.At("profile") : res;
+    rec->profile_samples =
+        profile.At(nested ? "total_samples" : "profile_samples").IntOr(0);
+    rec->profile_lost =
+        profile.At(nested ? "lost_samples" : "profile_lost").IntOr(0);
+    for (const JsonValue& row : profile.At("top_spans").array) {
       SpanSelfSample sample;
       sample.span = row.At("span").StringOr("");
       sample.self_samples = row.At("self_samples").IntOr(0);
@@ -442,8 +264,8 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
   return Status::OK();
 }
 
-Status HistoryStore::Append(const HistoryRecord& rec) {
-  std::string line = FormatLine(rec);
+Status HistoryStore::Append(std::string_view body) {
+  std::string line = FrameLine(body);
   if (options_.retain_gens > 0) {
     // Compacting append: keep the newest retain_gens records (including
     // this one), drop anything that no longer verifies, and replace the

@@ -3,10 +3,15 @@
 
 // Generation-history store — observability layer 3 (memory across
 // generations). Run reports answer "what happened in this run"; the
-// history store answers "what changed across generations": one compact
+// history store answers "what changed across generations": one
 // checksummed record per completed generation, appended to
-// `work_dir/history.jsonl` at the end of every engine-backed run (and,
-// for sharded engines, a per-shard view in `shard<K>/history.jsonl`).
+// `work_dir/history.jsonl` at the end of every engine-backed run.
+//
+// The record body is the generation's run-report line (obs/run_report.h,
+// schema v9): RunSeries builds the line once and writes it bare to the
+// stats-JSON file and framed here, so the two never drift apart and
+// history carries every run-report block (phases, reader stage, io,
+// per-unit detail, shards, resources, optimizer decisions).
 //
 // Line framing — every line is an envelope with a fixed-offset header so
 // a checker can validate without parsing JSON first:
@@ -18,24 +23,15 @@
 // Append still lands on a fresh line (a torn tail without '\n' is
 // healed by prefixing one).
 //
-// Record shape (inner "rec" object; optional blocks omitted when empty):
-//   {"gen":2,"solution":"Delex","tag":"fig11-talk","warmup":false,
-//    "threads":4,"num_shards":1,"fast_path":true,"assignment":"ST,RU",
-//    "pages":N,"pages_identical":N,"result_tuples":N,
-//    "phases":{"match_us":..,"extract_us":..,"copy_us":..,"opt_us":..,
-//              "capture_us":..,"total_us":..,"others_us":..,
-//              "phase_drift_us":..},
-//    "counters":{"demote_result_cache":N,"demote_missing_group":N,
-//                "decode_copy_groups":N,"reuse_corrupt_drops":N,
-//                "trace_dropped_events":N},
-//    "optimizer":{"predicted_total_us":..,"cost_drift":..,
-//                 "decisions":[...]},
-//    "units":[{"matcher":"ST","predicted_us":..,"actual_us":..}],
-//    "shards":[{"shard":0,...,"assignment":"ST","cost_drift":..}]}
-// The decisions rows are exactly the run-report shapes (obs/run_report.h),
-// so the two artifacts stay diffable. Records written before schema v7
-// also carry "learning", "coeffs" and decision "gain"/"bias"/"samples";
-// the reader ignores them.
+// Reading: ParseLine fills a HistoryRecord — the fields delex_inspect
+// prints — from the run-report keys. Bodies written before v9 had a
+// history-only shape; where a run-report key is absent the reader takes
+// the old key instead ("gen", "counters.demote_*",
+// "counters.trace_dropped_events", "resources.profile_samples",
+// "resources.profile_lost", "resources.top_spans"), so stores from
+// earlier builds still load. Keys of the learned cost-coefficient layer
+// (before schema v7: "learning", "coeffs", decision "gain"/"bias"/
+// "samples") are ignored.
 //
 // Retention: Options::retain_gens > 0 compacts the file on Append to the
 // newest N records (atomic rewrite-and-rename); 0 keeps everything.
@@ -55,14 +51,14 @@
 namespace delex {
 namespace obs {
 
-/// File name of the store inside a work dir (and each shard<K>/ dir).
+/// File name of the store inside a work dir.
 inline constexpr const char* kHistoryFileName = "history.jsonl";
 
-/// \brief One generation's compact summary — the unit of history.
+/// \brief One generation's record as the readers see it: the run-report
+/// fields that delex_inspect prints.
 struct HistoryRecord {
   // Identity.
   int gen = 0;             ///< engine generation this run completed
-  int shard = -1;          ///< shard id for per-shard views; -1 = merged
   std::string solution;    ///< "Delex", "Cyclex", ...
   std::string tag;         ///< series tag (program/bench name)
   bool warmup = false;
@@ -86,6 +82,12 @@ struct HistoryRecord {
   int64_t others_us = 0;
   int64_t phase_drift_us = 0;
 
+  // Reader stage of the page pipeline (schema v8); -1 in records that
+  // predate it.
+  int64_t reader_busy_us = -1;
+  int64_t reader_wait_us = -1;
+  int64_t identical_runs = -1;
+
   // Degradation counters.
   int64_t demote_result_cache = 0;
   int64_t demote_missing_group = 0;
@@ -93,7 +95,7 @@ struct HistoryRecord {
   int64_t reuse_corrupt_drops = 0;
   int64_t trace_dropped_events = 0;
 
-  // Optimizer view (block omitted from the line when !has_optimizer).
+  // Optimizer view (has_optimizer: the line has an optimizer block).
   bool has_optimizer = false;
   double predicted_total_us = -1;
   double cost_drift = -1;
@@ -107,12 +109,12 @@ struct HistoryRecord {
   };
   std::vector<UnitSummary> units;
 
-  /// Per-shard rollup (merged records with num_shards > 1 only).
+  /// Per-shard rollup (records with num_shards > 1 only).
   std::vector<RunReportMeta::ShardSummary> shards;
 
-  /// Resource view at record time (v6 resources block; layer 4). Written
-  /// whenever has_resources — records from older stores parse with it
-  /// false, and delex_inspect mem reports them as pre-layer-4.
+  /// Resource view at record time (v6 resources block; layer 4). Records
+  /// from older stores parse with has_resources false, and delex_inspect
+  /// mem reports them as pre-layer-4.
   bool has_resources = false;
   ResourceUsage resources;
   /// Span-profiler rollup; top_spans empty when the profiler never ran.
@@ -121,18 +123,9 @@ struct HistoryRecord {
   std::vector<SpanSelfSample> top_spans;
 
   /// The framed line this record was parsed from (no trailing newline).
-  /// Filled by ParseLine/Load; empty on freshly built records. Lets the
-  /// compactor and the /history endpoint re-emit verified lines verbatim.
+  /// The compactor re-emits verified lines verbatim from it.
   std::string raw;
 };
-
-/// Builds the merged-view record for one completed run. `assignment` is
-/// the executed plan (may be set even when the optimizer block is absent,
-/// e.g. the uniform warm-up plan).
-HistoryRecord MakeHistoryRecord(const RunReportMeta& meta,
-                                const RunStats& stats,
-                                const OptimizerReport& optimizer,
-                                const std::string& assignment);
 
 /// \brief Reader diagnostics for one Load pass.
 struct HistoryLoadInfo {
@@ -154,10 +147,10 @@ class HistoryStore {
 
   const std::string& path() const { return path_; }
 
-  /// Appends one framed record (then compacts if retention is set). A
-  /// torn final line in the existing file is healed with a newline so
-  /// this record always starts a fresh line.
-  Status Append(const HistoryRecord& rec);
+  /// Frames `body` (a run-report line) and appends it, then compacts if
+  /// retention is set. A torn final line in the existing file is healed
+  /// with a newline so this record always starts a fresh line.
+  Status Append(std::string_view body);
 
   /// Loads every valid record, oldest first. Corrupt or out-of-order
   /// lines are counted into `info` (may be null) and skipped — a damaged
@@ -171,8 +164,8 @@ class HistoryStore {
                          std::vector<HistoryRecord>* out,
                          HistoryLoadInfo* info = nullptr);
 
-  /// Frames one record as an envelope line (no trailing newline).
-  static std::string FormatLine(const HistoryRecord& rec);
+  /// Frames one record body as an envelope line (no trailing newline).
+  static std::string FrameLine(std::string_view body);
 
   /// Parses one framed line (no newline). Any framing/checksum/JSON
   /// defect is Status::Corruption. On success fills rec->raw.

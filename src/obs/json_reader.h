@@ -2,10 +2,9 @@
 #define DELEX_OBS_JSON_READER_H_
 
 // Minimal JSON reader — the inverse of obs/json_writer.h, sized for the
-// observability artifacts this repo itself produces (history records,
-// run-report lines, metrics snapshots). Header-only so the history
-// reader, the introspection endpoints and the delex_inspect tool share
-// one parser without a new library.
+// observability artifacts this repo itself produces (run-report lines,
+// which history records frame). Header-only so the history reader and
+// the delex_inspect tool share one parser without a new library.
 //
 // Scope (deliberately small, not a general-purpose JSON library):
 //   - numbers are doubles (every count we serialize fits in the 2^53

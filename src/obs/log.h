@@ -167,8 +167,8 @@ struct Voidify {
 
 // ---- Crash-flush hooks -------------------------------------------------
 //
-// Observability sinks that buffer in memory (trace ring buffers, the
-// metrics snapshot writer) register a flush function here; the
+// Observability sinks that buffer in memory (the trace ring buffers)
+// register a flush function here; the
 // DELEX_CHECK failure path runs every hook before aborting so a crash
 // does not lose the buffers. Function pointers keep this header-only:
 // layers below the obs library (storage, text) use DELEX_CHECK without

@@ -5,16 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <thread>
-
-#include "common/annotations.h"
-#include "common/mutex.h"
-#include "obs/json_writer.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
+#include <utility>
 
 namespace delex {
 namespace obs {
@@ -48,23 +40,6 @@ int64_t PeakRssBytes() {
   return static_cast<int64_t>(usage.ru_maxrss) * 1024;
 }
 
-struct SamplerState {
-  Mutex mu{"obs.mem.sampler"};
-  CondVar cv;
-  std::thread thread DELEX_GUARDED_BY(mu);  // moved out under mu, joined outside
-  bool running DELEX_GUARDED_BY(mu) = false;
-  bool stop_requested DELEX_GUARDED_BY(mu) = false;
-  bool atexit_registered DELEX_GUARDED_BY(mu) = false;
-  std::atomic<int64_t> samples{0};
-};
-
-SamplerState& State() {
-  // Leaked: worker threads may outlive static destruction in crashing
-  // processes; Stop() is the orderly path (registered via atexit).
-  static SamplerState* state = new SamplerState;
-  return *state;
-}
-
 }  // namespace
 
 ResourceUsage CollectResourceUsage() {
@@ -82,136 +57,14 @@ ResourceUsage CollectResourceUsage() {
   usage.tracked_peak_bytes = MemTrackedPeak();
   ReadStatm(&usage.vm_bytes, &usage.rss_bytes);
   // getrusage and statm read different kernel accounting (per-thread rss
-  // counters are batched), so the reported peak can trail the live value
-  // by a few pages — clamp so peak >= current always holds for readers.
-  usage.peak_rss_bytes = std::max(PeakRssBytes(), usage.rss_bytes);
-
-  // Refresh the mem.* gauges so /metrics, /varz and snapshot JSONL all
-  // see the same numbers this collection saw. Pointers are cached —
-  // registration cost is paid once.
-  static Gauge* rss = MetricsRegistry::Global().GetGauge("mem.rss_bytes");
-  static Gauge* vm = MetricsRegistry::Global().GetGauge("mem.vm_bytes");
-  static Gauge* peak_rss =
-      MetricsRegistry::Global().GetGauge("mem.peak_rss_bytes");
-  static Gauge* tracked =
-      MetricsRegistry::Global().GetGauge("mem.tracked_bytes");
-  static Gauge* tracked_peak =
-      MetricsRegistry::Global().GetGauge("mem.tracked_peak_bytes");
-  rss->Set(usage.rss_bytes);
-  vm->Set(usage.vm_bytes);
-  peak_rss->Set(usage.peak_rss_bytes);
-  tracked->Set(usage.tracked_bytes);
-  tracked_peak->Set(usage.tracked_peak_bytes);
-  static Gauge* sub_gauges[kMemTagCount][2] = {};
-  for (int i = 0; i < kMemTagCount; ++i) {
-    if (sub_gauges[i][0] == nullptr) {
-      std::string base = std::string("mem.subsystem.");
-      std::string label = std::string("#tag=") +
-                          MemTagName(static_cast<MemTag>(i));
-      sub_gauges[i][0] = MetricsRegistry::Global().GetGauge(
-          base + "current_bytes" + label);
-      sub_gauges[i][1] =
-          MetricsRegistry::Global().GetGauge(base + "peak_bytes" + label);
-    }
-    sub_gauges[i][0]->Set(usage.subsystems[i].current_bytes);
-    sub_gauges[i][1]->Set(usage.subsystems[i].peak_bytes);
-  }
+  // counters are batched), so ru_maxrss can trail the live value by a few
+  // pages. The reported peak is the high-water of both across every
+  // collection, so peak >= current holds and the peak never falls.
+  static std::atomic<int64_t> reported_peak{0};
+  mem_internal::RaisePeak(reported_peak,
+                          std::max(PeakRssBytes(), usage.rss_bytes));
+  usage.peak_rss_bytes = reported_peak.load(std::memory_order_relaxed);
   return usage;
-}
-
-MemSampler& MemSampler::Global() {
-  static MemSampler sampler;
-  return sampler;
-}
-
-void MemSampler::Start(int interval_ms) {
-  if (interval_ms < 1) interval_ms = 1;
-  SamplerState& state = State();
-  MutexLock lock(&state.mu);
-  if (state.running) return;
-  state.stop_requested = false;
-  state.running = true;
-  if (!state.atexit_registered) {
-    state.atexit_registered = true;
-    std::atexit([] { MemSampler::Global().Stop(); });
-  }
-  state.thread = std::thread([interval_ms] {
-    SamplerState& s = State();
-    for (;;) {
-      // Collect with the lock dropped — gauge refreshes take the metrics
-      // registry lock and must not nest under the sampler's.
-      (void)CollectResourceUsage();
-      s.samples.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(&s.mu);
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(interval_ms);
-      bool timed_out = false;
-      while (!s.stop_requested && !timed_out) {
-        timed_out = s.cv.WaitUntil(&s.mu, deadline);
-      }
-      if (s.stop_requested) return;
-    }
-  });
-}
-
-void MemSampler::Stop() {
-  SamplerState& state = State();
-  std::thread to_join;
-  {
-    MutexLock lock(&state.mu);
-    if (!state.running) return;
-    state.stop_requested = true;
-    state.running = false;
-    to_join = std::move(state.thread);
-  }
-  state.cv.NotifyAll();
-  if (to_join.joinable()) to_join.join();
-}
-
-bool MemSampler::running() const {
-  SamplerState& state = State();
-  MutexLock lock(&state.mu);
-  return state.running;
-}
-
-int64_t MemSampler::sample_count() const {
-  return State().samples.load(std::memory_order_relaxed);
-}
-
-void MaybeStartMemSamplerFromEnv() {
-  const char* value = std::getenv("DELEX_MEM_SAMPLE_MS");
-  if (value == nullptr || *value == '\0') return;
-  int interval_ms = std::atoi(value);
-  if (interval_ms <= 0) return;
-  MemSampler::Global().Start(interval_ms);
-  DELEX_LOG(INFO) << "memory sampler started (every " << interval_ms
-                  << " ms)";
-}
-
-std::string MemzJson() {
-  ResourceUsage usage = CollectResourceUsage();
-  JsonWriter json;
-  json.BeginObject();
-  json.KV("rss_bytes", usage.rss_bytes);
-  json.KV("vm_bytes", usage.vm_bytes);
-  json.KV("peak_rss_bytes", usage.peak_rss_bytes);
-  json.KV("tracked_bytes", usage.tracked_bytes);
-  json.KV("tracked_peak_bytes", usage.tracked_peak_bytes);
-  json.KV("sampler_running", MemSampler::Global().running());
-  json.KV("sampler_samples", MemSampler::Global().sample_count());
-  json.Key("subsystems").BeginArray();
-  for (const ResourceUsage::Subsystem& sub : usage.subsystems) {
-    json.BeginObject();
-    json.KV("tag", sub.tag);
-    json.KV("current_bytes", sub.current_bytes);
-    json.KV("peak_bytes", sub.peak_bytes);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  std::string out = json.TakeString();
-  out += '\n';
-  return out;
 }
 
 }  // namespace obs

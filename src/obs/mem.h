@@ -2,7 +2,7 @@
 #define DELEX_OBS_MEM_H_
 
 // Observability layer 4, memory side: tagged per-subsystem byte accounting
-// plus a background process sampler (/proc/self/statm + getrusage).
+// plus an on-demand process reading (/proc/self/statm + getrusage).
 //
 // The accounting core is header-only for the same reason trace.h is: the
 // charge sites live in storage, text and common, none of which link the
@@ -14,9 +14,9 @@
 //   obs::ScopedMemCharge mem_{obs::MemTag::kSnapshot};
 //   mem_.Set(bytes_now_owned);   // re-charge the delta on growth
 //
-// The process sampler, gauge export (`mem.*`), /memz JSON and the run
-// report `resources` block live in mem.cc (MemSampler, MemzJson,
-// CollectResourceUsage) — see obs/export.h for the HTTP surface.
+// CollectResourceUsage (mem.cc) combines the tags with the process
+// reading; it feeds the run report's `resources` block, which history
+// keeps and delex_inspect mem reads.
 
 #include <atomic>
 #include <cstdint>
@@ -179,8 +179,8 @@ class ScopedMemCharge {
 };
 
 /// \brief Point-in-time resource view: every tagged subsystem plus the
-/// process counters the sampler maintains. Feeds /memz, /statusz, the run
-/// report `resources` block and delex_inspect mem.
+/// process counters. Feeds the run report `resources` block and
+/// delex_inspect mem.
 struct ResourceUsage {
   struct Subsystem {
     std::string tag;
@@ -190,39 +190,16 @@ struct ResourceUsage {
   std::vector<Subsystem> subsystems;   // MemTag order
   int64_t tracked_bytes = 0;           // sum of live tagged bytes
   int64_t tracked_peak_bytes = 0;      // high-water mark of that sum
-  int64_t rss_bytes = 0;               // /proc/self/statm resident, sampled
-  int64_t vm_bytes = 0;                // /proc/self/statm size, sampled
+  int64_t rss_bytes = 0;               // /proc/self/statm resident
+  int64_t vm_bytes = 0;                // /proc/self/statm size
   int64_t peak_rss_bytes = 0;          // getrusage ru_maxrss
 };
 
-// ----- everything below is implemented in mem.cc (links delex_obs) -----
+// ----- implemented in mem.cc (links delex_obs) -----
 
-/// Reads /proc/self/statm + getrusage right now, refreshes the `mem.*`
-/// gauges, and returns the combined view. Safe without the sampler.
+/// Reads /proc/self/statm + getrusage right now and returns the combined
+/// view with every tag's current and peak bytes.
 ResourceUsage CollectResourceUsage();
-
-/// \brief Background sampler: refreshes process RSS/VM gauges every
-/// `interval_ms` so exporters and /statusz see fresh numbers without a
-/// collector in the hot path. Start is idempotent; Stop joins the thread.
-class MemSampler {
- public:
-  static MemSampler& Global();
-  void Start(int interval_ms);
-  void Stop();
-  bool running() const;
-  /// Samples observed since Start (tests: peak monotonicity).
-  int64_t sample_count() const;
-
- private:
-  MemSampler() = default;
-};
-
-/// Starts the sampler when DELEX_MEM_SAMPLE_MS is set (interval in ms;
-/// "0" disables). Called from MaybeStartExportersFromEnv.
-void MaybeStartMemSamplerFromEnv();
-
-/// /memz payload: the ResourceUsage as one JSON object.
-std::string MemzJson();
 
 }  // namespace obs
 }  // namespace delex

@@ -18,26 +18,6 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
-  MutexLock lock(&mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    auto gauge = std::unique_ptr<Gauge>(new Gauge(std::string(name)));
-    it = gauges_.emplace(std::string(name), std::move(gauge)).first;
-  }
-  return it->second.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  MutexLock lock(&mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    auto hist = std::unique_ptr<Histogram>(new Histogram(std::string(name)));
-    it = histograms_.emplace(std::string(name), std::move(hist)).first;
-  }
-  return it->second.get();
-}
-
 std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Snapshot() const {
   MutexLock lock(&mu_);
   std::vector<std::pair<std::string, int64_t>> out;
@@ -48,29 +28,9 @@ std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-MetricsSnapshot MetricsRegistry::FullSnapshot() const {
-  MutexLock lock(&mu_);
-  MetricsSnapshot out;
-  out.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.counters.emplace_back(name, counter->value());
-  }
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    out.gauges.emplace_back(name, gauge->value());
-  }
-  out.histograms.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    out.histograms.emplace_back(name, hist->Snapshot());
-  }
-  return out;
-}
-
 void MetricsRegistry::ResetAll() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 }  // namespace obs

@@ -1,19 +1,17 @@
 #ifndef DELEX_OBS_METRICS_H_
 #define DELEX_OBS_METRICS_H_
 
-// Process-wide metrics registry: named monotone counters, point-in-time
-// gauges and log-bucketed histograms, registered lazily at first use and
-// snapshotted into every run report / exposition scrape.
+// Process-wide metrics registry: named monotone counters, registered
+// lazily at first use and snapshotted into every run report.
 //
 //   static obs::Counter* demotions =
 //       obs::MetricsRegistry::Global().GetCounter("engine.fast_path.demotions");
 //   demotions->Increment();
 //
-// Counters and gauges are relaxed atomics, histograms are lock-free —
-// safe from any thread, negligible cost. Registration takes a
-// mutex-guarded map lookup on every call, so hot paths must cache the
-// returned pointer (function-local static); the pointers stay valid
-// until process exit.
+// Counters are relaxed atomics — safe from any thread, negligible cost.
+// Registration takes a mutex-guarded map lookup on every call, so hot
+// paths must cache the returned pointer (function-local static); the
+// pointers stay valid until process exit.
 
 #include <atomic>
 #include <cstdint>
@@ -26,7 +24,6 @@
 
 #include "common/annotations.h"
 #include "common/mutex.h"
-#include "obs/histogram.h"
 
 namespace delex {
 namespace obs {
@@ -50,35 +47,7 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief One named point-in-time value (generation number, listen port,
-/// queue depth). Same lifetime rules as Counter.
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
-  std::string name_;
-  std::atomic<int64_t> value_{0};
-};
-
-/// \brief Deterministic (name-sorted) view of every metric in the
-/// registry — what exporters render and the snapshot writer serializes.
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<std::pair<std::string, LocalHistogram>> histograms;
-};
-
-/// \brief Registry of all counters, gauges and histograms in the process.
+/// \brief Registry of all counters in the process.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -86,19 +55,10 @@ class MetricsRegistry {
   /// Returns the counter named `name`, creating it on first use.
   Counter* GetCounter(std::string_view name);
 
-  /// Returns the gauge named `name`, creating it on first use.
-  Gauge* GetGauge(std::string_view name);
-
-  /// Returns the histogram named `name`, creating it on first use.
-  Histogram* GetHistogram(std::string_view name);
-
   /// Counter name→value snapshot, sorted by name (run-report order).
   std::vector<std::pair<std::string, int64_t>> Snapshot() const;
 
-  /// Everything — counters, gauges, histogram snapshots — sorted by name.
-  MetricsSnapshot FullSnapshot() const;
-
-  /// Zeroes every metric (tests and per-process report baselines).
+  /// Zeroes every counter (tests and per-process report baselines).
   void ResetAll();
 
  private:
@@ -106,10 +66,6 @@ class MetricsRegistry {
 
   mutable Mutex mu_{"obs.metrics.registry"};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      DELEX_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      DELEX_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       DELEX_GUARDED_BY(mu_);
 };
 

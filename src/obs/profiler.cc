@@ -12,7 +12,6 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace delex {
@@ -117,7 +116,6 @@ struct ProfilerState {
   mutable Mutex mu{"obs.profiler"};
   bool running DELEX_GUARDED_BY(mu) = false;
   bool atexit_registered DELEX_GUARDED_BY(mu) = false;
-  int hz DELEX_GUARDED_BY(mu) = 0;
   std::string folded_path DELEX_GUARDED_BY(mu);
   struct sigaction previous_action DELEX_GUARDED_BY(mu) = {};
 };
@@ -177,17 +175,6 @@ Status WriteFoldedFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
-void PublishProfilerGauges(int hz_value) {
-  static Gauge* total =
-      MetricsRegistry::Global().GetGauge("profile.samples");
-  static Gauge* lost =
-      MetricsRegistry::Global().GetGauge("profile.lost_samples");
-  static Gauge* hz = MetricsRegistry::Global().GetGauge("profile.hz");
-  total->Set(g_total_samples.load(std::memory_order_relaxed));
-  lost->Set(g_lost_samples.load(std::memory_order_relaxed));
-  hz->Set(hz_value);
-}
-
 }  // namespace
 
 SpanProfiler& SpanProfiler::Global() {
@@ -203,7 +190,6 @@ Status SpanProfiler::Start(int hz, const std::string& folded_path) {
   if (state.running) {
     return Status::InvalidArgument("profiler already running");
   }
-  state.hz = hz;
   state.folded_path = folded_path;
 
   struct sigaction action;
@@ -258,7 +244,6 @@ Status SpanProfiler::Stop() {
   trace_internal::SetSpanHook(trace_internal::kHookProfile, false);
   sigaction(SIGPROF, &state.previous_action, nullptr);
 
-  PublishProfilerGauges(state.hz);
   Status status = Status::OK();
   if (!state.folded_path.empty()) {
     std::vector<FoldedLine> lines = SnapshotFolded();

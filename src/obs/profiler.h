@@ -15,8 +15,8 @@
 //   DELEX_PROFILE=/tmp/delex.folded DELEX_PROFILE_HZ=97 ./run_experiment …
 //   flamegraph.pl /tmp/delex.folded > flame.svg
 //
-// DELEX_PROFILE=1 profiles without writing a file (scrape /profilez or
-// read the run report's resources.profile block instead). Sampling uses
+// DELEX_PROFILE=1 profiles without writing a file (read the run report's
+// resources.profile block instead). Sampling uses
 // ITIMER_PROF, so ticks land on whichever thread is burning CPU and the
 // sample distribution approximates self-time. The profiler is process-
 // global and off by default; when off, span cost is unchanged (one
@@ -68,7 +68,7 @@ class SpanProfiler {
   /// Ticks dropped because the table was full or a slot was mid-claim.
   int64_t LostSamples() const;
 
-  /// Drops all samples (only while stopped; tests and /profilez?reset).
+  /// Drops all samples (only while stopped; tests).
   void ClearForTesting();
 
  private:

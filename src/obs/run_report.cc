@@ -35,8 +35,6 @@ void WriteLatencySummary(const char* key, const LocalHistogram& hist,
       .EndObject();
 }
 
-}  // namespace
-
 void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
                        JsonWriter* json) {
   json->BeginObject()
@@ -60,6 +58,8 @@ void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
   json->EndObject();
 }
 
+}  // namespace
+
 std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
                           const OptimizerReport& optimizer) {
   JsonWriter json;
@@ -74,6 +74,7 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
   json.KV("histograms", meta.histograms_enabled);
   json.KV("num_shards", meta.num_shards);
   if (meta.generation >= 0) json.KV("generation", meta.generation);
+  if (!meta.assignment.empty()) json.KV("assignment", meta.assignment);
   if (meta.num_shards > 1 && !meta.shards.empty()) {
     json.Key("shards").BeginArray();
     for (const RunReportMeta::ShardSummary& shard : meta.shards) {
@@ -277,17 +278,14 @@ Status RunReportWriter::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status RunReportWriter::Append(const RunReportMeta& meta, const RunStats& stats,
-                               const OptimizerReport& optimizer) {
+Status RunReportWriter::Append(std::string_view line) {
   if (file_ == nullptr) {
     return Status::InvalidArgument("run report writer not open");
   }
-  std::string line = RunReportLine(meta, stats, optimizer);
-  line += '\n';
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return Status::IOError("short write to run report file " + path_);
-  }
-  std::fflush(file_);
+  bool ok = std::fwrite(line.data(), 1, line.size(), file_) == line.size();
+  ok = std::fputc('\n', file_) != EOF && ok;
+  ok = std::fflush(file_) == 0 && ok;
+  if (!ok) return Status::IOError("short write to run report file " + path_);
   return Status::OK();
 }
 

@@ -2,20 +2,23 @@
 #define DELEX_OBS_RUN_REPORT_H_
 
 // Versioned, machine-readable per-snapshot run report (JSONL: one JSON
-// object per line, one line per snapshot run). This is the artifact a
-// regression gate diffs: it snapshots RunStats (per-unit counters and
-// phase timers), IoStats, the optimizer's decisions (chosen matcher per
-// IE unit, predicted cost vs. measured microseconds — the Figure 11/12
+// object per line, one line per snapshot run). This is the one run
+// record: it snapshots RunStats (per-unit counters and phase timers),
+// IoStats, the optimizer's decisions (chosen matcher per IE unit,
+// predicted cost vs. measured microseconds — the Figure 11/12
 // decomposition from a single file), fast-path hit counters, thread-count
-// metadata, and the process metrics registry.
+// metadata, and the process counter registry.
 //
-// Producers: RunSeries (src/harness) writes a line per snapshot when
-// --stats-json / DELEX_STATS_JSON is set; tests build lines directly.
+// Producers: RunSeries (src/harness) builds one line per snapshot run and
+// hands it to two sinks — bare to the --stats-json / DELEX_STATS_JSON
+// file, and framed as the body of the generation-history record in an
+// engine's work dir (obs/history.h). Tests build lines directly.
 //
 // Schema line shape (keys stable; additions bump the version):
-//   {"schema_version":4,"solution":"Delex","snapshot":2,"warmup":false,
-//    "threads":4,"fast_path":true,"histograms":true,"num_shards":1,
-//    "tag":"fig11-talk",
+//   {"schema_version":9,"solution":"Delex","tag":"fig11-talk",
+//    "snapshot":2,"warmup":false,"threads":4,"fast_path":true,
+//    "histograms":true,"num_shards":1,"generation":2,
+//    "assignment":"ST,RU",                          // v9
 //    "pages":N,"pages_with_previous":N,"pages_identical":N,
 //    "result_tuples":N,"raw_bytes_copied":N,"records_decoded_skipped":N,
 //    "identical_runs":N,"reader":{"busy_us":..,"wait_us":..},  // v8
@@ -103,10 +106,18 @@
 // "identical_runs" (runs of identical pages relocated as one pipeline
 // entry each) and "reader":{"busy_us":..,"wait_us":..} (the reader
 // thread's wall clock, busy and blocked, summed across shards).
+//
+// v8 → v9: one run record. The line is also the body of every
+// history.jsonl record, which used to have its own shape. The meta block
+// gains "assignment", the executed plan as Solution::LastAssignment gives
+// it ("ST,RU"; per-shard plans '|'-joined when the shards disagree;
+// omitted for plan-less baselines), and warm-up lines now name each
+// unit's executed "matcher" (the uniform plan the warm-up ran).
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,7 +127,7 @@
 namespace delex {
 namespace obs {
 
-inline constexpr int kRunReportSchemaVersion = 8;
+inline constexpr int kRunReportSchemaVersion = 9;
 
 /// \brief Run identity and execution-environment metadata for one line.
 struct RunReportMeta {
@@ -137,6 +148,10 @@ struct RunReportMeta {
   /// baselines, which omit the field.
   int generation = -1;
 
+  /// The executed plan, Solution::LastAssignment (v9); empty for
+  /// plan-less baselines, which omit the field.
+  std::string assignment;
+
   /// Per-shard rollup emitted as the "shards" array when num_shards > 1
   /// (v4). The top-level stats blocks carry the merged view.
   struct ShardSummary {
@@ -156,8 +171,10 @@ struct RunReportMeta {
 
 /// \brief The optimizer's decisions for one run, when a plan was chosen.
 struct OptimizerReport {
-  bool has_optimizer = false;  ///< engine-backed solution (plan exists)
-  /// Assigned matcher name per IE unit ("DN"/"UD"/"ST"/"RU").
+  /// A plan was chosen for this run: engine-backed and past the warm-up.
+  bool has_optimizer = false;
+  /// Executed matcher name per IE unit ("DN"/"UD"/"ST"/"RU"); filled for
+  /// every engine-backed run, warm-up included.
   std::vector<std::string> unit_matchers;
   /// Cost-model estimate per unit (µs), aligned with unit_matchers;
   /// empty when no statistics were available (warm-up, forced plans).
@@ -189,19 +206,11 @@ struct OptimizerReport {
   std::vector<UnitDecision> decisions;
 };
 
-class JsonWriter;
-
-/// Serializes one audited decision — shared by the run-report writer and
-/// the generation-history store so the two artifacts stay field-for-field
-/// diffable.
-void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
-                       JsonWriter* json);
-
 /// \brief Builds one JSONL line (no trailing newline).
 std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
                           const OptimizerReport& optimizer);
 
-/// \brief Appends run-report lines to a JSONL file.
+/// \brief Appends run-report lines to a JSONL file, bare.
 class RunReportWriter {
  public:
   RunReportWriter() = default;
@@ -214,8 +223,8 @@ class RunReportWriter {
   /// solutions and series in one process share a report file.
   Status Open(const std::string& path);
 
-  Status Append(const RunReportMeta& meta, const RunStats& stats,
-                const OptimizerReport& optimizer);
+  /// Writes `line` (a RunReportLine) plus a newline and flushes it.
+  Status Append(std::string_view line);
 
   Status Close();
 

@@ -1,26 +1,8 @@
 #include "optimizer/optimizer.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace delex {
-
-namespace {
-
-/// Planning latency (stats collection and plan search are the two pieces
-/// of the paper's optimizer overhead — "Opt" in Figure 11).
-obs::Histogram* ObserveHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("optimizer.observe_us");
-  return hist;
-}
-obs::Histogram* ChooseHistogram() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().GetHistogram("optimizer.choose_us");
-  return hist;
-}
-
-}  // namespace
 
 Optimizer::Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
                      Options options)
@@ -33,7 +15,6 @@ Status Optimizer::ObserveSnapshotPair(const SnapshotView& current,
                                       const SnapshotView& previous,
                                       uint64_t seed, ThreadPool* pool) {
   DELEX_TRACE_SPAN("opt_observe_pair", static_cast<int64_t>(seed), "optimizer");
-  obs::ScopedLatencyTimer latency(nullptr, ObserveHistogram());
   DELEX_ASSIGN_OR_RETURN(
       CostModelStats stats,
       CollectStats(plan_, analysis_, current, previous, options_.collector,
@@ -56,7 +37,6 @@ Result<CostModelStats> Optimizer::Averaged() {
 
 Result<MatcherAssignment> Optimizer::ChooseAssignment(double* estimated_cost) {
   DELEX_TRACE_SPAN("opt_choose_assignment", obs::kTraceNoArg, "optimizer");
-  obs::ScopedLatencyTimer latency(nullptr, ChooseHistogram());
   DELEX_RETURN_NOT_OK(Averaged().status());
   PlanSearch search(averaged_, chains_);
   double chosen_cost = 0;

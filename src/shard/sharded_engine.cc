@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/value.h"
-#include "obs/histogram.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,12 +15,10 @@ namespace shard {
 
 namespace {
 
-/// Per-shard metrics, shard id as a label. Names use the registry's
-/// `base#key=value` convention; the Prometheus renderer turns the suffix
-/// into real labels (`delex_shard_pages_total{shard="3"}`). These are
-/// resolved per run, not cached in statics — the names are dynamic and a
-/// snapshot run amortizes one map lookup over thousands of pages.
-void PublishShardStats(int k, const RunStats& stats, int generation) {
+/// Per-shard counters, named `base#shard=K`. These are resolved per run,
+/// not cached in statics — the names are dynamic and a snapshot run
+/// amortizes one map lookup over thousands of pages.
+void PublishShardStats(int k, const RunStats& stats) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const std::string label = "#shard=" + std::to_string(k);
   reg.GetCounter("shard.pages" + label)->Increment(stats.pages);
@@ -32,11 +29,6 @@ void PublishShardStats(int k, const RunStats& stats, int generation) {
   reg.GetCounter("shard.reuse_corrupt_drops" + label)
       ->Increment(stats.reuse_corrupt_drops);
   reg.GetCounter("shard.total_us" + label)->Increment(stats.phases.total_us);
-  reg.GetGauge("shard.generation" + label)->Set(generation);
-  if (obs::HistogramsEnabled()) {
-    reg.GetHistogram("shard.page_eval_us" + label)
-        ->MergeFrom(stats.page_eval_hist);
-  }
 }
 
 }  // namespace
@@ -73,8 +65,6 @@ Status ShardedEngine::Init() {
     DELEX_RETURN_NOT_OK(engine->Init());
     shards_.push_back(std::move(engine));
   }
-  obs::MetricsRegistry::Global().GetGauge("shard.count")
-      ->Set(options_.num_shards);
   DELEX_LOG(INFO) << "sharded engine initialized: " << options_.num_shards
                   << " shards, pool=" << pool_width
                   << " threads, work_dir=" << options_.work_dir;
@@ -220,12 +210,8 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
       stats->phases.capture_us += per_shard[k].phases.capture_us;
     }
   }
-  const int gen = generation();
   for (size_t k = 0; k < n; ++k) {
-    PublishShardStats(static_cast<int>(k), per_shard[k], gen);
-    obs::MetricsRegistry::Global()
-        .GetGauge("mem.shard.snapshot_bytes#shard=" + std::to_string(k))
-        ->Set(routes[k].TotalBytes());
+    PublishShardStats(static_cast<int>(k), per_shard[k]);
   }
   {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -233,7 +219,6 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
         ->Increment(static_cast<int64_t>(current.pages().size()));
     reg.GetCounter("shard.merged.result_tuples")
         ->Increment(static_cast<int64_t>(merged_rows.size()));
-    reg.GetGauge("shard.merged.generation")->Set(gen);
   }
   if (shard_stats != nullptr) {
     shard_stats->per_shard = std::move(per_shard);

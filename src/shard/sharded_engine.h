@@ -37,8 +37,8 @@ namespace shard {
 /// by page, pages carry global dids, so a cursor per shard reproduces the
 /// unsharded row order byte for byte) and folds per-shard RunStats into
 /// one merged view via RunStats::MergeFrom + histogram folding. Per-shard
-/// stats are also published to the metrics registry with the shard id as
-/// a label (`shard.pages#shard=K` → Prometheus `delex_shard_pages_total{shard="K"}`).
+/// stats are also counted in the metrics registry under the shard id
+/// (`shard.pages#shard=K`), which every run report snapshots.
 class ShardedEngine {
  public:
   struct Options {

@@ -5,9 +5,9 @@
 //       one row per generation: plan, volume, wall clock, cost drift.
 //   delex_inspect diff      <history.jsonl> [<genA> <genB>]
 //       regression attribution between two generations (default: the
-//       last two): which phase moved, which unit moved, which shard
-//       moved, and — for every matcher switch — the audited cost margin
-//       that justified it.
+//       last two): which phase moved, how the pipeline's reader stage
+//       moved, which unit moved, which shard moved, and — for every
+//       matcher switch — the audited cost margin that justified it.
 //   delex_inspect decisions <history.jsonl> <gen>
 //       the optimizer's full per-unit candidate table for one generation.
 //   delex_inspect mem       <history.jsonl> [genA genB]
@@ -108,6 +108,19 @@ void DiffPhase(const char* name, int64_t a, int64_t b) {
               name, a, b, b - a, PercentDelta(a, b).c_str());
 }
 
+/// DiffPhase for a field that older records predate (< 0 = absent): the
+/// row is printed when either side has it, with '-' for the side that
+/// does not.
+void DiffOptional(const char* name, int64_t a, int64_t b) {
+  if (a >= 0 && b >= 0) {
+    DiffPhase(name, a, b);
+  } else {
+    std::printf("  %-16s %10s -> %10s\n", name,
+                a >= 0 ? std::to_string(a).c_str() : "-",
+                b >= 0 ? std::to_string(b).c_str() : "-");
+  }
+}
+
 int RunDiff(const std::vector<HistoryRecord>& records, const HistoryRecord* a,
             const HistoryRecord* b) {
   (void)records;
@@ -122,6 +135,12 @@ int RunDiff(const std::vector<HistoryRecord>& records, const HistoryRecord* a,
   DiffPhase("opt_us", a->opt_us, b->opt_us);
   DiffPhase("capture_us", a->capture_us, b->capture_us);
   DiffPhase("others_us", a->others_us, b->others_us);
+  if (a->identical_runs >= 0 || b->identical_runs >= 0) {
+    std::printf("reader stage:\n");
+    DiffOptional("reader.busy_us", a->reader_busy_us, b->reader_busy_us);
+    DiffOptional("reader.wait_us", a->reader_wait_us, b->reader_wait_us);
+    DiffOptional("identical_runs", a->identical_runs, b->identical_runs);
+  }
 
   std::printf("units:\n");
   const size_t num_units = std::max(a->units.size(), b->units.size());

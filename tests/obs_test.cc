@@ -1,45 +1,30 @@
 // Observability-layer tests: trace recorder (JSON well-formedness, span
 // pairing/nesting per thread, pipeline span counts, zero-output guarantee
 // when disabled), leveled logger (threshold, sink capture, CHECK routing),
-// metrics registry (counters, gauges, histograms), latency-histogram
-// bucket/percentile correctness against a sorted reference, Prometheus
-// exposition well-formedness, the snapshot writer and embedded stats
-// server, phase-drift accounting, and the versioned run report (schema-v2
-// latency/trace blocks, per-unit predicted-vs-actual columns, determinism
-// of counters and histogram counts across thread counts and fast-path
-// settings).
+// the counter registry, latency-histogram bucket/percentile correctness
+// against a sorted reference, phase-drift accounting, and the versioned
+// run report (schema-v2 latency/trace blocks, per-unit predicted-vs-actual
+// columns, determinism of counters and histogram counts across thread
+// counts and fast-path settings).
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
-#include "obs/export.h"
 #include "obs/histogram.h"
-#include "obs/history.h"
 #include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/mem.h"
@@ -417,59 +402,6 @@ TEST(MetricsTest, CountersAccumulateAndSnapshotSorted) {
   EXPECT_EQ(b->value(), 0);
 }
 
-TEST(MetricsTest, GaugesSetAddAndReset) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  obs::Gauge* gauge = registry.GetGauge("obs_test.gauge");
-  EXPECT_EQ(registry.GetGauge("obs_test.gauge"), gauge);  // stable identity
-  gauge->Set(41);
-  gauge->Add(2);
-  gauge->Add(-1);
-  EXPECT_EQ(gauge->value(), 42);
-  registry.ResetAll();
-  EXPECT_EQ(gauge->value(), 0);
-}
-
-TEST(MetricsTest, FullSnapshotIsSortedAndComplete) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  registry.GetCounter("obs_test.z_counter")->Increment(3);
-  registry.GetCounter("obs_test.a_counter")->Increment(1);
-  registry.GetGauge("obs_test.gauge")->Set(7);
-  registry.GetHistogram("obs_test.hist_us")->Record(100);
-  obs::MetricsSnapshot snapshot = registry.FullSnapshot();
-
-  // Each section is strictly name-sorted — the determinism exporters and
-  // the snapshot writer rely on.
-  for (size_t i = 1; i < snapshot.counters.size(); ++i) {
-    EXPECT_LT(snapshot.counters[i - 1].first, snapshot.counters[i].first);
-  }
-  for (size_t i = 1; i < snapshot.gauges.size(); ++i) {
-    EXPECT_LT(snapshot.gauges[i - 1].first, snapshot.gauges[i].first);
-  }
-  for (size_t i = 1; i < snapshot.histograms.size(); ++i) {
-    EXPECT_LT(snapshot.histograms[i - 1].first, snapshot.histograms[i].first);
-  }
-
-  std::map<std::string, int64_t> counters(snapshot.counters.begin(),
-                                          snapshot.counters.end());
-  EXPECT_EQ(counters["obs_test.a_counter"], 1);
-  EXPECT_EQ(counters["obs_test.z_counter"], 3);
-  std::map<std::string, int64_t> gauges(snapshot.gauges.begin(),
-                                        snapshot.gauges.end());
-  EXPECT_EQ(gauges["obs_test.gauge"], 7);
-  bool found_hist = false;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (name == "obs_test.hist_us") {
-      found_hist = true;
-      EXPECT_EQ(hist.count(), 1);
-      EXPECT_EQ(hist.sum(), 100);
-    }
-  }
-  EXPECT_TRUE(found_hist);
-  registry.ResetAll();
-}
-
 // ---------------------------------------------------------------------------
 // Latency histograms
 // ---------------------------------------------------------------------------
@@ -560,76 +492,6 @@ TEST(HistogramTest, ShardMergeMatchesSequentialRecording) {
   empty.MergeFrom(obs::LocalHistogram());
   EXPECT_EQ(empty.count(), 0);
   EXPECT_TRUE(empty.buckets().empty());
-}
-
-TEST(HistogramTest, CumulativeLeNeverOvercountsAndIsMonotone) {
-  obs::LocalHistogram hist;
-  for (int64_t v : {0, 3, 15, 16, 17, 100, 4095, 4096, 1000000}) {
-    hist.Record(v);
-  }
-  // Linear buckets are exact, so small bounds count precisely.
-  EXPECT_EQ(hist.CumulativeLE(0), 1);
-  EXPECT_EQ(hist.CumulativeLE(15), 3);
-  int64_t previous = 0;
-  for (int64_t bound :
-       std::vector<int64_t>{0, 1, 10, 100, 1000, 4095, 100000, INT64_MAX}) {
-    int64_t cumulative = hist.CumulativeLE(bound);
-    EXPECT_GE(cumulative, previous) << "bound " << bound;
-    // Never counts an observation above the bound.
-    int64_t exact = 0;
-    for (int64_t v : {0, 3, 15, 16, 17, 100, 4095, 4096, 1000000}) {
-      if (v <= bound) ++exact;
-    }
-    EXPECT_LE(cumulative, exact) << "bound " << bound;
-    previous = cumulative;
-  }
-  EXPECT_EQ(hist.CumulativeLE(INT64_MAX), hist.count());
-}
-
-TEST(HistogramTest, RegistryHistogramSurvivesConcurrentRecording) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  obs::Histogram* hist = registry.GetHistogram("obs_test.concurrent_us");
-  EXPECT_EQ(registry.GetHistogram("obs_test.concurrent_us"), hist);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  int64_t expected_sum = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      expected_sum += (t * kPerThread + i) % 4096;
-    }
-  }
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([hist, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        hist->Record((t * kPerThread + i) % 4096);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  obs::LocalHistogram snapshot = hist->Snapshot();
-  EXPECT_EQ(snapshot.count(), kThreads * kPerThread);  // nothing lost
-  EXPECT_EQ(snapshot.sum(), expected_sum);
-  EXPECT_EQ(snapshot.max(), 4095);
-  // 4095 is an exact bucket boundary: the cumulative count is exact too.
-  EXPECT_EQ(snapshot.CumulativeLE(4095), kThreads * kPerThread);
-  registry.ResetAll();
-}
-
-TEST(HistogramTest, RegistryMergeFromShardMatchesItsSnapshot) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  obs::LocalHistogram shard;
-  for (int64_t v : {1, 10, 100, 1000, 10000}) shard.Record(v);
-  obs::Histogram* hist = registry.GetHistogram("obs_test.merge_us");
-  hist->MergeFrom(shard);
-  obs::LocalHistogram snapshot = hist->Snapshot();
-  EXPECT_EQ(snapshot.count(), shard.count());
-  EXPECT_EQ(snapshot.sum(), shard.sum());
-  EXPECT_EQ(snapshot.max(), shard.max());
-  EXPECT_EQ(snapshot.buckets(), shard.buckets());
-  registry.ResetAll();
 }
 
 TEST(HistogramTest, DisabledGateSkipsScopedTimerRecording) {
@@ -843,638 +705,6 @@ TEST(TraceTest, EvalPageSpanCountMatchesNonIdenticalPages) {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus exposition
-// ---------------------------------------------------------------------------
-
-/// One parsed sample line of the text exposition format.
-struct PromSample {
-  std::string name;
-  std::map<std::string, std::string> labels;
-  double value = 0;
-};
-
-/// Parses `name{label="v",...} value`. Returns false on any grammar
-/// violation — the test treats that as a malformed exposition.
-bool ParsePromSample(const std::string& line, PromSample* out) {
-  size_t pos = 0;
-  auto name_start_char = [](char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  };
-  auto name_char = [&](char c) {
-    return name_start_char(c) || std::isdigit(static_cast<unsigned char>(c));
-  };
-  if (pos >= line.size() || !name_start_char(line[pos])) return false;
-  while (pos < line.size() && name_char(line[pos])) ++pos;
-  out->name = line.substr(0, pos);
-  if (pos < line.size() && line[pos] == '{') {
-    ++pos;
-    while (pos < line.size() && line[pos] != '}') {
-      size_t key_start = pos;
-      while (pos < line.size() && name_char(line[pos])) ++pos;
-      if (pos == key_start) return false;
-      std::string key = line.substr(key_start, pos - key_start);
-      if (pos >= line.size() || line[pos] != '=') return false;
-      ++pos;
-      if (pos >= line.size() || line[pos] != '"') return false;
-      ++pos;
-      std::string value;
-      while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\') ++pos;
-        if (pos < line.size()) value += line[pos++];
-      }
-      if (pos >= line.size()) return false;
-      ++pos;  // closing quote
-      out->labels[key] = value;
-      if (pos < line.size() && line[pos] == ',') ++pos;
-    }
-    if (pos >= line.size() || line[pos] != '}') return false;
-    ++pos;
-  }
-  if (pos >= line.size() || line[pos] != ' ') return false;
-  ++pos;
-  std::string value_text = line.substr(pos);
-  if (value_text.empty()) return false;
-  if (value_text == "+Inf") {
-    out->value = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  try {
-    size_t consumed = 0;
-    out->value = std::stod(value_text, &consumed);
-    return consumed == value_text.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-TEST(PrometheusTest, ExpositionIsWellFormed) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  registry.GetCounter("obs_test.prom.counter")->Increment(5);
-  registry.GetGauge("obs_test.prom.gauge")->Set(-3);
-  obs::Histogram* hist = registry.GetHistogram("obs_test.prom.hist_us");
-  int64_t hist_sum = 0;
-  for (int64_t v : {0, 3, 40, 999, 12345, 2400000}) {
-    hist->Record(v);
-    hist_sum += v;
-  }
-
-  std::string text = obs::PrometheusText();
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.back(), '\n');
-
-  // Parse every line: each is a HELP comment, a TYPE comment, or a sample
-  // whose family has already been declared by a TYPE comment.
-  std::map<std::string, std::string> type_of;  // family → counter/gauge/...
-  std::vector<PromSample> samples;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    ASSERT_NE(end, std::string::npos) << "missing trailing newline";
-    std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream comment(line);
-      std::string hash, kind, family;
-      comment >> hash >> kind >> family;
-      ASSERT_TRUE(kind == "HELP" || kind == "TYPE") << line;
-      ASSERT_FALSE(family.empty()) << line;
-      if (kind == "TYPE") {
-        std::string type;
-        comment >> type;
-        ASSERT_TRUE(type == "counter" || type == "gauge" ||
-                    type == "histogram")
-            << line;
-        type_of[family] = type;
-      }
-      continue;
-    }
-    PromSample sample;
-    ASSERT_TRUE(ParsePromSample(line, &sample)) << "malformed line: " << line;
-    // Strip _total/_bucket/_sum/_count to recover the declared family.
-    std::string family = sample.name;
-    for (const char* suffix : {"_total", "_bucket", "_sum", "_count"}) {
-      std::string s(suffix);
-      if (family.size() > s.size() &&
-          family.compare(family.size() - s.size(), s.size(), s) == 0 &&
-          type_of.count(family.substr(0, family.size() - s.size())) > 0) {
-        family = family.substr(0, family.size() - s.size());
-        break;
-      }
-    }
-    EXPECT_EQ(type_of.count(family), 1u)
-        << "sample without TYPE declaration: " << line;
-    samples.push_back(std::move(sample));
-  }
-
-  // Our three metrics are present with the documented naming scheme
-  // (delex_ prefix, dots → underscores, counters get _total).
-  double counter_value = -1;
-  double gauge_value = 0;
-  double bucket_count = -1;
-  double count_value = -1;
-  double sum_value = -1;
-  std::vector<std::pair<double, double>> buckets;  // (le, cumulative)
-  for (const PromSample& sample : samples) {
-    if (sample.name == "delex_obs_test_prom_counter_total") {
-      counter_value = sample.value;
-    } else if (sample.name == "delex_obs_test_prom_gauge") {
-      gauge_value = sample.value;
-    } else if (sample.name == "delex_obs_test_prom_hist_us_bucket") {
-      ASSERT_EQ(sample.labels.count("le"), 1u);
-      double le = sample.labels.at("le") == "+Inf"
-                      ? std::numeric_limits<double>::infinity()
-                      : std::stod(sample.labels.at("le"));
-      buckets.push_back({le, sample.value});
-      if (std::isinf(le)) bucket_count = sample.value;
-    } else if (sample.name == "delex_obs_test_prom_hist_us_count") {
-      count_value = sample.value;
-    } else if (sample.name == "delex_obs_test_prom_hist_us_sum") {
-      sum_value = sample.value;
-    }
-  }
-  EXPECT_EQ(counter_value, 5);
-  EXPECT_EQ(gauge_value, -3);
-  EXPECT_EQ(count_value, 6);
-  EXPECT_EQ(sum_value, static_cast<double>(hist_sum));
-  // Buckets are cumulative and monotone in le, and +Inf equals _count.
-  ASSERT_GE(buckets.size(), 2u);
-  for (size_t i = 1; i < buckets.size(); ++i) {
-    EXPECT_GT(buckets[i].first, buckets[i - 1].first);
-    EXPECT_GE(buckets[i].second, buckets[i - 1].second);
-  }
-  EXPECT_TRUE(std::isinf(buckets.back().first)) << "+Inf bucket must be last";
-  EXPECT_EQ(bucket_count, count_value);
-  registry.ResetAll();
-}
-
-TEST(PrometheusTest, ShardLabelsRenderAsPromLabelSets) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  // The `#k=v` naming convention (used by the shard layer) must render as
-  // a Prometheus label set, with HELP/TYPE emitted once per family even
-  // though each labeled series is a distinct registry entry.
-  registry.GetCounter("obs_test.lbl.pages#shard=0")->Increment(4);
-  registry.GetCounter("obs_test.lbl.pages#shard=1")->Increment(6);
-  registry.GetGauge("obs_test.lbl.gen#shard=1")->Set(3);
-  registry.GetHistogram("obs_test.lbl.hist_us#shard=2")->Record(25);
-
-  std::string text = obs::PrometheusText();
-  EXPECT_NE(text.find("delex_obs_test_lbl_pages_total{shard=\"0\"} 4"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("delex_obs_test_lbl_pages_total{shard=\"1\"} 6"),
-            std::string::npos);
-  EXPECT_NE(text.find("delex_obs_test_lbl_gen{shard=\"1\"} 3"),
-            std::string::npos);
-  // Bucket lines put the shard label before the le label.
-  EXPECT_NE(
-      text.find("delex_obs_test_lbl_hist_us_bucket{shard=\"2\",le=\"+Inf\"} 1"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find("delex_obs_test_lbl_hist_us_count{shard=\"2\"} 1"),
-            std::string::npos);
-  // One TYPE declaration per family, not one per labeled series.
-  std::string type_line = "# TYPE delex_obs_test_lbl_pages_total counter";
-  size_t first = text.find(type_line);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos)
-      << "TYPE repeated for labeled series";
-  registry.ResetAll();
-}
-
-TEST(PrometheusTest, EmptyHistogramFamilyRendersZeroedSeries) {
-  // A histogram that exists but never recorded must still render a full,
-  // well-formed family: every bucket 0, _sum 0, _count 0 — not vanish and
-  // not emit partial series.
-  obs::MetricsSnapshot snapshot;
-  snapshot.histograms.emplace_back("obs_test.edge.empty_us",
-                                   obs::LocalHistogram());
-  std::string text = obs::PrometheusText(snapshot);
-  EXPECT_NE(text.find("# TYPE delex_obs_test_edge_empty_us histogram"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("delex_obs_test_edge_empty_us_bucket{le=\"+Inf\"} 0"),
-            std::string::npos);
-  EXPECT_NE(text.find("delex_obs_test_edge_empty_us_sum 0"),
-            std::string::npos);
-  EXPECT_NE(text.find("delex_obs_test_edge_empty_us_count 0"),
-            std::string::npos);
-  // Every bucket line of the empty family reports 0 observations.
-  size_t pos = 0;
-  int bucket_lines = 0;
-  const std::string bucket = "delex_obs_test_edge_empty_us_bucket{";
-  while ((pos = text.find(bucket, pos)) != std::string::npos) {
-    size_t eol = text.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    std::string line = text.substr(pos, eol - pos);
-    EXPECT_EQ(line.substr(line.size() - 2), " 0") << line;
-    ++bucket_lines;
-    pos = eol;
-  }
-  EXPECT_GE(bucket_lines, 2);
-}
-
-TEST(PrometheusTest, LabelValuesEscapeQuotesBackslashesAndNewlines) {
-  // Label values in `#k=v` registry names may carry the three characters
-  // the Prometheus text format requires escaping: `"`, `\`, and newline.
-  obs::MetricsSnapshot snapshot;
-  snapshot.counters.emplace_back(std::string("obs_test.esc.pages#path=a\"b") +
-                                     "\\c\nd",
-                                 3);
-  std::string text = obs::PrometheusText(snapshot);
-  // Rendered: path="a\"b\\c\nd" — quote and backslash backslash-escaped,
-  // the raw newline rendered as the two characters '\' 'n'.
-  EXPECT_NE(
-      text.find(
-          "delex_obs_test_esc_pages_total{path=\"a\\\"b\\\\c\\nd\"} 3"),
-      std::string::npos)
-      << text;
-  // No raw newline may survive inside a sample line.
-  for (size_t pos = text.find("pages_total{");
-       pos != std::string::npos && pos + 1 < text.size();
-       pos = text.find("pages_total{", pos + 1)) {
-    size_t eol = text.find('\n', pos);
-    std::string line = text.substr(pos, eol - pos);
-    EXPECT_NE(line.find("} 3"), std::string::npos) << "torn line: " << line;
-  }
-}
-
-TEST(PrometheusTest, FamilyPresentOnlyUnderSomeLabelSets) {
-  // A family that exists only as labeled series (no unlabeled sample, and
-  // a sparse shard set — 0 and 2 but not 1) must emit HELP/TYPE exactly
-  // once and exactly the series that exist.
-  obs::MetricsSnapshot snapshot;
-  snapshot.counters.emplace_back("obs_test.sparse.pages#shard=0", 4);
-  snapshot.counters.emplace_back("obs_test.sparse.pages#shard=2", 6);
-  snapshot.histograms.emplace_back("obs_test.sparse.lat_us#shard=2",
-                                   obs::LocalHistogram());
-  std::string text = obs::PrometheusText(snapshot);
-
-  const std::string type_line =
-      "# TYPE delex_obs_test_sparse_pages_total counter";
-  size_t first = text.find(type_line);
-  ASSERT_NE(first, std::string::npos) << text;
-  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos)
-      << "TYPE repeated for a sparse labeled family";
-  EXPECT_NE(text.find("delex_obs_test_sparse_pages_total{shard=\"0\"} 4"),
-            std::string::npos);
-  EXPECT_NE(text.find("delex_obs_test_sparse_pages_total{shard=\"2\"} 6"),
-            std::string::npos);
-  EXPECT_EQ(text.find("shard=\"1\""), std::string::npos);
-  // No unlabeled sample is invented for a labels-only family: every
-  // occurrence of the family name outside comments carries a label set.
-  for (size_t pos = text.find("delex_obs_test_sparse_pages_total ");
-       pos != std::string::npos;
-       pos = text.find("delex_obs_test_sparse_pages_total ", pos + 1)) {
-    size_t line_start = text.rfind('\n', pos);
-    line_start = line_start == std::string::npos ? 0 : line_start + 1;
-    EXPECT_EQ(text[line_start], '#')
-        << "unlabeled sample for labels-only family";
-  }
-  // The labels-only histogram renders its shard label on every series.
-  EXPECT_NE(
-      text.find("delex_obs_test_sparse_lat_us_bucket{shard=\"2\",le=\"+Inf\"}"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find("delex_obs_test_sparse_lat_us_count{shard=\"2\"} 0"),
-            std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Exporters: snapshot writer + stats server
-// ---------------------------------------------------------------------------
-
-TEST(ExportTest, SnapshotJsonLineRoundTrips) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  registry.GetCounter("obs_test.export.counter")->Increment(9);
-  registry.GetGauge("obs_test.export.gauge")->Set(4);
-  registry.GetHistogram("obs_test.export.hist_us")->Record(77);
-  JsonValue line = MustParse(obs::MetricsSnapshotJsonLine());
-  EXPECT_TRUE(line.Has("uptime_ms"));
-  EXPECT_GE(line.At("uptime_ms").number, 0);
-  EXPECT_EQ(line.At("counters").At("obs_test.export.counter").number, 9);
-  EXPECT_EQ(line.At("gauges").At("obs_test.export.gauge").number, 4);
-  const JsonValue& hist = line.At("histograms").At("obs_test.export.hist_us");
-  EXPECT_EQ(hist.At("count").number, 1);
-  EXPECT_EQ(hist.At("sum").number, 77);
-  EXPECT_EQ(hist.At("max").number, 77);
-  EXPECT_EQ(hist.At("p50").number, 77);  // single sample: p50 == max
-  registry.ResetAll();
-}
-
-TEST(ExportTest, SnapshotWriterAppendsParseableLines) {
-  std::string path = TempPath("delex-obs-metrics-snap.jsonl");
-  std::filesystem::remove(path);
-  obs::MetricsSnapshotWriter& writer = obs::MetricsSnapshotWriter::Global();
-  // A huge interval isolates the WriteNow calls from the periodic thread.
-  ASSERT_TRUE(writer.Start(path, /*interval_ms=*/3600 * 1000).ok());
-  EXPECT_FALSE(writer.Start(path, 1000).ok());  // already running
-  EXPECT_TRUE(writer.running());
-  ASSERT_TRUE(writer.WriteNow().ok());
-  ASSERT_TRUE(writer.WriteNow().ok());
-  writer.Stop();
-  EXPECT_FALSE(writer.running());
-
-  std::ifstream file(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(file, line)) {
-    JsonValue parsed = MustParse(line);
-    EXPECT_TRUE(parsed.Has("uptime_ms"));
-    EXPECT_TRUE(parsed.Has("counters"));
-    EXPECT_TRUE(parsed.Has("histograms"));
-    ++lines;
-  }
-  EXPECT_GE(lines, 2);
-  std::filesystem::remove(path);
-}
-
-/// Blocking HTTP GET against 127.0.0.1:`port`; returns the raw response.
-std::string HttpGet(int port, const std::string& target) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << "connect to port " << port;
-  std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[4096];
-  ssize_t got;
-  while ((got = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<size_t>(got));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(ExportTest, StatsServerServesMetricsAndHealth) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  registry.GetCounter("obs_test.server.counter")->Increment();
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());  // 0 = ephemeral
-  int port = server.port();
-  ASSERT_GT(port, 0);
-  EXPECT_TRUE(server.running());
-  EXPECT_FALSE(server.Start(0).ok());  // already running
-
-  std::string health = HttpGet(port, "/healthz");
-  EXPECT_NE(health.find("200"), std::string::npos) << health;
-  EXPECT_NE(health.find("ok"), std::string::npos) << health;
-
-  std::string metrics = HttpGet(port, "/metrics");
-  EXPECT_NE(metrics.find("200"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("delex_obs_test_server_counter_total"),
-            std::string::npos);
-
-  std::string missing = HttpGet(port, "/no-such-endpoint");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-
-  server.Stop();
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), 0);
-  registry.ResetAll();
-}
-
-/// The HTTP body: everything after the blank line separating the headers.
-std::string HttpBody(const std::string& response) {
-  size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? "" : response.substr(split + 4);
-}
-
-TEST(ExportTest, StatuszVarzAndHistoryEndpoints) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  registry.GetCounter("obs_test.statusz.pages#shard=1")->Increment(11);
-
-  // Publish a two-generation store plus its newest framed line, the way
-  // RunSeries does after every append.
-  std::string history_path = TempPath("delex-obs-statusz-history.jsonl");
-  obs::HistoryStore store(history_path);
-  std::filesystem::remove(history_path);
-  obs::HistoryRecord rec;
-  rec.gen = 1;
-  rec.solution = "Delex";
-  rec.tag = "statusz-test";
-  rec.warmup = true;
-  rec.assignment = "DN,DN";
-  ASSERT_TRUE(store.Append(rec).ok());
-  rec.gen = 2;
-  rec.warmup = false;
-  rec.assignment = "ST,RU";
-  rec.pages = 42;
-  rec.has_optimizer = true;
-  rec.cost_drift = 0.25;
-  ASSERT_TRUE(store.Append(rec).ok());
-  obs::PublishHistoryForStatus(history_path,
-                               obs::HistoryStore::FormatLine(rec));
-  EXPECT_EQ(obs::PublishedHistoryPath(), history_path);
-  EXPECT_FALSE(obs::PublishedHistoryLine().empty());
-
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  int port = server.port();
-  ASSERT_GT(port, 0);
-
-  std::string statusz = HttpGet(port, "/statusz");
-  EXPECT_NE(statusz.find("200"), std::string::npos) << statusz;
-  EXPECT_NE(statusz.find("text/html"), std::string::npos);
-  EXPECT_NE(statusz.find("uptime_ms"), std::string::npos);
-  EXPECT_NE(statusz.find("git_sha"), std::string::npos);
-  // Every operational knob appears, set or "(unset)".
-  EXPECT_NE(statusz.find("DELEX_SHARDS"), std::string::npos);
-  EXPECT_NE(statusz.find("DELEX_HISTORY_RETAIN"), std::string::npos);
-  // The published last-generation summary and store path.
-  EXPECT_NE(statusz.find(history_path), std::string::npos);
-  EXPECT_NE(statusz.find("statusz-test"), std::string::npos);
-  EXPECT_NE(statusz.find("ST,RU"), std::string::npos);
-  EXPECT_NE(statusz.find("cost_drift"), std::string::npos);
-  // The label-aware renderer section shows per-shard counters.
-  EXPECT_NE(statusz.find("obs_test_statusz_pages_total{shard=&quot;1&quot;}"),
-            std::string::npos)
-      << statusz;
-
-  std::string varz = HttpGet(port, "/varz");
-  EXPECT_NE(varz.find("200"), std::string::npos);
-  EXPECT_NE(varz.find("application/json"), std::string::npos);
-  JsonValue varz_json = MustParse(HttpBody(varz));
-  EXPECT_TRUE(varz_json.Has("uptime_ms"));
-  EXPECT_EQ(varz_json.At("counters").At("obs_test.statusz.pages#shard=1")
-                .number,
-            11);
-
-  // /history serves the published store verbatim: both generations, each
-  // line re-parseable with its checksum intact.
-  std::string history = HttpGet(port, "/history");
-  EXPECT_NE(history.find("200"), std::string::npos);
-  EXPECT_NE(history.find("application/x-ndjson"), std::string::npos);
-  std::istringstream lines(HttpBody(history));
-  std::string line;
-  std::vector<int> gens;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    obs::HistoryRecord parsed;
-    ASSERT_TRUE(obs::HistoryStore::ParseLine(line, &parsed).ok()) << line;
-    gens.push_back(parsed.gen);
-  }
-  EXPECT_EQ(gens, (std::vector<int>{1, 2}));
-
-  server.Stop();
-  std::filesystem::remove(history_path);
-  registry.ResetAll();
-}
-
-TEST(ExportTest, HistoryEndpointFallsBackToPublishedLine) {
-  // When the published store path is unreadable, /history serves the last
-  // published framed line instead of failing — the pure-404 arm only
-  // applies before any publication (process-global slot, so it can't be
-  // re-tested here once the endpoint test above has published).
-  obs::HistoryRecord rec;
-  rec.gen = 9;
-  rec.solution = "Delex";
-  std::string line = obs::HistoryStore::FormatLine(rec);
-  obs::PublishHistoryForStatus("/nonexistent/delex-history.jsonl", line);
-
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  std::string history = HttpGet(server.port(), "/history");
-  EXPECT_NE(history.find("200"), std::string::npos) << history;
-  EXPECT_NE(HttpBody(history).find(line), std::string::npos);
-  server.Stop();
-}
-
-TEST(ExportTest, StatsServerSurvivesHangingClient) {
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  int port = server.port();
-  ASSERT_GT(port, 0);
-
-  // A client that connects and then hangs without sending a request. The
-  // per-connection read timeout must unblock the accept loop so later
-  // clients still get served — without it this test deadlocks (and hits
-  // the suite timeout).
-  int hang_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(hang_fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::connect(hang_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-      0);
-
-  std::string health = HttpGet(port, "/healthz");
-  EXPECT_NE(health.find("200"), std::string::npos) << health;
-  EXPECT_NE(health.find("ok"), std::string::npos);
-
-  // The hung connection was closed server-side after the read timeout
-  // (the server answers it 404 and hangs up): draining it reaches EOF
-  // instead of blocking forever.
-  char drain[512];
-  ssize_t got;
-  while ((got = ::recv(hang_fd, drain, sizeof(drain), 0)) > 0) {
-  }
-  EXPECT_EQ(got, 0) << "server left the hung connection open";
-  ::close(hang_fd);
-
-  server.Stop();
-}
-
-TEST(ExportTest, StatsServerConcurrentConnectAndShutdown) {
-  // Regression for the Stop()/Serve() teardown races (the accept loop
-  // used to read listen_fd_ unlocked while Stop closed it): hammer the
-  // server with connects from several threads and stop it mid-flight.
-  // Primarily meaningful under the TSan ctest leg; single-threaded builds
-  // still verify no crash, no deadlock, and clean restartability.
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  const int port = server.port();
-  ASSERT_GT(port, 0);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < 4; ++t) {
-    clients.emplace_back([port, &done] {
-      while (!done.load(std::memory_order_acquire)) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) break;
-        timeval tv{};
-        tv.tv_sec = 2;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        sockaddr_in addr = {};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(port));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        // Mid-shutdown every step may fail (refused connect, reset send,
-        // short recv) — all fine, the loop only must not crash or hang.
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          const char request[] = "GET /healthz HTTP/1.1\r\n\r\n";
-          (void)::send(fd, request, sizeof(request) - 1, MSG_NOSIGNAL);
-          char buffer[256];
-          while (::recv(fd, buffer, sizeof(buffer), 0) > 0) {
-          }
-        }
-        ::close(fd);
-      }
-    });
-  }
-
-  // Let the clients land a few requests, then yank the server out from
-  // under them.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.Stop();
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : clients) t.join();
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), 0);
-
-  // The teardown left the singleton restartable.
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  EXPECT_GT(server.port(), 0);
-  std::string health = HttpGet(server.port(), "/healthz");
-  EXPECT_NE(health.find("200"), std::string::npos) << health;
-  server.Stop();
-}
-
-TEST(ExportTest, MemzAndProfilezEndpoints) {
-  obs::StatsServer& server = obs::StatsServer::Global();
-  ASSERT_TRUE(server.Start(/*port=*/0).ok());
-  int port = server.port();
-  ASSERT_GT(port, 0);
-
-  std::string memz = HttpGet(port, "/memz");
-  EXPECT_NE(memz.find("200"), std::string::npos) << memz;
-  EXPECT_NE(memz.find("application/json"), std::string::npos);
-  JsonValue doc = MustParse(HttpBody(memz));
-  EXPECT_GT(doc.At("rss_bytes").number, 0);
-  EXPECT_GE(doc.At("peak_rss_bytes").number, doc.At("rss_bytes").number);
-  ASSERT_EQ(doc.At("subsystems").array.size(),
-            static_cast<size_t>(obs::kMemTagCount));
-  for (const JsonValue& sub : doc.At("subsystems").array) {
-    EXPECT_FALSE(sub.At("tag").string.empty());
-    EXPECT_GE(sub.At("peak_bytes").number, sub.At("current_bytes").number);
-  }
-
-  // Profiler idle: /profilez still answers 200 with a placeholder body.
-  std::string profilez = HttpGet(port, "/profilez");
-  EXPECT_NE(profilez.find("200"), std::string::npos) << profilez;
-  EXPECT_FALSE(HttpBody(profilez).empty());
-
-  server.Stop();
-}
-
-// ---------------------------------------------------------------------------
 // Run report
 // ---------------------------------------------------------------------------
 
@@ -1610,9 +840,9 @@ TEST(RunReportTest, WriterAppendsOneParseableLinePerRun) {
   meta.solution = "No-reuse";
   RunStats stats;
   obs::OptimizerReport no_opt;
-  ASSERT_TRUE(writer.Append(meta, stats, no_opt).ok());
+  ASSERT_TRUE(writer.Append(obs::RunReportLine(meta, stats, no_opt)).ok());
   meta.snapshot_index = 2;
-  ASSERT_TRUE(writer.Append(meta, stats, no_opt).ok());
+  ASSERT_TRUE(writer.Append(obs::RunReportLine(meta, stats, no_opt)).ok());
   ASSERT_TRUE(writer.Close().ok());
 
   std::ifstream file(path);
