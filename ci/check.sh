@@ -273,7 +273,7 @@ delex_lines = 0
 with open(sys.argv[1]) as f:
     for raw in f:
         line = json.loads(raw)
-        assert line["schema_version"] == 9, line["schema_version"]
+        assert line["schema_version"] == 10, line["schema_version"]
         assert "resources" in line, "missing v6 resources block"
         assert line["resources"]["rss_bytes"] > 0, line["resources"]
         if line["solution"] != "Delex" or line["warmup"]:
@@ -298,9 +298,11 @@ EOF
   # CI scratch so the portal's work dirs land there. Validates every
   # task's history.jsonl at the byte level (fixed-offset FNV-1a
   # checksums, one record per generation, monotone gap-free gens), checks
-  # that every record body is a run-report line, and requires
-  # delex_inspect diff to attribute at least one matcher switch to its
-  # audited cost margin.
+  # that every record body is a run-report line, that generation 2 (the
+  # first refresh) planned from a sample and generation 3 from the run
+  # before it, and requires delex_inspect diff to attribute at least one
+  # matcher switch (warm-up generation 1 against the sampled generation 2)
+  # to its audited cost margin.
   echo "=== Release: generation-history smoke ==="
   history_tmp="$(scratch_dir)"
   # 64 pages (not 16): at 16 every page is identical across days, the
@@ -337,6 +339,13 @@ with open(path, "rb") as f:
         for key in ("schema_version", "reader", "identical_runs"):
             assert key in rec, f"{path}: body is not a run-report line ({key})"
         gens.append(rec["generation"])
+        want = {2: "sample", 3: "run"}.get(rec["generation"])
+        if want is not None:
+            decisions = rec["optimizer"]["decisions"]
+            assert decisions, f"{path}: generation {gens[-1]} has no decisions"
+            sources = {d["inputs"]["source"] for d in decisions}
+            assert sources == {want}, \
+                f"{path}: generation {gens[-1]} planned from {sources}, not {want}"
 assert gens == list(range(1, days + 1)), \
     f"{path}: want one record per generation 1..{days}, got {gens}"
 print(f"history OK: {path} ({len(gens)} generations)")

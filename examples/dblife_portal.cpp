@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   Table table({"IE task", "blackboxes", "No-reuse s", "Shortcut s", "Cyclex s",
                "Delex s", "Delex cut vs Cyclex"});
 
-  for (const std::string& task : {"talk", "chair", "advise"}) {
+  for (const char* task : {"talk", "chair", "advise"}) {
     auto spec_or = MakeProgram(task);
     if (!spec_or.ok()) {
       std::fprintf(stderr, "%s\n", spec_or.status().ToString().c_str());

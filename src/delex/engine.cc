@@ -19,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "delex/paranoid.h"
 #include "delex/region_derivation.h"
+#include "delex/trial_match.h"
 #include "text/suffix_matcher.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
@@ -88,16 +89,19 @@ struct DelexEngine::PageContext final : xlog::IEHook {
   const Page* page = nullptr;     // current page p
   const Page* q_page = nullptr;   // previous version q, or null
   MatchContext match_ctx;         // RU's shared match cache for this pair
+  bool trial = false;             // a trial page of the run
   const std::vector<PageReuse>* reuse = nullptr;  // per unit; null w/o q
   std::vector<PageCapture>* captures = nullptr;   // per unit, page-private
   RunStats* stats = nullptr;                      // per-page stats shard
 };
 
 /// A page's previous version and whether the whole-page fast path applies
-/// to it, found by the classify pass before the reader starts.
+/// to it, found by the classify pass before the reader starts; then
+/// whether it is one of the run's trial pages.
 struct DelexEngine::PageClass {
   int64_t previous = -1;   // index in the previous snapshot, or -1
   bool identical = false;  // content byte-identical to it, fast path on
+  bool trial = false;      // evaluated with trial matching
 };
 
 /// One entry of the pipeline ring: an evaluated page, or a run of
@@ -113,6 +117,7 @@ struct DelexEngine::PageSlot {
   size_t first = 0;   // view index of the entry's first page
   size_t count = 0;   // its pages: 1, or a run's length
   bool run = false;   // a run of identical pages
+  bool trial = false;  // an evaluated trial page
   RunStats stats;     // the entry's shard (incl. unit timers)
   std::vector<Tuple> rows;  // did-prefixed result tuples of its pages
 
@@ -688,8 +693,8 @@ size_t DelexEngine::RingSlots(int width) {
 }
 
 Status DelexEngine::RunPages(const SnapshotView& current,
-                             const Snapshot* previous, std::vector<Tuple>* rows,
-                             RunStats* stats) {
+                             const Snapshot* previous, int trial_pages,
+                             std::vector<Tuple>* rows, RunStats* stats) {
   const size_t num_pages = current.NumPages();
   const size_t num_units = analysis_.units.size();
   Stopwatch reader_watch;
@@ -710,9 +715,25 @@ Status DelexEngine::RunPages(const SnapshotView& current,
   }
   // Identical pages take the fast path only if the previous result cache
   // opened; one dropped mid-run demotes the rest in LiftRun.
-  const std::vector<PageClass> classes =
+  std::vector<PageClass> classes =
       ClassifyPages(current, previous, result_reader_ != nullptr, pool,
                     num_threads, &wait_us);
+  // Trial pages: up to `trial_pages` of the evaluated pages that have a
+  // previous version, evenly spaced in snapshot order, so the choice
+  // depends on the snapshot pair alone.
+  if (trial_pages > 0) {
+    std::vector<size_t> matched;
+    for (size_t i = 0; i < num_pages; ++i) {
+      if (classes[i].previous >= 0 && !classes[i].identical) {
+        matched.push_back(i);
+      }
+    }
+    const size_t picks =
+        std::min(matched.size(), static_cast<size_t>(trial_pages));
+    for (size_t j = 0; j < picks; ++j) {
+      classes[matched[(2 * j + 1) * matched.size() / (2 * picks)]].trial = true;
+    }
+  }
 
   // Declared before the TaskGroup, which settles every task referencing
   // them before they go out of scope. Never more slots than pages.
@@ -826,6 +847,7 @@ Status DelexEngine::RunPages(const SnapshotView& current,
       {
         DELEX_TRACE_SPAN("prefetch_page", current.page(first).did);
         slot.count = 1;
+        slot.trial = classes[first].trial;
         slot.page = &current.page(first);
         if (classes[first].previous >= 0) {
           slot.q_page =
@@ -850,6 +872,7 @@ Status DelexEngine::RunPages(const SnapshotView& current,
           page_ctx.engine = this;
           page_ctx.page = slot->page;
           page_ctx.q_page = slot->q_page;
+          page_ctx.trial = slot->trial;
           page_ctx.reuse = slot->q_page != nullptr ? &slot->reuse : nullptr;
           page_ctx.captures = &slot->captures;
           page_ctx.stats = &slot->stats;
@@ -885,7 +908,7 @@ Status DelexEngine::RunPages(const SnapshotView& current,
 
 Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
     const SnapshotView& current, const Snapshot* previous,
-    const MatcherAssignment& assignment, RunStats* stats) {
+    const MatcherAssignment& assignment, RunStats* stats, int trial_pages) {
   if (!initialized_) return Status::InvalidArgument("call Init() first");
   if (previous != nullptr && generation_ == 0) {
     return Status::InvalidArgument(
@@ -941,7 +964,8 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   }
 
   std::vector<Tuple> results;
-  Status run_status = RunPages(current, previous, &results, out_stats);
+  Status run_status =
+      RunPages(current, previous, trial_pages, &results, out_stats);
   if (!run_status.ok()) {
     writers_.clear();
     readers_.clear();
@@ -1118,6 +1142,14 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
   // non-empty-context records are left to the matcher path.
   std::unordered_multimap<uint64_t, const InputTupleRec*> old_by_hash;
   std::unordered_map<int64_t, const InputTupleRec*> old_by_tid;
+  // On a trial page every other matcher kind tries the same regions
+  // against the old ones (TrialMatch).
+  std::vector<TextSpan> old_regions;
+  if (page_ctx->trial) {
+    ++ustats.trial_pages;
+    old_regions.reserve(old_inputs.size());
+    for (const InputTupleRec& old : old_inputs) old_regions.push_back(old.region);
+  }
   if (q_page != nullptr && !old_inputs.empty()) {
     ScopedTimer match_timer(&ustats.match_us);
     old_by_hash.reserve(old_inputs.size());
@@ -1135,9 +1167,9 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
   // files hold no duplicate groups.
   capture.groups.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    const int64_t group_ordinal = static_cast<int64_t>(g);
     ++ustats.input_tuples;
     const TextSpan region = groups[g].region;
+    ustats.input_chars += region.length();
     const Tuple context;  // our IE predicates carry no extra parameters (c)
     const uint64_t region_hash =
         Fnv1a64(std::string_view(page.content)
@@ -1159,6 +1191,8 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
     std::vector<TextSpan> tiles;
     bool attempted_reuse = false;
     bool exact_hit = false;
+    int64_t calls = 0;    // the plan's matcher calls for this region
+    int64_t kind_us = 0;  // and what they, tiling and derivation took
     if (q_page != nullptr && !old_inputs.empty()) {
       ScopedTimer match_timer(&ustats.match_us);
       attempted_reuse = true;
@@ -1188,7 +1222,6 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
         }
       }
 
-      std::vector<TaggedSegment> segments;
       if (exact != nullptr) {
         ++ustats.exact_region_hits;
         exact_hit = true;
@@ -1206,55 +1239,51 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
         copy.old_tid = exact->tid;
         derivation.copy_regions.push_back(copy);
         derivation.p_safe = IntervalSet({region});
-      } else if (matcher_kind != MatcherKind::kDN) {
-        // Candidate old regions. RU answers from the page pair's recorded
-        // match cache at near-zero cost, so it can afford to consult every
-        // old region; the real matchers (UD/ST) only try the ones nearest
-        // in ordinal position.
-        std::vector<const InputTupleRec*> candidates;
-        if (matcher_kind == MatcherKind::kRU) {
-          candidates.reserve(old_inputs.size());
-          for (const InputTupleRec& old : old_inputs) {
-            candidates.push_back(&old);
-          }
-        } else {
-          for (int64_t offset = 0;
-               static_cast<int>(candidates.size()) <
-                   options_.max_match_candidates &&
-               offset < static_cast<int64_t>(old_inputs.size());
-               ++offset) {
-            int64_t idx = group_ordinal + (offset % 2 == 0 ? 1 : -1) *
-                                              ((offset + 1) / 2);
-            if (offset == 0) idx = group_ordinal;
-            if (idx < 0 || idx >= static_cast<int64_t>(old_inputs.size())) {
-              continue;
+      } else {
+        // What the plan's matcher costs here, as TrialMatch times it.
+        Stopwatch kind_watch;
+        std::vector<TaggedSegment> segments;
+        if (matcher_kind != MatcherKind::kDN) {
+          // Candidate old regions. RU answers from the page pair's recorded
+          // match cache at near-zero cost, so it can afford to consult
+          // every old region; the real matchers (UD/ST) only try the ones
+          // nearest in ordinal position.
+          std::vector<const InputTupleRec*> candidates;
+          if (matcher_kind == MatcherKind::kRU) {
+            candidates.reserve(old_inputs.size());
+            for (const InputTupleRec& old : old_inputs) {
+              candidates.push_back(&old);
             }
-            candidates.push_back(&old_inputs[static_cast<size_t>(idx)]);
+          } else {
+            for (size_t idx : MatchCandidates(
+                     g, old_inputs.size(), options_.max_match_candidates)) {
+              candidates.push_back(&old_inputs[idx]);
+            }
+          }
+          obs::LocalHistogram& match_hist =
+              page_ctx->stats->match_hist[static_cast<size_t>(matcher_kind)];
+          for (const InputTupleRec* old : candidates) {
+            ++ustats.matcher_calls;
+            ++calls;
+            std::vector<MatchSegment> found;
+            {
+              obs::ScopedLatencyTimer match_latency(&match_hist);
+              found = matcher.Match(page.content, region, q_page->content,
+                                    old->region, &page_ctx->match_ctx);
+            }
+            if (paranoid::Enabled()) {
+              paranoid::CheckSegments(page.content, region, q_page->content,
+                                      old->region, found);
+            }
+            for (const MatchSegment& seg : found) {
+              segments.push_back({seg, old->region, old->tid});
+            }
           }
         }
-        obs::LocalHistogram& match_hist =
-            page_ctx->stats->match_hist[static_cast<size_t>(matcher_kind)];
-        for (const InputTupleRec* old : candidates) {
-          ++ustats.matcher_calls;
-          std::vector<MatchSegment> found;
-          {
-            obs::ScopedLatencyTimer match_latency(&match_hist);
-            found = matcher.Match(page.content, region, q_page->content,
-                                  old->region, &page_ctx->match_ctx);
-          }
-          if (paranoid::Enabled()) {
-            paranoid::CheckSegments(page.content, region, q_page->content,
-                                    old->region, found);
-          }
-          for (const MatchSegment& seg : found) {
-            segments.push_back({seg, old->region, old->tid});
-          }
-        }
-      }
-      if (!exact_hit) {
         if (!segments.empty()) tiles = extractor.Tiles(p_text, region.start);
         derivation = DeriveRegionsTagged(region, std::move(segments),
                                          unit.alpha, unit.beta, tiles);
+        kind_us = kind_watch.ElapsedMicros();
       }
       if (paranoid::Enabled()) {
         paranoid::CheckDerivation(derivation, region, tiles);
@@ -1262,6 +1291,28 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
     }
     if (!attempted_reuse) {
       derivation.extraction_regions = IntervalSet({region});
+    } else if (page_ctx->trial) {
+      // A trial page: the plan's matcher tallies its own work (RU is priced
+      // as its source), and TrialMatch tries every other kind.
+      if (matcher_kind != MatcherKind::kRU) {
+        MatchTally& own = ustats.trials[static_cast<size_t>(matcher_kind)];
+        ++own.inputs;
+        own.chars += region.length();
+        own.leftover_chars += derivation.extraction_regions.TotalLength();
+        own.copy_regions +=
+            static_cast<int64_t>(derivation.copy_regions.size());
+        own.calls += calls;
+        own.us += kind_us;
+      }
+      Stopwatch trial_watch;
+      for (MatcherKind kind :
+           {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
+        if (kind == matcher_kind) continue;
+        TrialMatch(page.content, region, g, q_page->content, old_regions,
+                   exact_hit, kind, unit, options_.max_match_candidates,
+                   &ustats.trials[static_cast<size_t>(kind)]);
+      }
+      ustats.trial_us += trial_watch.ElapsedMicros();
     }
 
     // ---- Copy phase: relocate recorded mentions (§5.3). ----

@@ -113,11 +113,20 @@ class DelexEngine {
   /// a URL never changes shard. `assignment` maps each IE unit to a
   /// matcher; it is ignored when `previous` is null.
   ///
+  /// `trial_pages` (the optimizer's sample size; 0 under a forced plan)
+  /// picks that many trial pages among the evaluated pages that have a
+  /// previous version, evenly spaced in snapshot order once the classify
+  /// pass has run, so the choice depends on the snapshot pair alone. On a
+  /// trial page each unit also runs TrialMatch for the real matchers (UD,
+  /// ST) the plan did not give it, into UnitRunStats::trials: the
+  /// statistics the optimizer plans the next refresh from. Trials touch no
+  /// output, capture, RU match cache or file.
+  ///
   /// Returns the result tuples, each prefixed with the page's did.
   Result<std::vector<Tuple>> RunSnapshot(const SnapshotView& current,
                                          const Snapshot* previous,
                                          const MatcherAssignment& assignment,
-                                         RunStats* stats);
+                                         RunStats* stats, int trial_pages = 0);
 
   /// Number of completed runs (also the reuse-file generation counter).
   int generation() const { return generation_; }
@@ -237,9 +246,10 @@ class DelexEngine {
   /// entry ready commits it and every ready entry behind it, and retires
   /// each as it commits, in snapshot order: its stats shard folds into
   /// `*stats`, its rows move to the end of `*rows`, and its buffers are
-  /// released.
+  /// released. Marks up to `trial_pages` trial pages after the classify
+  /// pass (see RunSnapshot).
   Status RunPages(const SnapshotView& current, const Snapshot* previous,
-                  std::vector<Tuple>* rows, RunStats* stats);
+                  int trial_pages, std::vector<Tuple>* rows, RunStats* stats);
 
   std::string ReusePathPrefix(int unit_index, int generation) const;
   std::string ResultCachePath(int generation) const;

@@ -73,6 +73,29 @@ struct PhaseBreakdown {
   }
 };
 
+/// \brief One matcher kind's work over matched input regions (regions of a
+/// page with a previous version that had old regions to match against):
+/// the counts the cost model's ĝ, ĥ, ŝ and match µs per character are
+/// taken from.
+struct MatchTally {
+  int64_t inputs = 0;          ///< matched input regions
+  int64_t chars = 0;           ///< their total length
+  int64_t leftover_chars = 0;  ///< extraction-region chars they left
+  int64_t copy_regions = 0;    ///< copy regions derived for them
+  int64_t calls = 0;           ///< Matcher::Match calls
+  int64_t us = 0;              ///< matching µs
+
+  MatchTally& operator+=(const MatchTally& other) {
+    inputs += other.inputs;
+    chars += other.chars;
+    leftover_chars += other.leftover_chars;
+    copy_regions += other.copy_regions;
+    calls += other.calls;
+    us += other.us;
+    return *this;
+  }
+};
+
 /// \brief Per-unit counters for one snapshot run.
 ///
 /// Under parallel execution every page task accumulates into its own
@@ -89,10 +112,22 @@ struct UnitRunStats {
   int64_t matcher_calls = 0;
   int64_t exact_region_hits = 0;
   int64_t chars_extracted = 0;  ///< total length of extraction regions run
+  int64_t input_chars = 0;      ///< total length of the input regions
   int64_t match_us = 0;
   int64_t extract_us = 0;
   int64_t copy_us = 0;
   int64_t capture_us = 0;  ///< reuse-record buffering + ordered write-back
+
+  /// The run's trial pages (DelexEngine::RunSnapshot): per matcher kind,
+  /// indexed by MatcherKind, what DN, UD and ST make of this unit's
+  /// matched regions there — the plan's own matcher from its own work,
+  /// the others from TrialMatch — so every kind is priced on the same
+  /// pages by the same clock (matching, tiling and derivation of the
+  /// regions that are not exact hits). `trial_us` is the time the trials
+  /// added; neither it nor the tallies' µs are in match_us.
+  int64_t trial_pages = 0;
+  int64_t trial_us = 0;
+  std::array<MatchTally, kNumMatcherKinds> trials = {};
 
   /// Per-blackbox-invocation extract latency (one sample per
   /// extractor.Extract call) — extract_us only gives the sum.
@@ -106,10 +141,14 @@ struct UnitRunStats {
     matcher_calls += other.matcher_calls;
     exact_region_hits += other.exact_region_hits;
     chars_extracted += other.chars_extracted;
+    input_chars += other.input_chars;
     match_us += other.match_us;
     extract_us += other.extract_us;
     copy_us += other.copy_us;
     capture_us += other.capture_us;
+    trial_pages += other.trial_pages;
+    trial_us += other.trial_us;
+    for (size_t k = 0; k < trials.size(); ++k) trials[k] += other.trials[k];
     extract_hist.MergeFrom(other.extract_hist);
     return *this;
   }

@@ -93,6 +93,7 @@ void FillDecisions(const Optimizer::DecisionAudit& audit,
     d.a = unit.a;
     d.l = unit.l;
     d.history_window = audit.history_window;
+    d.source = audit.sampled ? "sample" : "run";
     optimizer->decisions.push_back(std::move(d));
   }
 }
@@ -147,48 +148,52 @@ class EngineSolution : public Solution {
     int64_t opt_us = 0;
     last_predicted_unit_us_.clear();
     last_predicted_total_us_ = -1;
-    if (previous != nullptr) {
-      if (!options_.forced_assignment.per_unit.empty()) {
-        assignment = options_.forced_assignment;
-        // Forced plans still get a prediction when statistics exist (an
-        // earlier optimized run in this process primed the history).
-        if (optimizer_->HasStats()) {
-          Result<std::vector<double>> predicted =
-              optimizer_->EstimatePerUnitCost(assignment);
-          if (predicted.ok()) RecordPrediction(std::move(predicted).ValueOrDie());
+    // A forced plan runs with no optimizer and no trials.
+    const bool optimize =
+        previous != nullptr && options_.forced_assignment.per_unit.empty();
+    if (previous != nullptr && !optimize) {
+      assignment = options_.forced_assignment;
+    }
+    if (optimize) {
+      Stopwatch opt_watch;
+      {
+        // Only a pair with no run to learn from is sampled, on a pool as
+        // wide as the engine's built for that call alone: a pool kept
+        // across refreshes holds its idle workers' memory through the
+        // engine run.
+        std::unique_ptr<ThreadPool> pool;
+        const int width = engine_->EffectiveThreads();
+        if (optimizer_->NeedsSample() && width > 1) {
+          pool = std::make_unique<ThreadPool>(width);
         }
-      } else {
-        Stopwatch opt_watch;
-        {
-          // The sample runs on a pool as wide as the engine's, built for
-          // this call only: a pool kept across refreshes holds its idle
-          // workers' memory through the engine run.
-          std::unique_ptr<ThreadPool> pool;
-          const int width = engine_->EffectiveThreads();
-          if (width > 1) pool = std::make_unique<ThreadPool>(width);
-          DELEX_RETURN_NOT_OK(optimizer_->ObserveSnapshotPair(
-              current, *previous,
-              /*seed=*/0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()),
-              pool.get()));
-        }
-        DELEX_ASSIGN_OR_RETURN(assignment, optimizer_->ChooseAssignment());
-        opt_us = opt_watch.ElapsedMicros();
-        DELEX_ASSIGN_OR_RETURN(std::vector<double> predicted,
-                               optimizer_->EstimatePerUnitCost(assignment));
-        RecordPrediction(std::move(predicted));
+        DELEX_RETURN_NOT_OK(optimizer_->ObserveSnapshotPair(
+            current, *previous,
+            /*seed=*/0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()),
+            pool.get(), !options_.disable_page_fast_path));
       }
+      DELEX_ASSIGN_OR_RETURN(assignment, optimizer_->ChooseAssignment());
+      opt_us = opt_watch.ElapsedMicros();
+      DELEX_ASSIGN_OR_RETURN(std::vector<double> predicted,
+                             optimizer_->EstimatePerUnitCost(assignment));
+      RecordPrediction(std::move(predicted));
     }
     last_assignment_ = assignment;
     last_had_previous_ = previous != nullptr;
+    RunStats local_stats;
+    RunStats* run_stats = stats != nullptr ? stats : &local_stats;
     DELEX_ASSIGN_OR_RETURN(
         std::vector<Tuple> results,
-        engine_->RunSnapshot(current, previous, assignment, stats));
-    last_drift_ = -1;
-    if (stats != nullptr) {
-      stats->phases.opt_us = opt_us;
-      stats->phases.total_us += opt_us;
-      last_drift_ = DriftOf(name_, last_predicted_unit_us_, *stats);
+        engine_->RunSnapshot(current, previous, assignment, run_stats,
+                             optimize ? options_.sample_pages : 0));
+    if (optimize) {
+      // The run, trials included, plans the next refresh.
+      Stopwatch observe_watch;
+      optimizer_->ObserveRun(*run_stats);
+      opt_us += observe_watch.ElapsedMicros();
     }
+    run_stats->phases.opt_us = opt_us;
+    run_stats->phases.total_us += opt_us;
+    last_drift_ = DriftOf(name_, last_predicted_unit_us_, *run_stats);
     return results;
   }
 
@@ -281,37 +286,37 @@ class ShardedEngineSolution : public Solution {
         MatcherAssignment::Uniform(engine_->NumUnits(), MatcherKind::kDN));
     int64_t opt_us = 0;
     shard_predicted_unit_us_.assign(static_cast<size_t>(num_shards), {});
-    if (previous != nullptr) {
-      if (!options_.forced_assignment.per_unit.empty()) {
-        for (MatcherAssignment& a : assignments) {
-          a = options_.forced_assignment;
-        }
-      } else {
-        // Feed every shard's optimizer the pages its engine will actually
-        // see, routed the way the engine routes them; each samples on the
-        // shared pool, which is idle until the engine runs.
-        Stopwatch opt_watch;
-        const std::vector<SnapshotView> cur_routes =
-            shard::RouteSnapshot(current, num_shards);
-        const std::vector<SnapshotView> prev_routes =
-            shard::RouteSnapshot(*previous, num_shards);
-        for (int k = 0; k < num_shards; ++k) {
-          Optimizer* optimizer = optimizers_[static_cast<size_t>(k)].get();
-          const uint64_t seed =
-              0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()) ^
-              (static_cast<uint64_t>(k) * 0x9E3779B97F4A7C15ULL);
-          DELEX_RETURN_NOT_OK(optimizer->ObserveSnapshotPair(
-              cur_routes[static_cast<size_t>(k)],
-              prev_routes[static_cast<size_t>(k)], seed, engine_->pool()));
-          DELEX_ASSIGN_OR_RETURN(assignments[static_cast<size_t>(k)],
-                                 optimizer->ChooseAssignment());
-          DELEX_ASSIGN_OR_RETURN(
-              shard_predicted_unit_us_[static_cast<size_t>(k)],
-              optimizer->EstimatePerUnitCost(
-                  assignments[static_cast<size_t>(k)]));
-        }
-        opt_us = opt_watch.ElapsedMicros();
+    // A forced plan runs with no optimizer and no trials.
+    const bool optimize =
+        previous != nullptr && options_.forced_assignment.per_unit.empty();
+    if (previous != nullptr && !optimize) {
+      for (MatcherAssignment& a : assignments) a = options_.forced_assignment;
+    }
+    if (optimize) {
+      // Feed every shard's optimizer the pages its engine will actually
+      // see, routed the way the engine routes them (previous versions are
+      // looked up in the whole previous snapshot, as the engine does); a
+      // first refresh samples on the shared pool, which is idle until the
+      // engine runs.
+      Stopwatch opt_watch;
+      const std::vector<SnapshotView> cur_routes =
+          shard::RouteSnapshot(current, num_shards);
+      for (int k = 0; k < num_shards; ++k) {
+        Optimizer* optimizer = optimizers_[static_cast<size_t>(k)].get();
+        const uint64_t seed =
+            0xC0FFEE ^ static_cast<uint64_t>(engine_->generation()) ^
+            (static_cast<uint64_t>(k) * 0x9E3779B97F4A7C15ULL);
+        DELEX_RETURN_NOT_OK(optimizer->ObserveSnapshotPair(
+            cur_routes[static_cast<size_t>(k)], *previous, seed,
+            engine_->pool(), !options_.disable_page_fast_path));
+        DELEX_ASSIGN_OR_RETURN(assignments[static_cast<size_t>(k)],
+                               optimizer->ChooseAssignment());
+        DELEX_ASSIGN_OR_RETURN(
+            shard_predicted_unit_us_[static_cast<size_t>(k)],
+            optimizer->EstimatePerUnitCost(
+                assignments[static_cast<size_t>(k)]));
       }
+      opt_us = opt_watch.ElapsedMicros();
     }
     last_assignments_ = assignments;
     last_had_previous_ = previous != nullptr;
@@ -319,7 +324,16 @@ class ShardedEngineSolution : public Solution {
     DELEX_ASSIGN_OR_RETURN(
         std::vector<Tuple> results,
         engine_->RunSnapshot(current, previous, assignments, stats,
-                             &shard_stats));
+                             &shard_stats,
+                             optimize ? options_.sample_pages : 0));
+    if (optimize) {
+      // Each shard's run, trials included, plans that shard's next refresh.
+      Stopwatch observe_watch;
+      for (size_t k = 0; k < optimizers_.size(); ++k) {
+        optimizers_[k]->ObserveRun(shard_stats.per_shard[k]);
+      }
+      opt_us += observe_watch.ElapsedMicros();
+    }
     if (stats != nullptr) {
       stats->phases.opt_us = opt_us;
       stats->phases.total_us += opt_us;

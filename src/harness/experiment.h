@@ -74,7 +74,10 @@ struct DelexSolutionOptions {
   /// thread, 0 = one per hardware thread. Results and reuse files are
   /// identical at every setting; only wall clock changes.
   int num_threads = 1;
-  /// Statistics sample size (Fig 13a).
+  /// Fig 13a's knob: the pages each optimized run trials (the matchers
+  /// its plan did not run, over the same regions), whose statistics plan
+  /// the next refresh; on the first refresh, with no run to learn from,
+  /// the pages sampled instead. Forced plans trial nothing.
   int sample_pages = 6;
   /// History window (Fig 13b).
   int history_snapshots = 3;

@@ -50,6 +50,7 @@ void ParseDecision(const JsonValue& v, OptimizerReport::UnitDecision* d) {
   d->a = in.At("a").NumberOr(0);
   d->l = in.At("l").NumberOr(0);
   d->history_window = static_cast<int>(in.At("history").IntOr(0));
+  d->source = in.At("source").StringOr("");
 }
 
 // The run-report key's value when present, else the key a pre-v9

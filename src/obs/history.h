@@ -8,7 +8,7 @@
 // `work_dir/history.jsonl` at the end of every engine-backed run.
 //
 // The record body is the generation's run-report line (obs/run_report.h,
-// schema v9): RunSeries builds the line once and writes it bare to the
+// schema v9 and later): RunSeries builds the line once and writes it bare to the
 // stats-JSON file and framed here, so the two never drift apart and
 // history carries every run-report block (phases, reader stage, io,
 // per-unit detail, shards, resources, optimizer decisions).
@@ -29,7 +29,8 @@
 // the old key instead ("gen", "counters.demote_*",
 // "counters.trace_dropped_events", "resources.profile_samples",
 // "resources.profile_lost", "resources.top_spans"), so stores from
-// earlier builds still load. Keys of the learned cost-coefficient layer
+// earlier builds still load. A decision's "source" (v10) reads empty from
+// an older record. Keys of the learned cost-coefficient layer
 // (before schema v7: "learning", "coeffs", decision "gain"/"bias"/
 // "samples") are ignored.
 //

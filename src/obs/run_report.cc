@@ -54,6 +54,7 @@ void WriteUnitDecision(const OptimizerReport::UnitDecision& d,
       .KV("a", d.a)
       .KV("l", d.l)
       .KV("history", d.history_window)
+      .KV("source", d.source)
       .EndObject();
   json->EndObject();
 }
@@ -241,6 +242,8 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
     json.KV("matcher_calls", unit.matcher_calls);
     json.KV("exact_region_hits", unit.exact_region_hits);
     json.KV("chars_extracted", unit.chars_extracted);
+    json.KV("trial_pages", unit.trial_pages);
+    json.KV("trial_us", unit.trial_us);
     if (meta.histograms_enabled) {
       json.KV("extract_count", unit.extract_hist.count());
       json.KV("extract_p50_us", unit.extract_hist.Percentile(50));

@@ -42,6 +42,7 @@
 //              "input_tuples":..,"output_tuples":..,"copied_tuples":..,
 //              "extracted_tuples":..,"matcher_calls":..,
 //              "exact_region_hits":..,"chars_extracted":..,
+//              "trial_pages":..,"trial_us":..,          // v10
 //              "extract_count":..,"extract_p50_us":..,"extract_p90_us":..,
 //              "extract_p99_us":..,"extract_max_us":..}],
 //    "counters":{"engine.fast_path.demote_result_cache":0,...}}
@@ -113,6 +114,15 @@
 // it ("ST,RU"; per-shard plans '|'-joined when the shards disagree;
 // omitted for plan-less baselines), and warm-up lines now name each
 // unit's executed "matcher" (the uniform plan the warm-up ran).
+//
+// v9 → v10: plans from the run that already happened. A decision's
+// "inputs" block gains "source": "sample" when the statistics came from a
+// sample of this snapshot pair (an engine's first refresh in a process),
+// "run" when they came from the runs before it. Its "f" and "m" now count
+// the pages the engine evaluates (not byte-identical to their previous
+// version), not every page. Each unit gains "trial_pages" and "trial_us",
+// its trial matching of the run (the matchers its plan did not run, on
+// the run's trial pages). Readers print "-" for a pre-v10 "source".
 
 #include <cstdint>
 #include <cstdio>
@@ -127,7 +137,7 @@
 namespace delex {
 namespace obs {
 
-inline constexpr int kRunReportSchemaVersion = 9;
+inline constexpr int kRunReportSchemaVersion = 10;
 
 /// \brief Run identity and execution-environment metadata for one line.
 struct RunReportMeta {
@@ -199,9 +209,13 @@ struct OptimizerReport {
     double margin_us = 0;
     /// (matcher name, estimated whole-plan µs) for every candidate.
     std::vector<std::pair<std::string, double>> candidate_us;
-    // Statistics inputs: snapshot level (f, m) and unit level (a, l).
+    // Statistics inputs: snapshot level (f, m, over the evaluated pages)
+    // and unit level (a, l).
     double f = 0, m = 0, a = 0, l = 0;
-    int history_window = 0;  ///< snapshot pairs in the averaged stats
+    int history_window = 0;  ///< observations in the averaged stats
+    /// Where the statistics came from (v10): "sample" (this pair was
+    /// sampled) or "run" (the runs before it); empty before v10.
+    std::string source;
   };
   std::vector<UnitDecision> decisions;
 };

@@ -43,11 +43,12 @@ double EstimateUnitCost(const CostModelStats& stats, int u,
   double cost = stats.w_io_us_per_block * unit.b_blocks +
                 stats.w_find_us * an * a1 * m1 * f;
 
-  // (2) match the identified regions. RU pays neither the page I/O (pages
-  // are already pinned for the units that ran the real matcher) nor any
-  // meaningful CPU.
+  // (2) match the identified regions: read the previous versions of the
+  // evaluated pages (d_blocks counts only those). RU pays neither the page
+  // I/O (pages are already pinned for the units that ran the real
+  // matcher) nor any meaningful CPU.
   if (effective != MatcherKind::kDN && !ru_priced) {
-    cost += stats.w_io_us_per_block * stats.d_blocks * f;
+    cost += stats.w_io_us_per_block * stats.d_blocks;
     cost += unit.match_us_per_char[mi] * a1 * m1 * f * unit.s[mi] * unit.l;
   }
 

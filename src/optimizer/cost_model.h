@@ -47,10 +47,15 @@ struct UnitCostStats {
 };
 
 /// \brief Snapshot-level statistics plus calibrated weights.
+///
+/// The snapshot-level fields count only the pages the engine evaluates:
+/// a page byte-identical to its previous version is relocated by the
+/// fast path at the same cost under every plan, so it is left out of
+/// every price (PairStats).
 struct CostModelStats {
-  double f = 0;         ///< fraction of pages with a previous version
-  double m = 0;         ///< pages in the incoming snapshot
-  double d_blocks = 0;  ///< raw page blocks in the previous snapshot
+  double f = 0;         ///< fraction of evaluated pages with a previous version
+  double m = 0;         ///< evaluated pages in the incoming snapshot
+  double d_blocks = 0;  ///< blocks of those pages' previous versions
 
   std::vector<UnitCostStats> units;
 

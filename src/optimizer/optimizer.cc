@@ -13,17 +13,35 @@ Optimizer::Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis,
 
 Status Optimizer::ObserveSnapshotPair(const SnapshotView& current,
                                       const SnapshotView& previous,
-                                      uint64_t seed, ThreadPool* pool) {
+                                      uint64_t seed, ThreadPool* pool,
+                                      bool page_fast_path) {
   DELEX_TRACE_SPAN("opt_observe_pair", static_cast<int64_t>(seed), "optimizer");
+  sampled_ = NeedsSample();
+  if (!sampled_) {
+    pair_ = PairStats(current, previous, page_fast_path);
+    return Status::OK();
+  }
   DELEX_ASSIGN_OR_RETURN(
       CostModelStats stats,
       CollectStats(plan_, analysis_, current, previous, options_.collector,
-                   seed, pool));
+                   seed, pool, page_fast_path));
+  pair_ = stats;
+  Push(std::move(stats));
+  return Status::OK();
+}
+
+void Optimizer::ObserveRun(const RunStats& run) {
+  observed_run_ = true;
+  if (std::optional<CostModelStats> stats = StatsFromRun(run)) {
+    Push(*std::move(stats));
+  }
+}
+
+void Optimizer::Push(CostModelStats stats) {
   history_.push_back(std::move(stats));
   while (static_cast<int>(history_.size()) > options_.history_snapshots) {
     history_.pop_front();
   }
-  return Status::OK();
 }
 
 Result<CostModelStats> Optimizer::Averaged() {
@@ -32,6 +50,11 @@ Result<CostModelStats> Optimizer::Averaged() {
   }
   averaged_ =
       AverageStats(std::vector<CostModelStats>(history_.begin(), history_.end()));
+  if (pair_.has_value()) {
+    averaged_.f = pair_->f;
+    averaged_.m = pair_->m;
+    averaged_.d_blocks = pair_->d_blocks;
+  }
   return averaged_;
 }
 
@@ -54,6 +77,7 @@ void Optimizer::RecordAudit(const MatcherAssignment& chosen,
   audit_.f = averaged_.f;
   audit_.m = averaged_.m;
   audit_.history_window = static_cast<int>(history_.size());
+  audit_.sampled = sampled_;
   audit_.units.resize(chosen.per_unit.size());
   for (size_t u = 0; u < chosen.per_unit.size(); ++u) {
     DecisionAudit::Unit& unit = audit_.units[u];

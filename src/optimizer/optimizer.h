@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "optimizer/search.h"
@@ -11,8 +12,9 @@
 
 namespace delex {
 
-/// \brief The per-snapshot optimizer façade (§6 end-to-end): collect
-/// statistics over a sample + recent history, then search the plan space.
+/// \brief The per-snapshot optimizer façade (§6 end-to-end): statistics
+/// from the recent runs (a sample only before the first), priced on the
+/// incoming pair's evaluated pages, then a search of the plan space.
 class Optimizer {
  public:
   struct Options {
@@ -27,17 +29,30 @@ class Optimizer {
   Optimizer(xlog::PlanNodePtr plan, const UnitAnalysis& analysis)
       : Optimizer(std::move(plan), analysis, Options()) {}
 
-  /// Samples the incoming pair (two whole snapshots, or one shard's views
-  /// of them), pushes the measurement into the history window. The sampled
-  /// page pairs run as tasks on `pool`, or on the calling thread when it
-  /// is null (see CollectStats). The elapsed time of this call is the
+  /// Takes the incoming pair (two whole snapshots, or one shard's views
+  /// of them): its m, f and d_blocks over the pages the engine will
+  /// evaluate (PairStats; every page when `page_fast_path` is off) price
+  /// the next choice. Until a run has been observed (NeedsSample) the
+  /// pair is also sampled into the history window (CollectStats, as tasks
+  /// on `pool`, or on the calling thread when it is null); after that
+  /// this call reads no page content. Its elapsed time is most of the
   /// run's "Opt" phase.
   Status ObserveSnapshotPair(const SnapshotView& current,
                              const SnapshotView& previous, uint64_t seed,
-                             ThreadPool* pool);
+                             ThreadPool* pool, bool page_fast_path = true);
 
-  /// Algorithm 1 over the averaged statistics. Requires at least one
-  /// ObserveSnapshotPair.
+  /// Learns from a finished run with trial pages (DelexEngine::
+  /// RunSnapshot's trial_pages): pushes StatsFromRun into the history
+  /// window, unless the run evaluated no page that had a previous version.
+  /// From then on ObserveSnapshotPair samples no more.
+  void ObserveRun(const RunStats& run);
+
+  /// True until the first ObserveRun: the next ObserveSnapshotPair
+  /// samples the pair.
+  bool NeedsSample() const { return !observed_run_; }
+
+  /// Algorithm 1 over the averaged statistics and the last observed
+  /// pair's m, f and d_blocks. Requires a sample or an observed run.
   Result<MatcherAssignment> ChooseAssignment(double* estimated_cost = nullptr);
 
   /// \brief Audit of the last ChooseAssignment — per unit, every
@@ -49,10 +64,12 @@ class Optimizer {
   struct DecisionAudit {
     bool valid = false;        ///< a choice was made and recorded
     double chosen_plan_us = 0; ///< Greedy's estimate of the chosen plan
-    // Snapshot-level stats inputs.
+    // Snapshot-level stats inputs, over the evaluated pages.
     double f = 0;              ///< fraction of pages with a previous version
-    double m = 0;              ///< pages in the snapshot
-    int history_window = 0;    ///< snapshot pairs in the averaged stats
+    double m = 0;              ///< evaluated pages in the snapshot
+    int history_window = 0;    ///< observations in the averaged stats
+    /// The last observation was a sample of this pair, not a run.
+    bool sampled = false;
 
     struct Unit {
       /// Whole-plan estimated µs per candidate, indexed by MatcherIndex.
@@ -84,10 +101,13 @@ class Optimizer {
   std::vector<MatcherAssignment> EnumerateAllPlans() const;
 
   const ChainStructure& chains() const { return chains_; }
-  bool HasStats() const { return !history_.empty(); }
 
  private:
+  /// Averages the history window and sets the incoming pair's m, f and
+  /// d_blocks on it.
   Result<CostModelStats> Averaged();
+
+  void Push(CostModelStats stats);
 
   /// Fills audit_ from averaged_ for the plan Greedy just chose.
   void RecordAudit(const MatcherAssignment& chosen, double chosen_cost);
@@ -97,6 +117,9 @@ class Optimizer {
   Options options_;
   ChainStructure chains_;
   std::deque<CostModelStats> history_;
+  std::optional<CostModelStats> pair_;  // the incoming pair's m, f, d_blocks
+  bool observed_run_ = false;
+  bool sampled_ = false;     // the last ObserveSnapshotPair sampled
   CostModelStats averaged_;  // refreshed by Averaged()
   DecisionAudit audit_;
 };

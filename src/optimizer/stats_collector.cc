@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "delex/region_derivation.h"
+#include "delex/trial_match.h"
 #include "matcher/matcher.h"
 #include "obs/trace.h"
 
@@ -16,37 +15,62 @@ namespace {
 
 using xlog::PlanNode;
 
-/// Raw accumulators before normalization into UnitCostStats.
+/// Raw per-unit counts before normalization into UnitCostStats.
 struct UnitAccumulator {
   int64_t input_tuples = 0;
   int64_t output_tuples = 0;
-  int64_t total_region_len = 0;
+  int64_t input_chars = 0;
   int64_t extract_chars = 0;
   int64_t extract_us = 0;
-  // Indexed by matcher kind.
-  std::array<int64_t, kNumMatcherKinds> matched_inputs = {};
-  std::array<int64_t, kNumMatcherKinds> matched_len = {};
-  std::array<int64_t, kNumMatcherKinds> leftover_len = {};
-  std::array<int64_t, kNumMatcherKinds> copy_regions = {};
-  std::array<int64_t, kNumMatcherKinds> matcher_calls = {};
-  std::array<int64_t, kNumMatcherKinds> match_us = {};
+  std::array<MatchTally, kNumMatcherKinds> match = {};  // by matcher kind
 
   void Add(const UnitAccumulator& other) {
     input_tuples += other.input_tuples;
     output_tuples += other.output_tuples;
-    total_region_len += other.total_region_len;
+    input_chars += other.input_chars;
     extract_chars += other.extract_chars;
     extract_us += other.extract_us;
     for (size_t mi = 0; mi < kNumMatcherKinds; ++mi) {
-      matched_inputs[mi] += other.matched_inputs[mi];
-      matched_len[mi] += other.matched_len[mi];
-      leftover_len[mi] += other.leftover_len[mi];
-      copy_regions[mi] += other.copy_regions[mi];
-      matcher_calls[mi] += other.matcher_calls[mi];
-      match_us[mi] += other.match_us[mi];
+      match[mi] += other.match[mi];
     }
   }
 };
+
+/// One unit's statistics from its counts over `pages` observed pages;
+/// the reuse-file size estimates scale to `m` pages.
+UnitCostStats Normalize(const UnitAccumulator& acc, double pages, double m) {
+  UnitCostStats unit;
+  unit.a = static_cast<double>(acc.input_tuples) / pages;
+  unit.l = acc.input_tuples > 0 ? static_cast<double>(acc.input_chars) /
+                                      static_cast<double>(acc.input_tuples)
+                                : 0;
+  unit.extract_us_per_char =
+      acc.extract_chars > 0 ? static_cast<double>(acc.extract_us) /
+                                  static_cast<double>(acc.extract_chars)
+                            : 0.05;
+  for (size_t mi = 0; mi < kNumMatcherKinds; ++mi) {
+    const MatchTally& tally = acc.match[mi];
+    if (tally.chars > 0) {
+      const double chars = static_cast<double>(tally.chars);
+      const double inputs = static_cast<double>(tally.inputs);
+      unit.match_us_per_char[mi] = static_cast<double>(tally.us) / chars;
+      unit.g[mi] = static_cast<double>(tally.leftover_chars) / chars;
+      unit.h[mi] = static_cast<double>(tally.copy_regions) / inputs;
+      unit.s[mi] = static_cast<double>(tally.calls) / inputs;
+    } else {
+      unit.g[mi] = 1.0;
+    }
+  }
+  // RU inherits selectivity from its source at plan-costing time; its own
+  // matching cost is near zero.
+  unit.match_us_per_char[MatcherIndex(MatcherKind::kRU)] = 0.0;
+
+  // Reuse-file sizes: ~40 bytes per input tuple, ~60 per output tuple.
+  const double outputs_per_page = static_cast<double>(acc.output_tuples) / pages;
+  unit.b_blocks = unit.a * m * 40.0 / static_cast<double>(kBlockSize);
+  unit.c_blocks = outputs_per_page * m * 60.0 / static_cast<double>(kBlockSize);
+  return unit;
+}
 
 /// Per-unit input regions observed on one page.
 struct PageObservation {
@@ -86,7 +110,7 @@ class RecordingHook final : public xlog::IEHook {
       if (account_extraction_) {
         acc.extract_us += watch.ElapsedMicros();
         ++acc.input_tuples;
-        acc.total_region_len += region.length();
+        acc.input_chars += region.length();
         acc.extract_chars += region.length();
         // The walk appends the outputs to every tuple of the group.
         acc.output_tuples +=
@@ -113,82 +137,12 @@ Page TruncatePage(const Page& page, int64_t max_bytes) {
   return out;
 }
 
-/// Trial-matches the sampled regions of one unit with one matcher kind,
-/// mirroring the engine's exact-content fast path, candidate policy and
-/// region derivation (tiles included).
-void TrialMatch(const Page& p_page, const Page& q_page,
-                const std::vector<TextSpan>& p_regions,
-                const std::vector<TextSpan>& q_regions, MatcherKind kind,
-                const IEUnit& unit, int max_candidates,
-                UnitAccumulator* acc) {
-  const size_t mi = MatcherIndex(kind);
-  MatchContext ctx;
-  for (size_t i = 0; i < p_regions.size(); ++i) {
-    const TextSpan& region = p_regions[i];
-    if (q_regions.empty()) continue;
-    Stopwatch watch;
-
-    std::string_view p_text =
-        std::string_view(p_page.content)
-            .substr(static_cast<size_t>(region.start),
-                    static_cast<size_t>(region.length()));
-
-    // Exact-content fast path (shared by all matcher assignments).
-    const TextSpan* exact = nullptr;
-    for (const TextSpan& q_region : q_regions) {
-      if (q_region.length() != region.length()) continue;
-      std::string_view q_text =
-          std::string_view(q_page.content)
-              .substr(static_cast<size_t>(q_region.start),
-                      static_cast<size_t>(q_region.length()));
-      if (q_text == p_text) {
-        exact = &q_region;
-        break;
-      }
-    }
-
-    std::vector<TaggedSegment> segments;
-    if (exact != nullptr) {
-      segments.push_back({MatchSegment(region, *exact), *exact, 0});
-    } else if (kind == MatcherKind::kUD || kind == MatcherKind::kST) {
-      for (int64_t offset = 0;
-           offset < static_cast<int64_t>(q_regions.size()) &&
-           offset < max_candidates;
-           ++offset) {
-        int64_t idx = static_cast<int64_t>(i) +
-                      (offset % 2 == 0 ? 1 : -1) * ((offset + 1) / 2);
-        if (offset == 0) idx = static_cast<int64_t>(i);
-        if (idx < 0 || idx >= static_cast<int64_t>(q_regions.size())) continue;
-        const TextSpan& q_region = q_regions[static_cast<size_t>(idx)];
-        ++acc->matcher_calls[mi];
-        for (const MatchSegment& seg :
-             GetMatcher(kind).Match(p_page.content, region, q_page.content,
-                                    q_region, &ctx)) {
-          segments.push_back({seg, q_region, 0});
-        }
-      }
-    }
-
-    std::vector<TextSpan> tiles;
-    if (exact == nullptr && !segments.empty()) {
-      tiles = unit.ie_node->extractor->Tiles(p_text, region.start);
-    }
-    RegionDerivation derivation = DeriveRegionsTagged(
-        region, std::move(segments), unit.alpha, unit.beta, tiles);
-    acc->match_us[mi] += watch.ElapsedMicros();
-    ++acc->matched_inputs[mi];
-    acc->matched_len[mi] += region.length();
-    acc->leftover_len[mi] += derivation.extraction_regions.TotalLength();
-    acc->copy_regions[mi] +=
-        static_cast<int64_t>(derivation.copy_regions.size());
-  }
-}
-
-/// Walks one sampled page pair and trial-matches its regions into
-/// `accumulators`, the pair's own set. A walk reads nothing but page
-/// content, and the walk over the previous version accounts nothing, so
-/// when the truncated pages are byte-identical that walk would record
-/// exactly the new page's regions: it is skipped and those are reused.
+/// Walks one sampled page pair and trial-matches its regions with every
+/// matcher into `accumulators`, the pair's own set. A walk reads nothing
+/// but page content, and the walk over the previous version accounts
+/// nothing, so when the truncated pages are byte-identical that walk
+/// would record exactly the new page's regions: it is skipped and those
+/// are reused.
 Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
                    const Page& p_full, const Page& q_full,
                    const StatsCollectorOptions& options,
@@ -213,11 +167,28 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
   const PageObservation& q_seen = identical ? p_obs : q_obs;
 
   for (size_t u = 0; u < num_units; ++u) {
-    const IEUnit& unit = analysis.units[u];
-    for (MatcherKind kind :
-         {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
-      TrialMatch(p, q, p_obs.unit_inputs[u], q_seen.unit_inputs[u], kind,
-                 unit, options.max_match_candidates, &(*accumulators)[u]);
+    const std::vector<TextSpan>& q_regions = q_seen.unit_inputs[u];
+    if (q_regions.empty()) continue;
+    for (size_t i = 0; i < p_obs.unit_inputs[u].size(); ++i) {
+      const TextSpan& region = p_obs.unit_inputs[u][i];
+      const std::string_view p_text =
+          std::string_view(p.content)
+              .substr(static_cast<size_t>(region.start),
+                      static_cast<size_t>(region.length()));
+      bool exact = false;
+      for (const TextSpan& q_region : q_regions) {
+        exact = q_region.length() == region.length() &&
+                std::string_view(q.content).substr(
+                    static_cast<size_t>(q_region.start),
+                    static_cast<size_t>(q_region.length())) == p_text;
+        if (exact) break;
+      }
+      for (MatcherKind kind :
+           {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
+        TrialMatch(p.content, region, i, q.content, q_regions, exact, kind,
+                   analysis.units[u], options.max_match_candidates,
+                   &(*accumulators)[u].match[MatcherIndex(kind)]);
+      }
     }
   }
   return Status::OK();
@@ -225,32 +196,50 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
 
 }  // namespace
 
+CostModelStats PairStats(const SnapshotView& current,
+                         const SnapshotView& previous, bool page_fast_path,
+                         std::vector<std::pair<size_t, size_t>>* matched) {
+  size_t evaluated = 0;
+  size_t with_previous = 0;
+  int64_t previous_bytes = 0;
+  for (size_t i = 0; i < current.NumPages(); ++i) {
+    const Page& page = current.page(i);
+    if (auto q_idx = previous.snapshot().FindByUrl(page.url)) {
+      const Page& q_page = previous.snapshot().pages()[*q_idx];
+      if (page_fast_path && q_page.content_hash == page.content_hash &&
+          q_page.content.size() == page.content.size()) {
+        continue;
+      }
+      ++with_previous;
+      previous_bytes += static_cast<int64_t>(q_page.content.size());
+      if (matched != nullptr) matched->emplace_back(i, *q_idx);
+    }
+    ++evaluated;
+  }
+  CostModelStats stats;
+  stats.m = static_cast<double>(evaluated);
+  stats.f = evaluated == 0 ? 0
+                           : static_cast<double>(with_previous) /
+                                 static_cast<double>(evaluated);
+  stats.d_blocks =
+      static_cast<double>((previous_bytes + kBlockSize - 1) / kBlockSize);
+  return stats;
+}
+
 Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                                     const UnitAnalysis& analysis,
                                     const SnapshotView& current,
                                     const SnapshotView& previous,
                                     const StatsCollectorOptions& options,
-                                    uint64_t seed, ThreadPool* pool) {
-  CostModelStats stats;
+                                    uint64_t seed, ThreadPool* pool,
+                                    bool page_fast_path) {
   const size_t num_units = analysis.units.size();
-  stats.units.resize(num_units);
-  stats.m = static_cast<double>(current.NumPages());
-  stats.d_blocks = static_cast<double>(previous.TotalBlocks());
-
-  // f: exact URL overlap. Candidates are (index in the `current` view,
-  // index in the whole previous snapshot).
   std::vector<std::pair<size_t, size_t>> candidates;
-  for (size_t i = 0; i < current.NumPages(); ++i) {
-    if (auto q_idx = previous.snapshot().FindByUrl(current.page(i).url)) {
-      candidates.emplace_back(i, *q_idx);
-    }
-  }
-  stats.f = current.NumPages() == 0
-                ? 0
-                : static_cast<double>(candidates.size()) /
-                      static_cast<double>(current.NumPages());
+  CostModelStats stats =
+      PairStats(current, previous, page_fast_path, &candidates);
+  stats.units.resize(num_units);
 
-  // Sample page pairs.
+  // Sample evaluated page pairs.
   Rng rng(seed);
   std::vector<std::pair<size_t, size_t>> sample;
   for (int draws = 0;
@@ -286,44 +275,31 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
       accumulators[u].Add(pair_accumulators[i][u]);
     }
   }
-
-  // Normalize.
   const double pages = std::max<double>(1.0, static_cast<double>(sample.size()));
   for (size_t u = 0; u < num_units; ++u) {
-    const UnitAccumulator& acc = accumulators[u];
-    UnitCostStats& unit = stats.units[u];
-    unit.a = static_cast<double>(acc.input_tuples) / pages;
-    unit.l = acc.input_tuples > 0 ? static_cast<double>(acc.total_region_len) /
-                                        static_cast<double>(acc.input_tuples)
-                                  : 0;
-    unit.extract_us_per_char =
-        acc.extract_chars > 0 ? static_cast<double>(acc.extract_us) /
-                                    static_cast<double>(acc.extract_chars)
-                              : 0.05;
-    for (size_t mi = 0; mi < kNumMatcherKinds; ++mi) {
-      if (acc.matched_len[mi] > 0) {
-        unit.match_us_per_char[mi] =
-            static_cast<double>(acc.match_us[mi]) /
-            static_cast<double>(acc.matched_len[mi]);
-        unit.g[mi] = static_cast<double>(acc.leftover_len[mi]) /
-                     static_cast<double>(acc.matched_len[mi]);
-        unit.h[mi] = static_cast<double>(acc.copy_regions[mi]) /
-                     static_cast<double>(acc.matched_inputs[mi]);
-        unit.s[mi] = static_cast<double>(acc.matcher_calls[mi]) /
-                     static_cast<double>(acc.matched_inputs[mi]);
-      } else {
-        unit.g[mi] = 1.0;
-      }
-    }
-    // RU inherits selectivity from its source at plan-costing time; its
-    // own matching cost is near zero.
-    unit.match_us_per_char[MatcherIndex(MatcherKind::kRU)] = 0.0;
+    stats.units[u] = Normalize(accumulators[u], pages, stats.m);
+  }
+  return stats;
+}
 
-    // Reuse-file sizes: ~40 bytes per input tuple, ~60 per output tuple.
-    double outputs_per_page = static_cast<double>(acc.output_tuples) / pages;
-    unit.b_blocks = unit.a * stats.m * 40.0 / static_cast<double>(kBlockSize);
-    unit.c_blocks =
-        outputs_per_page * stats.m * 60.0 / static_cast<double>(kBlockSize);
+std::optional<CostModelStats> StatsFromRun(const RunStats& run) {
+  const int64_t evaluated = run.pages - run.pages_identical;
+  const int64_t with_previous = run.pages_with_previous - run.pages_identical;
+  if (with_previous <= 0) return std::nullopt;
+  CostModelStats stats;
+  stats.m = static_cast<double>(evaluated);
+  stats.f = static_cast<double>(with_previous) / static_cast<double>(evaluated);
+  stats.units.resize(run.units.size());
+  for (size_t u = 0; u < run.units.size(); ++u) {
+    const UnitRunStats& unit = run.units[u];
+    UnitAccumulator acc;
+    acc.input_tuples = unit.input_tuples;
+    acc.output_tuples = unit.output_tuples;
+    acc.input_chars = unit.input_chars;
+    acc.extract_chars = unit.chars_extracted;
+    acc.extract_us = unit.extract_us;
+    acc.match = unit.trials;
+    stats.units[u] = Normalize(acc, static_cast<double>(evaluated), stats.m);
   }
   return stats;
 }

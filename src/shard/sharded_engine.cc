@@ -103,7 +103,7 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
 Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
     const Snapshot& current, const Snapshot* previous,
     const std::vector<MatcherAssignment>& assignments, RunStats* stats,
-    ShardRunStats* shard_stats) {
+    ShardRunStats* shard_stats, int trial_pages) {
   if (!initialized_) return Status::InvalidArgument("call Init() first");
   if (assignments.size() != static_cast<size_t>(options_.num_shards)) {
     return Status::InvalidArgument("one assignment per shard required");
@@ -133,10 +133,12 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
     drivers.reserve(n);
     for (size_t k = 0; k < n; ++k) {
       drivers.emplace_back([this, k, &routes, previous, &assignments,
-                            &shard_rows, &per_shard, &shard_seconds] {
+                            &shard_rows, &per_shard, &shard_seconds,
+                            trial_pages] {
         Stopwatch watch;
-        shard_rows[k] = shards_[k]->RunSnapshot(routes[k], previous,
-                                                assignments[k], &per_shard[k]);
+        shard_rows[k] =
+            shards_[k]->RunSnapshot(routes[k], previous, assignments[k],
+                                    &per_shard[k], trial_pages);
         shard_seconds[k] = watch.ElapsedSeconds();
       });
     }

@@ -103,11 +103,12 @@ class ShardedEngine {
                                          RunStats* stats);
 
   /// Same, with one assignment per shard (each shard's optimizer can pick
-  /// its own plan) and optional per-shard stats out.
+  /// its own plan), optional per-shard stats out, and each shard picking
+  /// up to `trial_pages` trial pages of its own (DelexEngine::RunSnapshot).
   Result<std::vector<Tuple>> RunSnapshot(
       const Snapshot& current, const Snapshot* previous,
       const std::vector<MatcherAssignment>& assignments, RunStats* stats,
-      ShardRunStats* shard_stats);
+      ShardRunStats* shard_stats, int trial_pages = 0);
 
  private:
   xlog::PlanNodePtr plan_;

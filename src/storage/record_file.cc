@@ -11,10 +11,8 @@
 namespace delex {
 namespace {
 
-void PutLength(uint64_t v, std::string* out) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 8);
+void PutLength(uint64_t v, char* out) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 uint64_t GetLength(const char* data) {
@@ -35,9 +33,11 @@ Status RecordWriter::Open(const std::string& path) {
   if (file_ != nullptr) return Status::InvalidArgument("writer already open");
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) return Status::IOError("cannot create " + path);
+  // buffer_ is the write buffer: each fwrite is then one write(2).
+  std::setvbuf(file_, nullptr, _IONBF, 0);
   path_ = path;
   buffer_.clear();
-  buffer_.reserve(static_cast<size_t>(kBlockSize) * 2);
+  buffer_.reserve(kFlushBytes);
   logical_size_ = 0;
   stats_ = IoStats();
   return Status::OK();
@@ -45,34 +45,41 @@ Status RecordWriter::Open(const std::string& path) {
 
 Status RecordWriter::Append(std::string_view record) {
   if (file_ == nullptr) return Status::InvalidArgument("writer not open");
-  PutLength(record.size(), &buffer_);
-  buffer_.append(record);
+  char length[8];
+  PutLength(record.size(), length);
   logical_size_ += 8 + static_cast<int64_t>(record.size());
   ++stats_.records_written;
-  if (buffer_.size() >= static_cast<size_t>(kBlockSize)) {
-    return FlushBuffer();
-  }
-  return Status::OK();
+  DELEX_RETURN_NOT_OK(Buffer(std::string_view(length, sizeof(length))));
+  return Buffer(record);
 }
 
 Status RecordWriter::AppendRaw(std::string_view framed, int64_t record_count) {
   if (file_ == nullptr) return Status::InvalidArgument("writer not open");
-  buffer_.append(framed);
   logical_size_ += static_cast<int64_t>(framed.size());
   stats_.records_written += record_count;
-  if (buffer_.size() >= static_cast<size_t>(kBlockSize)) {
-    return FlushBuffer();
+  return Buffer(framed);
+}
+
+Status RecordWriter::Buffer(std::string_view bytes) {
+  if (buffer_.size() + bytes.size() > kFlushBytes) {
+    DELEX_RETURN_NOT_OK(FlushBuffer());
+    if (bytes.size() >= kFlushBytes) return Write(bytes);
   }
+  buffer_.append(bytes);
+  return Status::OK();
+}
+
+Status RecordWriter::Write(std::string_view bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+    return Status::IOError("short write to " + path_);
+  }
+  stats_.bytes_written += static_cast<int64_t>(bytes.size());
   return Status::OK();
 }
 
 Status RecordWriter::FlushBuffer() {
   if (buffer_.empty()) return Status::OK();
-  size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-  if (written != buffer_.size()) {
-    return Status::IOError("short write to " + path_);
-  }
-  stats_.bytes_written += static_cast<int64_t>(buffer_.size());
+  DELEX_RETURN_NOT_OK(Write(buffer_));
   buffer_.clear();
   return Status::OK();
 }

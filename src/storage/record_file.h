@@ -22,14 +22,25 @@ namespace delex {
 /// in snapshots are the biggest payloads) sit far below this.
 inline constexpr uint64_t kMaxRecordLength = uint64_t{1} << 30;  // 1 GiB
 
-/// \brief Append-only file of length-prefixed records with block-sized
-/// write buffering.
+/// \brief Append-only file of length-prefixed records with buffered
+/// writes.
 ///
 /// This is the substrate for reuse files (§4): "we use one block of memory
 /// per reuse file to buffer the writes; whenever a block fills up, we flush
-/// the buffered tuples to the end of the corresponding reuse file."
+/// the buffered tuples to the end of the corresponding reuse file." The
+/// buffer here is kFlushBytes (8 blocks), not one block: a refresh commits
+/// thousands of relocated pages on one thread, and one write(2) per 4 KB
+/// block made that commit path a stream of small system calls. Bytes that
+/// would overfill the buffer flush it first, and a piece of kFlushBytes or
+/// more (a long relocated run) then goes to the file unbuffered, so the
+/// buffer never holds more than kFlushBytes. The FILE itself is
+/// unbuffered: one flush is one write(2). Flushing later changes no byte
+/// of the file, no logical_size and no IoStats.
 class RecordWriter {
  public:
+  /// The write buffer's capacity: 32 KB.
+  static constexpr size_t kFlushBytes = 8 * static_cast<size_t>(kBlockSize);
+
   RecordWriter() = default;
   ~RecordWriter();
 
@@ -39,7 +50,8 @@ class RecordWriter {
   /// Creates/truncates the file at `path`.
   Status Open(const std::string& path);
 
-  /// Buffers one record; flushes whole blocks as the buffer fills.
+  /// Buffers one record; flushes the buffer when the record would
+  /// overfill it.
   Status Append(std::string_view record);
 
   /// Buffers `record_count` already-framed records (each 8-byte length
@@ -49,7 +61,7 @@ class RecordWriter {
   /// records appended one by one through Append.
   Status AppendRaw(std::string_view framed, int64_t record_count);
 
-  /// Flushes the partial tail block and closes the file.
+  /// Flushes what is buffered and closes the file.
   Status Close();
 
   bool IsOpen() const { return file_ != nullptr; }
@@ -60,6 +72,11 @@ class RecordWriter {
   int64_t logical_size() const { return logical_size_; }
 
  private:
+  /// Appends `bytes` to the buffer, flushing it first when they would
+  /// overfill it; bytes that fill a buffer on their own are written
+  /// straight through.
+  Status Buffer(std::string_view bytes);
+  Status Write(std::string_view bytes);
   Status FlushBuffer();
 
   std::FILE* file_ = nullptr;

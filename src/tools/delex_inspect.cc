@@ -324,8 +324,10 @@ int RunDecisions(const HistoryRecord* rec) {
       std::printf(" %s=%.1f", matcher.c_str(), est_us);
     }
     std::printf("\n");
-    std::printf("    inputs: f=%.3f m=%.0f a=%.2f l=%.1f history=%d\n", d.f,
-                d.m, d.a, d.l, d.history_window);
+    std::printf(
+        "    inputs: f=%.3f m=%.0f a=%.2f l=%.1f history=%d source=%s\n", d.f,
+        d.m, d.a, d.l, d.history_window,
+        d.source.empty() ? "-" : d.source.c_str());
   }
   return 0;
 }

@@ -156,6 +156,7 @@ RunInputs FullRun(int gen) {
   d.a = 1.5;
   d.l = 640;
   d.history_window = 3;
+  d.source = "run";
   opt.decisions.push_back(d);
   return in;
 }
@@ -264,6 +265,7 @@ TEST(HistoryLine, RoundTripsEveryField) {
 
   EXPECT_EQ(out.gen, 7);
   ExpectCommonFields(out);
+  EXPECT_EQ(out.decisions[0].source, "run");
   EXPECT_EQ(out.reader_busy_us, 900);
   EXPECT_EQ(out.reader_wait_us, 100);
   EXPECT_EQ(out.identical_runs, 6);
@@ -501,6 +503,7 @@ TEST(HistoryStoreTest, V6LearnerFieldsAreIgnoredOnLoad) {
   ExpectCommonFields(v6);
   EXPECT_EQ(v6.trace_dropped_events, 5);
   EXPECT_EQ(v6.reader_busy_us, -1);  // predates the reader stage
+  EXPECT_EQ(v6.decisions[0].source, "");  // predates v10
   EXPECT_EQ(v6.identical_runs, -1);
   ASSERT_TRUE(v6.has_resources);
   EXPECT_EQ(v6.resources.rss_bytes, 4096);
@@ -544,8 +547,15 @@ TEST(HistoryStoreTest, V6LearnerFieldsAreIgnoredOnLoad) {
   EXPECT_EQ(records[0].pages, 120);
   EXPECT_EQ(records[1].gen, 4);
   EXPECT_EQ(records[2].gen, 5);
+  EXPECT_EQ(records[0].decisions[0].source, "");
+  EXPECT_EQ(records[1].decisions[0].source, "run");
 
-  // The offline reader answers over the mixed store.
+  // The offline reader answers over the mixed store; a decision's source
+  // prints as "-" where the record predates it.
+  EXPECT_NE(InspectOutput("decisions " + path + " 3").find("source=-"),
+            std::string::npos);
+  EXPECT_NE(InspectOutput("decisions " + path + " 4").find("source=run"),
+            std::string::npos);
   for (const std::string& args :
        {std::string("summary"), std::string("decisions"), std::string("diff")}) {
     std::string cmd = std::string(DELEX_INSPECT_BIN) + " " + args + " " +

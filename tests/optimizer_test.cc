@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "obs/history.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/search.h"
 #include "optimizer/stats_collector.h"
@@ -178,7 +180,7 @@ TEST(PlanSearch, EnumerationCoversFullSpace) {
 
 TEST(PlanSearch, GreedyRespectsRestrictedSpace) {
   // Algorithm 1 plans use at most one ST/UD per chain, RU only above it.
-  for (const std::string& name : {"play", "chair", "advise", "award"}) {
+  for (const char* name : {"play", "chair", "advise", "award"}) {
     ProgramSpec spec = *MakeProgram(name);
     auto analysis = AnalyzeUnits(spec.plan);
     ASSERT_TRUE(analysis.ok());
@@ -248,7 +250,8 @@ TEST(PlanSearch, GreedyNeverWorseThanAllDnByItsOwnModel) {
 
 TEST(StatsCollector, MeasuresPlausibleParameters) {
   // chair runs on the DBLife profile (97% identical pages), so trial
-  // matching should find most overlap.
+  // matching should find most overlap. With the page fast path off the
+  // engine evaluates every page, so every page is priced and sampled.
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
   profile.num_sources = 20;
@@ -258,7 +261,8 @@ TEST(StatsCollector, MeasuresPlausibleParameters) {
   StatsCollectorOptions options;
   options.sample_pages = 8;
   auto stats = CollectStats(spec.plan, *analysis, series[1], series[0],
-                            options, 1, /*pool=*/nullptr);
+                            options, 1, /*pool=*/nullptr,
+                            /*page_fast_path=*/false);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_NEAR(stats->f, 1.0, 0.1);  // no churn in two snapshots at rate .003
   EXPECT_EQ(stats->m, 20);
@@ -299,7 +303,9 @@ void ExpectSameCounts(const CostModelStats& a, const CostModelStats& b) {
 
 TEST(StatsCollector, PoolAndInlineAgree) {
   // DBLife pairs are mostly byte-identical, Wikipedia pairs mostly not, so
-  // both the skipped and the full previous-version walk run here.
+  // with the page fast path off both the skipped and the full
+  // previous-version walk run here; with it on, only changed pairs are
+  // drawn.
   ThreadPool pool(4);
   // A failed task nobody drained is the pool's business, not this call's.
   pool.Submit([] { return Status::Internal("earlier task failed"); });
@@ -314,20 +320,26 @@ TEST(StatsCollector, PoolAndInlineAgree) {
     std::vector<Snapshot> series = GenerateSeries(profile, 2, 5);
     auto analysis = AnalyzeUnits(spec.plan);
     ASSERT_TRUE(analysis.ok());
-    auto inline_stats = CollectStats(spec.plan, *analysis, series[1],
-                                     series[0], options, 3, nullptr);
-    auto pooled_stats = CollectStats(spec.plan, *analysis, series[1],
-                                     series[0], options, 3, &pool);
-    ASSERT_TRUE(inline_stats.ok()) << inline_stats.status().ToString();
-    ASSERT_TRUE(pooled_stats.ok()) << pooled_stats.status().ToString();
-    ExpectSameCounts(*inline_stats, *pooled_stats);
+    for (bool fast_path : {false, true}) {
+      SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
+      auto inline_stats = CollectStats(spec.plan, *analysis, series[1],
+                                       series[0], options, 3, nullptr,
+                                       fast_path);
+      auto pooled_stats = CollectStats(spec.plan, *analysis, series[1],
+                                       series[0], options, 3, &pool,
+                                       fast_path);
+      ASSERT_TRUE(inline_stats.ok()) << inline_stats.status().ToString();
+      ASSERT_TRUE(pooled_stats.ok()) << pooled_stats.status().ToString();
+      ExpectSameCounts(*inline_stats, *pooled_stats);
+    }
   }
 }
 
 TEST(StatsCollector, ShardViewMatchesCopiedSubSnapshot) {
   // A shard's optimizer samples its index lists over the whole snapshots.
   // Its statistics must be those of the same pages copied out into
-  // sub-snapshots: m, f and d_blocks count the shard's own pages.
+  // sub-snapshots: m, f and d_blocks count the shard's own evaluated
+  // pages and their previous versions.
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
   profile.num_sources = 40;
@@ -363,11 +375,28 @@ TEST(StatsCollector, ShardViewMatchesCopiedSubSnapshot) {
     ASSERT_TRUE(from_view.ok()) << from_view.status().ToString();
     ASSERT_TRUE(from_copy.ok()) << from_copy.status().ToString();
     ExpectSameCounts(*from_view, *from_copy);
-    EXPECT_EQ(from_view->m, static_cast<double>(cur_copy.NumPages()));
+    // By hand: the pages not identical to their previous version by
+    // digest and size, and the bytes of those previous versions.
+    int64_t evaluated = 0;
+    int64_t previous_bytes = 0;
+    for (const Page& page : cur_copy.pages()) {
+      std::optional<size_t> q = prev_copy.FindByUrl(page.url);
+      const Page* q_page = q ? &prev_copy.pages()[*q] : nullptr;
+      if (q_page != nullptr && q_page->content_hash == page.content_hash &&
+          q_page->content.size() == page.content.size()) {
+        continue;
+      }
+      ++evaluated;
+      if (q_page != nullptr) {
+        previous_bytes += static_cast<int64_t>(q_page->content.size());
+      }
+    }
+    EXPECT_EQ(from_view->m, static_cast<double>(evaluated));
     EXPECT_EQ(from_view->d_blocks,
-              static_cast<double>(prev_copy.TotalBlocks()));
+              static_cast<double>((previous_bytes + kBlockSize - 1) /
+                                  kBlockSize));
     EXPECT_LT(from_view->d_blocks,
-              static_cast<double>(series[0].TotalBlocks()));
+              static_cast<double>(prev_copy.TotalBlocks()));
     EXPECT_LT(from_view->f, 1.0);
   }
 }
@@ -375,6 +404,8 @@ TEST(StatsCollector, ShardViewMatchesCopiedSubSnapshot) {
 TEST(StatsCollector, IdenticalPairWalksOnce) {
   // Paired with itself, every sampled page is byte-identical to its
   // previous version, so the root extractor sees each drawn page once.
+  // Identical pages are drawn only with the page fast path off: with it
+  // on, the engine never evaluates them.
   ProgramSpec spec = *MakeProgram("chair");
   DatasetProfile profile = spec.Profile();
   profile.num_sources = 40;
@@ -398,7 +429,7 @@ TEST(StatsCollector, IdenticalPairWalksOnce) {
   ASSERT_TRUE(paragraph.ok());
   const int64_t before = (*paragraph)->stats().chars_processed;
   auto stats = CollectStats(spec.plan, *analysis, snapshot, snapshot, options,
-                            seed, nullptr);
+                            seed, nullptr, /*page_fast_path=*/false);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ((*paragraph)->stats().chars_processed - before, expected_chars);
 }
@@ -489,6 +520,213 @@ TEST(Optimizer, ChooseAssignmentRecordsDecisionAudit) {
     EXPECT_GT(unit.l, 0);
     EXPECT_GE(unit.a, 0);
   }
+}
+
+/// A one-unit run of 10 pages: 6 identical, 4 evaluated, 2 of them with a
+/// previous version, both trial pages. The unit ran UD, whose own work
+/// there is its tally; DN and ST were trialed.
+RunStats HandBuiltRun() {
+  RunStats run;
+  run.pages = 10;
+  run.pages_with_previous = 8;
+  run.pages_identical = 6;
+  run.units.resize(1);
+  UnitRunStats& unit = run.units[0];
+  unit.input_tuples = 8;
+  unit.input_chars = 800;
+  unit.output_tuples = 12;
+  unit.chars_extracted = 300;
+  unit.extract_us = 600;
+  unit.trial_pages = 2;
+  unit.trials[MatcherIndex(MatcherKind::kDN)] = {4, 400, 300, 1, 0, 3};
+  unit.trials[MatcherIndex(MatcherKind::kUD)] = {4, 400, 120, 5, 6, 80};
+  unit.trials[MatcherIndex(MatcherKind::kST)] = {4, 400, 60, 7, 8, 200};
+  return run;
+}
+
+TEST(StatsFromRun, YieldsTheHandComputedStatistics) {
+  std::optional<CostModelStats> stats = StatsFromRun(HandBuiltRun());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_DOUBLE_EQ(stats->m, 4);    // evaluated pages
+  EXPECT_DOUBLE_EQ(stats->f, 0.5);  // 2 of them with a previous version
+  ASSERT_EQ(stats->units.size(), 1u);
+  const UnitCostStats& unit = stats->units[0];
+  EXPECT_DOUBLE_EQ(unit.a, 2);                    // 8 inputs / 4 pages
+  EXPECT_DOUBLE_EQ(unit.l, 100);                  // 800 chars / 8 inputs
+  EXPECT_DOUBLE_EQ(unit.extract_us_per_char, 2);  // 600 µs / 300 chars
+  const size_t dn = MatcherIndex(MatcherKind::kDN);
+  const size_t ud = MatcherIndex(MatcherKind::kUD);
+  const size_t st = MatcherIndex(MatcherKind::kST);
+  // DN: the exact hit copies, the other 300 of 400 chars extract.
+  EXPECT_DOUBLE_EQ(unit.g[dn], 0.75);
+  EXPECT_DOUBLE_EQ(unit.h[dn], 0.25);
+  EXPECT_DOUBLE_EQ(unit.s[dn], 0);
+  // UD: the plan's own matcher.
+  EXPECT_DOUBLE_EQ(unit.g[ud], 0.3);
+  EXPECT_DOUBLE_EQ(unit.h[ud], 1.25);
+  EXPECT_DOUBLE_EQ(unit.s[ud], 1.5);
+  EXPECT_DOUBLE_EQ(unit.match_us_per_char[ud], 0.2);
+  // ST: the trials.
+  EXPECT_DOUBLE_EQ(unit.g[st], 0.15);
+  EXPECT_DOUBLE_EQ(unit.h[st], 1.75);
+  EXPECT_DOUBLE_EQ(unit.s[st], 2);
+  EXPECT_DOUBLE_EQ(unit.match_us_per_char[st], 0.5);
+  EXPECT_DOUBLE_EQ(unit.match_us_per_char[MatcherIndex(MatcherKind::kRU)], 0);
+}
+
+TEST(StatsFromRun, AllIdenticalRunLeavesTheWindowUnchanged) {
+  ProgramSpec spec = *MakeProgram("talk");  // one IE unit
+  auto analysis = AnalyzeUnits(spec.plan);
+  ASSERT_TRUE(analysis.ok());
+  ASSERT_EQ(analysis->units.size(), 1u);
+  RunStats identical = HandBuiltRun();
+  identical.pages_identical = identical.pages_with_previous;
+  EXPECT_FALSE(StatsFromRun(identical).has_value());
+
+  Optimizer optimizer(spec.plan, *analysis);
+  EXPECT_TRUE(optimizer.NeedsSample());
+  optimizer.ObserveRun(HandBuiltRun());
+  EXPECT_FALSE(optimizer.NeedsSample());
+  ASSERT_TRUE(optimizer.ChooseAssignment().ok());
+  EXPECT_EQ(optimizer.LastAudit().history_window, 1);
+  EXPECT_FALSE(optimizer.LastAudit().sampled);
+  optimizer.ObserveRun(identical);
+  ASSERT_TRUE(optimizer.ChooseAssignment().ok());
+  EXPECT_EQ(optimizer.LastAudit().history_window, 1);
+}
+
+/// The pair (`current`, `previous`) with `extra` pages appended that are
+/// byte-identical in both snapshots.
+std::pair<Snapshot, Snapshot> WithIdenticalPages(const Snapshot& current,
+                                                 const Snapshot& previous,
+                                                 int extra) {
+  std::pair<Snapshot, Snapshot> out;
+  for (const Page& page : current.pages()) out.first.AddExistingPage(page);
+  for (const Page& page : previous.pages()) out.second.AddExistingPage(page);
+  for (int i = 0; i < extra; ++i) {
+    const std::string url = "http://unchanged.example/" + std::to_string(i);
+    const std::string& text =
+        previous.pages()[static_cast<size_t>(i) % previous.NumPages()].content;
+    out.first.AddPage(url, text);
+    out.second.AddPage(url, text);
+  }
+  return out;
+}
+
+/// Every unit's candidate prices (that unit's matcher swapped into the
+/// all-DN plan) and the greedy plan, under fixed µs-per-character weights
+/// so only the counts decide.
+std::pair<std::vector<double>, std::string> PricesAndPlan(
+    CostModelStats stats, const ChainStructure& chains) {
+  for (UnitCostStats& unit : stats.units) {
+    unit.extract_us_per_char = 0.01;
+    unit.match_us_per_char[MatcherIndex(MatcherKind::kUD)] = 0.001;
+    unit.match_us_per_char[MatcherIndex(MatcherKind::kST)] = 0.004;
+  }
+  std::vector<double> prices;
+  for (size_t u = 0; u < stats.units.size(); ++u) {
+    for (MatcherKind kind : kAllMatcherKinds) {
+      MatcherAssignment plan =
+          MatcherAssignment::Uniform(stats.units.size(), MatcherKind::kDN);
+      plan.per_unit[u] = kind;
+      prices.push_back(EstimatePlanCost(stats, chains, plan));
+    }
+  }
+  return {prices, PlanSearch(stats, chains).Greedy().ToString()};
+}
+
+TEST(Optimizer, IdenticalPagesLeavePricesAndPlan) {
+  // An identical page costs the same under every plan, so adding some to
+  // a pair must change no candidate's price and not the chosen plan —
+  // whether the statistics come from a sample of the pair or from a run.
+  ProgramSpec spec = *MakeProgram("play");
+  DatasetProfile profile = spec.Profile();
+  profile.num_sources = 16;
+  std::vector<Snapshot> series = GenerateSeries(profile, 2, 13);
+  auto analysis = AnalyzeUnits(spec.plan);
+  ASSERT_TRUE(analysis.ok());
+  const ChainStructure chains = ChainStructure::Build(spec.plan, *analysis);
+  const auto [current, previous] =
+      WithIdenticalPages(series[1], series[0], /*extra=*/40);
+
+  StatsCollectorOptions options;
+  options.sample_pages = 4;
+  auto plain = CollectStats(spec.plan, *analysis, series[1], series[0],
+                            options, 5, nullptr);
+  auto padded = CollectStats(spec.plan, *analysis, current, previous, options,
+                             5, nullptr);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  EXPECT_GT(plain->m, 0);
+  ExpectSameCounts(*plain, *padded);
+  EXPECT_EQ(PricesAndPlan(*plain, chains), PricesAndPlan(*padded, chains));
+
+  // From a run: the same run statistics, then the two pairs.
+  RunStats run = HandBuiltRun();
+  run.units.assign(analysis->units.size(), run.units[0]);
+  for (size_t u = 0; u < run.units.size(); ++u) {
+    run.units[u].input_chars += 100 * static_cast<int64_t>(u);
+    run.units[u].trials[MatcherIndex(MatcherKind::kUD)].leftover_chars +=
+        40 * static_cast<int64_t>(u);
+  }
+  std::vector<Optimizer::DecisionAudit> audits;
+  std::vector<MatcherAssignment> plans;
+  for (const auto& [cur, prev] :
+       {std::pair<const Snapshot*, const Snapshot*>{&series[1], &series[0]},
+        {&current, &previous}}) {
+    Optimizer optimizer(spec.plan, *analysis);
+    optimizer.ObserveRun(run);
+    ASSERT_TRUE(optimizer.ObserveSnapshotPair(*cur, *prev, 1, nullptr).ok());
+    auto plan = optimizer.ChooseAssignment();
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(*plan);
+    audits.push_back(optimizer.LastAudit());
+  }
+  EXPECT_EQ(plans[0], plans[1]);
+  EXPECT_EQ(audits[0].m, audits[1].m);
+  EXPECT_EQ(audits[0].f, audits[1].f);
+  ASSERT_EQ(audits[0].units.size(), audits[1].units.size());
+  for (size_t u = 0; u < audits[0].units.size(); ++u) {
+    EXPECT_EQ(audits[0].units[u].candidate_plan_us,
+              audits[1].units[u].candidate_plan_us)
+        << "unit " << u;
+  }
+}
+
+TEST(Optimizer, OnlyTheFirstRefreshSamples) {
+  // Through RunSeries, on one engine and on two shards: the first refresh
+  // has no run to learn from and samples; every later one plans from the
+  // run before it. The history store keeps each decision's source.
+  ProgramSpec spec = *MakeProgram("chair");
+  DatasetProfile profile = spec.Profile();
+  profile.num_sources = 60;
+  std::vector<Snapshot> series = GenerateSeries(profile, 4, 23);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "delex-optimizer-source")
+          .string();
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    std::filesystem::remove_all(dir);
+    DelexSolutionOptions options;
+    options.num_shards = shards;
+    options.num_threads = 2;
+    auto solution = MakeDelexSolution(spec, dir, options);
+    ASSERT_TRUE(RunSeries(solution.get(), series).ok());
+    std::vector<obs::HistoryRecord> records;
+    ASSERT_TRUE(obs::HistoryStore::LoadFile(
+                    dir + "/" + obs::kHistoryFileName, &records)
+                    .ok());
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_TRUE(records[0].decisions.empty());  // warm-up
+    for (size_t r = 1; r < records.size(); ++r) {
+      ASSERT_FALSE(records[r].decisions.empty()) << "refresh " << r;
+      for (const auto& decision : records[r].decisions) {
+        EXPECT_EQ(decision.source, r == 1 ? "sample" : "run")
+            << "refresh " << r << " unit " << decision.unit;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CostDrift, MeanRelativeErrorOnlyWithPrediction) {

@@ -74,9 +74,13 @@ struct EngineRun {
   std::vector<std::map<std::string, int64_t>> counters;  // per snapshot
 };
 
+/// Trial pages per run in RunEngine: enough that the trial counters,
+/// which ParallelDeterminism compares across widths, are not all zero.
+constexpr int kTrialPages = 4;
+
 /// Runs `series` through a fresh engine at `num_threads`, uniform
-/// `matcher` assignment, collecting per-snapshot canonical results and the
-/// final captured reuse files.
+/// `matcher` assignment (with kTrialPages trial pages per run), collecting
+/// per-snapshot canonical results and the final captured reuse files.
 EngineRun RunEngine(const ProgramSpec& spec, const std::vector<Snapshot>& series,
                     MatcherKind matcher, int num_threads,
                     const std::string& tag) {
@@ -91,7 +95,7 @@ EngineRun RunEngine(const ProgramSpec& spec, const std::vector<Snapshot>& series
   for (size_t i = 0; i < series.size(); ++i) {
     RunStats stats;
     auto rows = engine.RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
-                                   assignment, &stats);
+                                   assignment, &stats, kTrialPages);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     run.per_snapshot.push_back(Canonicalize(std::move(rows).ValueOrDie()));
     run.counters.push_back(CountValuedFields(stats));
@@ -207,6 +211,106 @@ TEST(ParallelEngine, OptimizerDrivenSolutionMatchesAcrossThreadCounts) {
     for (size_t i = 0; i < base_run->results.size(); ++i) {
       EXPECT_TRUE(SameResults(base_run->results[i], run->results[i]))
           << "threads=" << threads << " snapshot=" << i;
+    }
+  }
+}
+
+/// One run of a series under a forced plan, generation by generation:
+/// the rows in engine order, every file of the work dir, and the counters
+/// apart from the trials' own.
+struct TrialRun {
+  std::vector<std::vector<Tuple>> rows;
+  std::vector<std::map<std::string, std::string>> files;
+  std::vector<std::map<std::string, int64_t>> counters;
+  int64_t trial_pages = 0;  // summed over units and generations
+};
+
+TrialRun RunWithTrials(const ProgramSpec& spec,
+                       const std::vector<Snapshot>& series,
+                       const MatcherAssignment& plan, int threads, int shards,
+                       int trial_pages, const std::string& tag) {
+  TrialRun run;
+  const std::string dir = FreshDir(tag);
+  std::unique_ptr<DelexEngine> engine;
+  std::unique_ptr<shard::ShardedEngine> sharded;
+  if (shards > 1) {
+    shard::ShardedEngine::Options options;
+    options.work_dir = dir;
+    options.num_shards = shards;
+    options.num_threads = threads;
+    sharded = std::make_unique<shard::ShardedEngine>(spec.plan, options);
+    EXPECT_TRUE(sharded->Init().ok());
+  } else {
+    DelexEngine::Options options;
+    options.work_dir = dir;
+    options.num_threads = threads;
+    engine = std::make_unique<DelexEngine>(spec.plan, options);
+    EXPECT_TRUE(engine->Init().ok());
+  }
+  for (size_t i = 0; i < series.size(); ++i) {
+    const Snapshot* previous = i > 0 ? &series[i - 1] : nullptr;
+    RunStats stats;
+    Result<std::vector<Tuple>> rows =
+        sharded != nullptr
+            ? sharded->RunSnapshot(
+                  series[i], previous,
+                  std::vector<MatcherAssignment>(static_cast<size_t>(shards),
+                                                 plan),
+                  &stats, nullptr, trial_pages)
+            : engine->RunSnapshot(series[i], previous, plan, &stats,
+                                  trial_pages);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    run.rows.push_back(std::move(rows).ValueOrDie());
+    run.files.push_back(ReuseFileBytes(dir));
+    std::map<std::string, int64_t> counters;
+    for (const auto& [name, value] : CountValuedFields(stats)) {
+      if (name.find(".trial") == std::string::npos) counters[name] = value;
+    }
+    run.counters.push_back(std::move(counters));
+    for (const UnitRunStats& unit : stats.units) {
+      run.trial_pages += unit.trial_pages;
+    }
+  }
+  return run;
+}
+
+TEST(TrialMatching, TrialsLeaveNoTrace) {
+  // Trials run the matchers a plan did not give a unit over the regions of
+  // a few pages. Under one forced plan — UD at the bottom unit, RU above
+  // it (so trials could only reach its rows through the RU match cache),
+  // DN elsewhere — the rows, every generation's reuse files, .idx files
+  // and result cache, and every counter but the trials' own must be those
+  // of the same run without trials, at widths 1 and 4 and on 2 shards.
+  for (const auto& [program, pages] :
+       {std::pair<const char*, int>{"chair", 60}, {"play", 12}}) {
+    ProgramSpec spec = *MakeProgram(program);
+    DatasetProfile profile = spec.Profile();
+    profile.num_sources = pages;
+    std::vector<Snapshot> series = GenerateSeries(profile, 3, 41);
+    Result<UnitAnalysis> analysis = AnalyzeUnits(spec.plan);
+    ASSERT_TRUE(analysis.ok());
+    MatcherAssignment plan =
+        MatcherAssignment::Uniform(analysis->units.size(), MatcherKind::kDN);
+    plan.per_unit[0] = MatcherKind::kUD;
+    plan.per_unit[1] = MatcherKind::kRU;
+    for (const auto& [threads, shards] :
+         {std::pair<int, int>{1, 1}, {4, 1}, {2, 2}}) {
+      const std::string tag = std::string("trials-") + program + "-t" +
+                              std::to_string(threads) + "-s" +
+                              std::to_string(shards);
+      SCOPED_TRACE(tag);
+      const TrialRun plain =
+          RunWithTrials(spec, series, plan, threads, shards, 0, tag + "-off");
+      const TrialRun tried =
+          RunWithTrials(spec, series, plan, threads, shards, 6, tag + "-on");
+      EXPECT_EQ(plain.trial_pages, 0);
+      EXPECT_GT(tried.trial_pages, 0);
+      EXPECT_EQ(plain.rows, tried.rows);
+      EXPECT_EQ(plain.counters, tried.counters);
+      ASSERT_EQ(plain.files.size(), tried.files.size());
+      for (size_t g = 0; g < plain.files.size(); ++g) {
+        EXPECT_EQ(plain.files[g], tried.files[g]) << "generation " << g;
+      }
     }
   }
 }
@@ -542,7 +646,8 @@ TEST(PipelineRing, DamageInsideARunDemotesOnlyThatPage) {
             "unit0.output_tuples", "unit0.copied_tuples",
             "unit0.exact_region_hits", "unit0.extract_hist.count",
             "unit0.extracted_tuples", "unit0.chars_extracted",
-            "match_hist.ST.count", "unit0.matcher_calls"}) {
+            "match_hist.ST.count", "unit0.matcher_calls",
+            "unit0.input_chars"}) {
         expected[free_key] = damaged.counters.at(free_key);
       }
       EXPECT_EQ(damaged.counters, expected);

@@ -53,7 +53,19 @@ inline std::map<std::string, int64_t> CountValuedFields(const RunStats& stats) {
     fields[prefix + "matcher_calls"] = unit.matcher_calls;
     fields[prefix + "exact_region_hits"] = unit.exact_region_hits;
     fields[prefix + "chars_extracted"] = unit.chars_extracted;
+    fields[prefix + "input_chars"] = unit.input_chars;
     fields[prefix + "extract_hist.count"] = unit.extract_hist.count();
+    fields[prefix + "trial_pages"] = unit.trial_pages;
+    for (MatcherKind kind : kAllMatcherKinds) {
+      const MatchTally& tally = unit.trials[static_cast<size_t>(kind)];
+      const std::string trial =
+          prefix + "trials." + MatcherKindName(kind) + ".";
+      fields[trial + "inputs"] = tally.inputs;
+      fields[trial + "chars"] = tally.chars;
+      fields[trial + "leftover_chars"] = tally.leftover_chars;
+      fields[trial + "copy_regions"] = tally.copy_regions;
+      fields[trial + "calls"] = tally.calls;
+    }
   }
   return fields;
 }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,13 +36,45 @@ TEST(RecordFile, RoundTripsRecordsOfManySizes) {
   records.push_back(std::string(100, 'a'));
   records.push_back(std::string(kBlockSize - 1, 'b'));   // straddles a block
   records.push_back(std::string(3 * kBlockSize, 'c'));   // multi-block
+  // Overfills the write buffer, then fills one on its own (written through).
+  records.push_back(std::string(RecordWriter::kFlushBytes - 50, 'd'));
+  records.push_back(std::string(RecordWriter::kFlushBytes + 1, 'e'));
   records.push_back("tail");
 
   RecordWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   for (const std::string& r : records) ASSERT_TRUE(writer.Append(r).ok());
   ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(writer.stats().records_written, 6);
+  EXPECT_EQ(writer.stats().records_written, 8);
+  const int64_t file_size =
+      static_cast<int64_t>(std::filesystem::file_size(path));
+  EXPECT_EQ(writer.logical_size(), file_size);
+  EXPECT_EQ(writer.stats().bytes_written, file_size);
+
+  // The same framed bytes appended raw, in two pieces, make the same file.
+  std::string framed;
+  {
+    std::ifstream in(path, std::ios::binary);
+    framed.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  size_t split = 0;
+  for (size_t i = 0; i < 3; ++i) split += 8 + records[i].size();
+  const std::string raw_path = TempPath("roundtrip-raw");
+  RecordWriter raw;
+  ASSERT_TRUE(raw.Open(raw_path).ok());
+  ASSERT_TRUE(raw.AppendRaw(std::string_view(framed).substr(0, split), 3).ok());
+  ASSERT_TRUE(raw.AppendRaw(std::string_view(framed).substr(split), 5).ok());
+  ASSERT_TRUE(raw.Close().ok());
+  EXPECT_EQ(raw.stats().records_written, 8);
+  EXPECT_EQ(raw.logical_size(), file_size);
+  EXPECT_EQ(raw.stats().bytes_written, file_size);
+  {
+    std::ifstream in(raw_path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()),
+              framed);
+  }
 
   RecordReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
@@ -55,7 +89,7 @@ TEST(RecordFile, RoundTripsRecordsOfManySizes) {
   bool at_end = false;
   ASSERT_TRUE(reader.Next(&extra, &at_end).ok());
   EXPECT_TRUE(at_end);
-  EXPECT_EQ(reader.stats().records_read, 6);
+  EXPECT_EQ(reader.stats().records_read, 8);
 }
 
 TEST(RecordFile, EmptyFileReadsAsEnd) {
