@@ -107,8 +107,8 @@ BENCHMARK(BM_SuffixAutomatonBuild)->Arg(4 << 10)->Arg(16 << 10)->Arg(64 << 10);
 
 // ST's other half: streaming the new region through an already-built
 // automaton. Construction and streaming are reported separately so edge
-// layout changes (sorted edges, dense root table) can be attributed to the
-// phase they affect.
+// layout changes (the inline first edge and per-automaton edge arena, the
+// dense root table) can be attributed to the phase they affect.
 void BM_SuffixAutomatonStream(benchmark::State& state) {
   PagePair pair = MakePair(state.range(0));
   SuffixAutomaton automaton(pair.q);

@@ -94,6 +94,13 @@ TextSpan PickRegion(int64_t size, delex::fuzz::FuzzCursor* cursor) {
   return TextSpan(start, end);
 }
 
+delex::SegmentOptions SentenceOptions() {
+  delex::SegmentOptions options;
+  options.delimiter = ". ";
+  options.work_per_char = 0;
+  return options;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -106,8 +113,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       PickRegion(static_cast<int64_t>(p_text.size()), &cursor);
   const int64_t alpha = cursor.Int(0, 12);
   const int64_t beta = cursor.Int(0, 12);
-  static const delex::SegmentExtractor kSentences(
-      "sentences", {.delimiter = ". ", .work_per_char = 0});
+  static const delex::SegmentExtractor kSentences("sentences",
+                                                  SentenceOptions());
   const std::vector<TextSpan> tiles = kSentences.Tiles(
       std::string_view(p_text).substr(static_cast<size_t>(p_region.start),
                                       static_cast<size_t>(p_region.length())),

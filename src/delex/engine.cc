@@ -700,18 +700,20 @@ Status DelexEngine::RunPages(const SnapshotView& current,
   Stopwatch reader_watch;
   int64_t wait_us = 0;  // the reader's blocked time, outside the window
   // Two-level scheduling: a caller-provided shared pool (sharded
-  // execution) or a run-local one. Either way the reader stays on this
+  // execution) or the engine's own. Either way the reader stays on this
   // thread; page evaluation and most commits go to the pool. With a
   // shared pool, always go through it — even a 1-wide pool — so a sharded
   // run's total compute is bounded by the pool width rather than by the
   // number of shard threads. Otherwise width 1 (or a single page)
-  // evaluates inline on this thread and starts no pool.
+  // evaluates inline on this thread and starts no pool; the engine's own
+  // pool starts on its first wider run and lives as long as the engine.
   const int num_threads = EffectiveThreads();
-  std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options_.shared_pool;
   if (pool == nullptr && num_threads > 1 && num_pages > 1) {
-    owned_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = owned_pool.get();
+    if (owned_pool_ == nullptr) {
+      owned_pool_ = std::make_unique<ThreadPool>(num_threads);
+    }
+    pool = owned_pool_.get();
   }
   // Identical pages take the fast path only if the previous result cache
   // opened; one dropped mid-run demotes the rest in LiftRun.

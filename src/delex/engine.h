@@ -41,7 +41,8 @@ class DelexEngine {
 
     /// Worker threads for page evaluation. Pages are mutually independent
     /// (each carries its own MatchContext), so the engine runs the
-    /// per-page plan walk on a fixed ThreadPool: a reader stage keeps each
+    /// per-page plan walk on a fixed ThreadPool, started by its first run
+    /// and kept until the engine is destroyed: a reader stage keeps each
     /// reuse file's strictly-forward scan on the submitting thread, and an
     /// ordered write-back stage commits captures in snapshot page order,
     /// so results and next-generation reuse files are byte-identical at
@@ -280,6 +281,9 @@ class DelexEngine {
   // the runs lifted before the failure to load at commit.
   bool result_dropped_ = false;
   const MatcherAssignment* assignment_ = nullptr;
+  // Page-evaluation workers when no shared pool is set: started by the
+  // first run wider than one thread, joined when the engine is destroyed.
+  std::unique_ptr<ThreadPool> owned_pool_;
 };
 
 }  // namespace delex

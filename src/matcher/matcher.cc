@@ -13,10 +13,7 @@ namespace {
 
 // Matcher working-set accounting (obs layer 4). The text layer owns the
 // actual allocations but must stay obs-free, so the charge is a scoped
-// estimate taken here, at the call site. The suffix automaton builds at
-// most 2 states per indexed byte at ~48 bytes each plus edge storage —
-// ~96 bytes per byte of old-region text covers it.
-constexpr int64_t kAutomatonBytesPerChar = 96;
+// estimate taken here, at the call site.
 
 std::string_view RegionText(std::string_view content, const TextSpan& region) {
   DELEX_CHECK_GE(region.start, 0);
@@ -70,8 +67,11 @@ class StMatcher : public Matcher {
                                   const TextSpan& q_region,
                                   MatchContext* ctx) const override {
     DELEX_TRACE_SPAN("match_st", p_region.length(), "matcher");
-    obs::ScopedMemCharge mem(obs::MemTag::kMatcher,
-                             p_region.length() * kAutomatonBytesPerChar);
+    // SuffixMatch indexes the old region: charge what its automaton
+    // reserves.
+    obs::ScopedMemCharge mem(
+        obs::MemTag::kMatcher,
+        q_region.length() * SuffixAutomaton::kBytesPerIndexedChar);
     // Env-tuned once per process (DELEX_SUFFIX_MAX_CANDIDATES).
     static const SuffixMatchOptions options = SuffixMatchOptions::FromEnv();
     std::vector<MatchSegment> segments =

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "text/interval_set.h"
 
 namespace delex {
 namespace {
@@ -22,6 +21,27 @@ void NoteTruncation(size_t max_candidates) {
                        "matches stay correct but may be less complete)";
   }
 }
+
+/// One side's claimed stretches: non-empty, disjoint, sorted by start (so
+/// by end too), and never merged, so overlap is one binary search.
+class ClaimedSpans {
+ public:
+  bool Overlaps(const TextSpan& span) const {
+    auto it = std::upper_bound(
+        spans_.begin(), spans_.end(), span.start,
+        [](int64_t pos, const TextSpan& claimed) { return pos < claimed.end; });
+    return it != spans_.end() && it->start < span.end;
+  }
+
+  /// `span` must be non-empty and overlap no claimed stretch.
+  void Add(const TextSpan& span) {
+    auto it = std::upper_bound(spans_.begin(), spans_.end(), span);
+    spans_.insert(it, span);
+  }
+
+ private:
+  std::vector<TextSpan> spans_;
+};
 
 }  // namespace
 
@@ -45,42 +65,48 @@ SuffixMatchOptions SuffixMatchOptions::FromEnv() {
 }
 
 SuffixAutomaton::SuffixAutomaton(std::string_view text) {
-  states_.reserve(2 * text.size() + 2);
+  const size_t n = text.size();
+  // For n >= 2 an automaton has at most 2n - 1 states and S + n - 2
+  // transitions. Every non-root state but the last has an inline edge, and
+  // the root's edges are in the dense table, so at most n - 1 edges reach
+  // the arena.
+  states_.reserve(std::max<size_t>(2 * n, 1));
+  edges_.reserve(n);
   states_.emplace_back();  // root
   root_next_.fill(-1);
   int32_t last = 0;
-  for (int64_t i = 0; i < static_cast<int64_t>(text.size()); ++i) {
-    unsigned char c = static_cast<unsigned char>(text[static_cast<size_t>(i)]);
-    int32_t cur = static_cast<int32_t>(states_.size());
-    states_.emplace_back();
-    states_[static_cast<size_t>(cur)].len =
-        states_[static_cast<size_t>(last)].len + 1;
-    states_[static_cast<size_t>(cur)].first_end = static_cast<int32_t>(i);
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    const int32_t cur = static_cast<int32_t>(states_.size());
+    State fresh;
+    fresh.len = states_[static_cast<size_t>(last)].len + 1;
+    fresh.first_end = static_cast<int32_t>(i);
+    states_.push_back(fresh);
     int32_t v = last;
-    while (v >= 0 && Transition(v, c) < 0) {
-      SetTransition(v, c, cur);
+    int32_t u = -1;
+    while (v >= 0 && (u = Transition(v, c)) < 0) {
+      AddTransition(v, c, cur);
       v = states_[static_cast<size_t>(v)].link;
     }
     if (v < 0) {
       states_[static_cast<size_t>(cur)].link = 0;
+    } else if (states_[static_cast<size_t>(u)].len ==
+               states_[static_cast<size_t>(v)].len + 1) {
+      states_[static_cast<size_t>(cur)].link = u;
     } else {
-      int32_t u = Transition(v, c);
-      if (states_[static_cast<size_t>(u)].len ==
-          states_[static_cast<size_t>(v)].len + 1) {
-        states_[static_cast<size_t>(cur)].link = u;
-      } else {
-        int32_t clone = static_cast<int32_t>(states_.size());
-        states_.push_back(states_[static_cast<size_t>(u)]);
-        states_[static_cast<size_t>(clone)].len =
-            states_[static_cast<size_t>(v)].len + 1;
-        // first_end inherited from u is still a valid (minimal) end position.
-        while (v >= 0 && Transition(v, c) == u) {
-          SetTransition(v, c, clone);
-          v = states_[static_cast<size_t>(v)].link;
-        }
-        states_[static_cast<size_t>(u)].link = clone;
-        states_[static_cast<size_t>(cur)].link = clone;
+      const int32_t clone = static_cast<int32_t>(states_.size());
+      for (int32_t w = v; w >= 0; w = states_[static_cast<size_t>(w)].link) {
+        int32_t* target = TransitionSlot(w, c);
+        if (target == nullptr || *target != u) break;
+        *target = clone;
       }
+      // first_end inherited from u is still a valid (minimal) end position.
+      State copy = states_[static_cast<size_t>(u)];
+      copy.len = states_[static_cast<size_t>(v)].len + 1;
+      copy.edges = CopyEdges(copy.edges);
+      states_.push_back(copy);
+      states_[static_cast<size_t>(u)].link = clone;
+      states_[static_cast<size_t>(cur)].link = clone;
     }
     last = cur;
   }
@@ -91,35 +117,50 @@ SuffixAutomaton::SuffixAutomaton(std::string_view text) {
   }
 }
 
-int32_t SuffixAutomaton::Transition(int32_t state, unsigned char c) const {
-  if (state == 0) return root_next_[c];
-  const auto& next = states_[static_cast<size_t>(state)].next;
-  auto it = std::lower_bound(
-      next.begin(), next.end(), c,
-      [](const std::pair<unsigned char, int32_t>& edge, unsigned char key) {
-        return edge.first < key;
-      });
-  if (it != next.end() && it->first == c) return it->second;
-  return -1;
+int32_t* SuffixAutomaton::TransitionSlot(int32_t state, unsigned char c) {
+  if (state == 0) return root_next_[c] >= 0 ? &root_next_[c] : nullptr;
+  State& s = states_[static_cast<size_t>(state)];
+  if (s.to0 >= 0 && s.byte0 == c) return &s.to0;
+  for (int32_t e = s.edges; e >= 0;) {
+    Edge& edge = edges_[static_cast<size_t>(e)];
+    if (edge.byte == c) return &edge.to;
+    e = edge.next;
+  }
+  return nullptr;
 }
 
-void SuffixAutomaton::SetTransition(int32_t state, unsigned char c,
+void SuffixAutomaton::AddTransition(int32_t state, unsigned char c,
                                     int32_t to) {
   if (state == 0) {
     root_next_[c] = to;
     return;
   }
-  auto& next = states_[static_cast<size_t>(state)].next;
-  auto it = std::lower_bound(
-      next.begin(), next.end(), c,
-      [](const std::pair<unsigned char, int32_t>& edge, unsigned char key) {
-        return edge.first < key;
-      });
-  if (it != next.end() && it->first == c) {
-    it->second = to;
+  State& s = states_[static_cast<size_t>(state)];
+  if (s.to0 < 0) {
+    s.to0 = to;
+    s.byte0 = c;
     return;
   }
-  next.emplace(it, c, to);
+  edges_.push_back({to, s.edges, c});
+  s.edges = static_cast<int32_t>(edges_.size()) - 1;
+}
+
+int32_t SuffixAutomaton::CopyEdges(int32_t head) {
+  int32_t first = -1;
+  int32_t prev = -1;
+  for (int32_t e = head; e >= 0; e = edges_[static_cast<size_t>(e)].next) {
+    const Edge copy = {edges_[static_cast<size_t>(e)].to, -1,
+                       edges_[static_cast<size_t>(e)].byte};
+    const int32_t index = static_cast<int32_t>(edges_.size());
+    edges_.push_back(copy);
+    if (prev < 0) {
+      first = index;
+    } else {
+      edges_[static_cast<size_t>(prev)].next = index;
+    }
+    prev = index;
+  }
+  return first;
 }
 
 int64_t SuffixAutomaton::LongestCommonSubstring(std::string_view query) const {
@@ -166,14 +207,12 @@ std::vector<MatchSegment> SuffixMatch(std::string_view p_text, int64_t p_base,
               return a.q_start < b.q_start;
             });
 
-  IntervalSet p_claimed;
-  IntervalSet q_claimed;
+  ClaimedSpans p_claimed;
+  ClaimedSpans q_claimed;
   for (const Candidate& c : candidates) {
     TextSpan p_span(c.p_start, c.p_start + c.length);
     TextSpan q_span(c.q_start, c.q_start + c.length);
-    bool p_free = p_claimed.Intersect(IntervalSet({p_span})).Empty();
-    bool q_free = q_claimed.Intersect(IntervalSet({q_span})).Empty();
-    if (!p_free || !q_free) continue;
+    if (p_claimed.Overlaps(p_span) || q_claimed.Overlaps(q_span)) continue;
     p_claimed.Add(p_span);
     q_claimed.Add(q_span);
     out.emplace_back(p_span.Shift(p_base), q_span.Shift(q_base));

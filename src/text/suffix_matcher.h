@@ -15,7 +15,7 @@ namespace delex {
 struct SuffixMatchOptions {
   /// Minimum length of a reported common substring. Short accidental
   /// matches (single words) are useless for reuse — the β-shrunken interior
-  /// would be empty — and bloat the segment list.
+  /// would be empty — and bloat the segment list. Must be at least 1.
   int64_t min_match_length = 24;
 
   /// Safety valve on the number of candidate maximal matches considered by
@@ -49,6 +49,15 @@ int64_t SuffixCandidatesTruncatedTotal();
 
 /// \brief Suffix automaton over a byte string; exposed for testing and for
 /// longest-common-substring queries.
+///
+/// Flat layout: a build makes a fixed number of heap allocations, none per
+/// state. States live in one array, and each state carries its first edge
+/// inline; the rest of its edges sit in one arena per automaton as an
+/// intrusive singly linked list, newest first. A clone copies its source's
+/// edges within the arena. The root, which can fan out to all 256 bytes and
+/// is re-entered on every match reset, keeps a dense table instead. Both
+/// arrays are reserved up front at their bounds (see the constructor), so
+/// a build never reallocates.
 class SuffixAutomaton {
  public:
   explicit SuffixAutomaton(std::string_view text);
@@ -71,20 +80,52 @@ class SuffixAutomaton {
     int32_t len = 0;
     int32_t link = -1;
     int32_t first_end = -1;  // minimal end position (inclusive) in the text
-    // Edges sorted by byte so Transition is a binary search; non-root
-    // states have few edges (amortized O(1) per construction step), while
-    // the root — which can fan out to all 256 bytes and is re-entered on
-    // every match reset — uses the dense table below instead.
-    std::vector<std::pair<unsigned char, int32_t>> next;
+    int32_t to0 = -1;        // the inline edge's target, -1 = no edges
+    int32_t edges = -1;      // head of the arena list of the other edges
+    unsigned char byte0 = 0;
+  };
+  struct Edge {
+    int32_t to;
+    int32_t next;  // next edge of the same state, -1 ends the list
+    unsigned char byte;
   };
 
+ public:
+  /// Bytes a build reserves per indexed byte: two states and one arena
+  /// edge. Callers charge an automaton's working set with it.
+  static constexpr int64_t kBytesPerIndexedChar =
+      2 * static_cast<int64_t>(sizeof(State)) +
+      static_cast<int64_t>(sizeof(Edge));
+
+ private:
   int32_t Transition(int32_t state, unsigned char c) const;
-  void SetTransition(int32_t state, unsigned char c, int32_t to);
+  /// The slot holding `state`'s transition on `c`, or null if it has none.
+  int32_t* TransitionSlot(int32_t state, unsigned char c);
+  /// Adds the transition `state` --c--> `to`; `state` has none on `c`.
+  void AddTransition(int32_t state, unsigned char c, int32_t to);
+  /// Copies the arena list at `head` to fresh slots, in order; returns the
+  /// copy's head.
+  int32_t CopyEdges(int32_t head);
 
   std::vector<State> states_;
+  std::vector<Edge> edges_;             // the arena: non-inline edges
   std::array<int32_t, 256> root_next_;  // state 0's edges, O(1) lookup
   simd::ByteSet root_alphabet_;         // bytes with a root transition
 };
+
+inline int32_t SuffixAutomaton::Transition(int32_t state,
+                                           unsigned char c) const {
+  if (state == 0) return root_next_[c];
+  const State& s = states_[static_cast<size_t>(state)];
+  // Without an inline edge the list is empty too, and to0 is -1.
+  if (s.byte0 == c) return s.to0;
+  for (int32_t e = s.edges; e >= 0;) {
+    const Edge& edge = edges_[static_cast<size_t>(e)];
+    if (edge.byte == c) return edge.to;
+    e = edge.next;
+  }
+  return -1;
+}
 
 template <typename Sink>
 void SuffixAutomaton::ScanMaximalMatches(std::string_view query,

@@ -21,6 +21,7 @@
 #include "delex/engine.h"
 #include "harness/experiment.h"
 #include "harness/programs.h"
+#include "matcher/matcher.h"
 #include "obs/history.h"
 #include "obs/log.h"
 #include "obs/mem.h"
@@ -29,6 +30,7 @@
 #include "obs/trace.h"
 #include "ring_series.h"
 #include "shard/sharded_engine.h"
+#include "text/suffix_matcher.h"
 
 namespace delex {
 namespace {
@@ -85,6 +87,23 @@ TEST(MemAccountingTest, MoveTransfersAndCopyDuplicatesTheCharge) {
   EXPECT_EQ(obs::MemCurrent(obs::MemTag::kShard), 400);
   obs::ScopedMemCharge copy = moved;
   EXPECT_EQ(obs::MemCurrent(obs::MemTag::kShard), 800);
+}
+
+TEST(MemAccountingTest, StChargesTheSideItIndexes) {
+  // SuffixMatch builds its automaton over the old (q) region and streams
+  // the new one, so ST's charge follows |q|.
+  const std::string p = "a short new region that the automaton only streams";
+  std::string q;
+  while (q.size() < 8 * p.size()) q += "the old region the automaton indexes. ";
+  q.resize(8 * p.size());
+  obs::MemResetForTesting();
+  GetMatcher(MatcherKind::kST)
+      .Match(p, TextSpan(0, static_cast<int64_t>(p.size())), q,
+             TextSpan(0, static_cast<int64_t>(q.size())), nullptr);
+  EXPECT_EQ(obs::MemPeak(obs::MemTag::kMatcher),
+            static_cast<int64_t>(q.size()) *
+                SuffixAutomaton::kBytesPerIndexedChar);
+  EXPECT_EQ(obs::MemCurrent(obs::MemTag::kMatcher), 0);
 }
 
 TEST(MemAccountingTest, BalancesToZeroAfterEngineTeardown) {
