@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
@@ -251,6 +252,11 @@ int main(int argc, char** argv) {
                delex::bench::MetaJson().c_str());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The machine shape ci/bench_compare.py matches against the baseline's.
+  benchmark::AddCustomContext(
+      "hardware_concurrency",
+      std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("cpu_model", delex::bench::CpuModel());
   delex::RegisterKernelBenchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -9,13 +9,12 @@
 // experiment. Speedup is relative to the 1-thread run of the same series
 // (the same pipeline, evaluating pages inline on the calling thread);
 // `results_match` asserts Theorem-1 equivalence held at every thread
-// count. Note `hardware_concurrency` in the output: on a machine with
-// fewer cores than workers, the speedup ceiling is the core count, not
-// the thread count.
+// count. Note `meta.hardware_concurrency` in the output: on a machine
+// with fewer cores than workers, the speedup ceiling is the core count,
+// not the thread count.
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -104,9 +103,8 @@ void BenchProgram(const std::string& name, bool first) {
 
 void Main() {
   std::printf("{\n  \"bench\": \"parallel_scaling\",\n"
-              "  \"meta\": %s,\n"
-              "  \"hardware_concurrency\": %u,\n  \"programs\": [\n",
-              MetaJson().c_str(), std::thread::hardware_concurrency());
+              "  \"meta\": %s,\n  \"programs\": [\n",
+              MetaJson().c_str());
   // DBLife is the acceptance profile (the paper's primary corpus); the
   // Wikipedia program rides along for the low-overlap regime.
   BenchProgram("chair", /*first=*/true);

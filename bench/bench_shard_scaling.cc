@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -116,7 +115,6 @@ bool ExactMatch(const std::vector<std::vector<Tuple>>& a,
 }
 
 void Main() {
-  obs::SetHistogramsEnabled(true);  // p99 comes from the merged histogram
   ProgramSpec spec = MustProgram("chair");
   auto analysis = AnalyzeUnits(spec.plan);
   if (!analysis.ok()) {
@@ -132,11 +130,9 @@ void Main() {
 
   std::printf("{\n  \"bench\": \"shard_scaling\",\n"
               "  \"meta\": %s,\n"
-              "  \"hardware_concurrency\": %u,\n"
               "  \"profile\": \"Synthetic1M\",\n"
               "  \"pages\": %d,\n  \"snapshots\": %d,\n  \"grid\": [\n",
-              MetaJson().c_str(), std::thread::hardware_concurrency(), pages,
-              snapshots);
+              MetaJson().c_str(), pages, snapshots);
   bool first = true;
   for (int threads : {2, 8}) {
     GridRun unsharded;  // shards == 1 reference at this pool width

@@ -29,7 +29,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -37,7 +39,6 @@
 #include "harness/table.h"
 #include "obs/json_writer.h"
 #include "obs/mem.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 #ifndef DELEX_GIT_SHA
@@ -87,8 +88,25 @@ inline int BenchReps() {
   return reps > 1 ? reps : 1;
 }
 
+/// The host's CPU model (the first "model name" line of /proc/cpuinfo), or
+/// "unknown" where there is none.
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.compare(0, 10, "model name") != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    size_t value = line.find_first_not_of(" \t", colon + 1);
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
+}
+
 /// Shared metadata object stamped into every bench's output: build
-/// provenance plus the effective scale knobs. Table-style benches print it
+/// provenance, the machine shape (hardware_concurrency and cpu_model, which
+/// ci/bench_compare.py requires to match the baseline's) and the effective
+/// scale knobs. Table-style benches print it
 /// as a standalone {"bench_meta": ...} line (BenchInit); JSON-document
 /// benches embed it as a "meta" member so their whole stdout stays one
 /// parseable document.
@@ -97,6 +115,9 @@ inline std::string MetaJson() {
   json.BeginObject()
       .KV("git_sha", DELEX_GIT_SHA)
       .KV("build_type", DELEX_BUILD_TYPE)
+      .KV("hardware_concurrency",
+          static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .KV("cpu_model", CpuModel())
       .KV("threads", static_cast<int64_t>(Threads()))
       .KV("bench_reps", static_cast<int64_t>(BenchReps()))
       .KV("seed", static_cast<int64_t>(Seed()))
@@ -117,8 +138,7 @@ inline int64_t PeakRssBytes() {
 
 /// Standard bench entry point. Parses `--stats-json <path>` (run-report
 /// JSONL destination, same effect as DELEX_STATS_JSON), starts the trace
-/// recorder if DELEX_TRACE is set and the span profiler if DELEX_PROFILE
-/// is set, and — unless `print_meta_line` is false
+/// recorder if DELEX_TRACE is set, and — unless `print_meta_line` is false
 /// (JSON-document benches, which embed MetaJson() instead) — prints the
 /// shared metadata header line.
 inline void BenchInit(int& argc, char** argv, bool print_meta_line = true) {
@@ -134,7 +154,6 @@ inline void BenchInit(int& argc, char** argv, bool print_meta_line = true) {
   }
   argc = out;
   obs::MaybeStartTraceFromEnv();
-  obs::MaybeStartProfilerFromEnv();
   if (print_meta_line) {
     std::printf("{\"bench_meta\": %s}\n\n", MetaJson().c_str());
   }

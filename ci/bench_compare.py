@@ -29,8 +29,15 @@ Usage:
   --inject-slowdown multiplies every current metric by FACTOR before
   comparing; CI uses 2.0 as a self-test that the gate actually fires.
 
+A comparison is only meaningful on the machine shape the baseline was
+recorded on, so both files must carry the same host fields
+(hardware_concurrency and cpu_model: the "meta" object of the
+JSON-document benches, the "context" of google-benchmark output). A
+field that differs, or is missing from either side, refuses the
+comparison with exit 2.
+
 Exit codes: 0 pass / baseline updated, 1 median regression, 2 usage or
-parse error.
+parse error, or a baseline from another machine shape.
 """
 
 import argparse
@@ -117,6 +124,36 @@ def metrics_google_benchmark(doc):
     return out
 
 
+HOST_FIELDS = ("hardware_concurrency", "cpu_model")
+
+
+def host_fields(doc):
+    """The machine shape a result was recorded on, field -> string (None
+    when absent). google-benchmark's context holds strings only, so both
+    sides compare as strings."""
+    if not isinstance(doc, dict):
+        return {field: None for field in HOST_FIELDS}
+    section = doc.get("context" if "benchmarks" in doc else "meta")
+    if not isinstance(section, dict):
+        section = {}
+    return {field: None if section.get(field) is None else str(section[field])
+            for field in HOST_FIELDS}
+
+
+def check_same_host(baseline_doc, baseline_path, current_doc, current_path):
+    base_host = host_fields(baseline_doc)
+    cur_host = host_fields(current_doc)
+    for field in HOST_FIELDS:
+        if base_host[field] is None or base_host[field] != cur_host[field]:
+            fail_usage("refusing to compare: %s is %s in baseline %s but %s "
+                       "in current %s (re-record the baseline on this "
+                       "machine)" %
+                       (field, "missing" if base_host[field] is None
+                        else repr(base_host[field]), baseline_path,
+                        "missing" if cur_host[field] is None
+                        else repr(cur_host[field]), current_path))
+
+
 def extract_metrics(doc, path):
     if isinstance(doc, dict) and "benchmarks" in doc:
         return metrics_google_benchmark(doc)
@@ -154,8 +191,11 @@ def main():
               (args.baseline, args.current))
         return 0
 
-    baseline = extract_metrics(load_json(args.baseline), args.baseline)
-    current = extract_metrics(load_json(args.current), args.current)
+    baseline_doc = load_json(args.baseline)
+    current_doc = load_json(args.current)
+    check_same_host(baseline_doc, args.baseline, current_doc, args.current)
+    baseline = extract_metrics(baseline_doc, args.baseline)
+    current = extract_metrics(current_doc, args.current)
 
     shared = sorted(set(baseline) & set(current))
     if not shared:

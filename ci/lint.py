@@ -29,11 +29,12 @@ Rules (each has an id; suppress a finding with a trailing or preceding
                          record_file.h) directly — the shard layer has no
                          business decoding on-disk records.
   resource-probe         raw process-resource reads (getrusage, /proc/self)
-                         and signal-handler installation (sigaction,
-                         SIGPROF, setitimer) are confined to src/obs/ —
-                         everything else goes through obs/mem.h and
-                         obs/profiler.h so there is exactly one process
-                         reader and one SIGPROF owner per process.
+                         and signal or interval-timer installation
+                         (sigaction, SIGPROF, setitimer) are confined to
+                         src/obs/ — everything else goes through obs/mem.h
+                         so there is exactly one process reader, and no
+                         signal handler or profiling timer outside the
+                         observability layer.
   raw-mutex              std::mutex / lock_guard / unique_lock /
                          scoped_lock / condition_variable are confined to
                          src/common/mutex.h — everything else uses
@@ -47,10 +48,6 @@ Rules (each has an id; suppress a finding with a trailing or preceding
                          differ only in their xlog::IEHook. A walk that
                          evaluates nothing (e.g. column provenance) needs
                          an allow comment.
-  sigprof-safety         the body of DelexSigprofHandler in
-                         src/obs/profiler.cc must stay async-signal-safe:
-                         no allocation, locks, logging, or stdio between
-                         the definition and its closing brace.
   env-knob-doc           EXPERIMENTS.md's knob table stays honest: every
                          DELEX_* knob that src/, bench/ or examples/ read
                          (getenv or the benches' EnvInt) has a row, and
@@ -171,8 +168,9 @@ TOKEN_RULES = [
     ("resource-probe",
      re.compile(r"\bgetrusage\s*\(|/proc/self|\bsigaction\s*\(|"
                 r"\bSIGPROF\b|\bsetitimer\s*\("),
-     "raw resource probe / signal handler outside src/obs/ (use obs/mem.h "
-     "and obs/profiler.h — one sampler, one SIGPROF owner per process)",
+     "raw resource probe / signal handler outside src/obs/ (read process "
+     "resources through obs/mem.h; signals and timers stay in the "
+     "observability layer)",
      lambda p: p.startswith("src/") and not p.startswith("src/obs/"),
      True),  # raw: /proc/self appears inside string literals
     ("simd-intrinsics",
@@ -197,52 +195,6 @@ TOKEN_RULES = [
      lambda p: p.startswith("src/") and p != "src/xlog/plan.cc",
      False),
 ]
-
-# --- SIGPROF handler safety (region rule) ----------------------------------
-#
-# The sampling profiler's signal handler runs on whatever thread the timer
-# interrupts, possibly while that thread holds the malloc lock or a
-# delex::Mutex. Only lock-free atomics are legal inside it. The scan covers
-# the DelexSigprofHandler definition through its closing column-0 brace.
-
-SIGPROF_FILE = "src/obs/profiler.cc"
-SIGPROF_START_RE = re.compile(r"\bDelexSigprofHandler\s*\(\s*int\b")
-SIGPROF_BANNED_RE = re.compile(
-    r"\bnew\b|\bdelete\b|\bmalloc\s*\(|\bcalloc\s*\(|\brealloc\s*\(|"
-    r"\bfree\s*\(|\bstd::string\b|\bpush_back\b|\bemplace\w*\b|"
-    r"\bDELEX_LOG\b|\bfopen\s*\(|\bfwrite\s*\(|\bfprintf\s*\(|"
-    r"\bprintf\s*\(|\bsnprintf\s*\(|\bMutex\b|\bmutex\b|\block\b|"
-    r"\bLock\b|\bunlock\b|\bUnlock\b|\bcondition_variable\b|\bWait\b|"
-    r"\bnotify\w*\b")
-
-
-def lint_sigprof_region(rel_path, lines):
-    findings = []
-    in_region = False
-    found = False
-    for i, line in enumerate(lines):
-        code = strip_strings_and_comments(line)
-        if not in_region:
-            if SIGPROF_START_RE.search(code):
-                in_region = found = True
-            continue
-        if line.startswith("}"):
-            in_region = False
-            continue
-        m = SIGPROF_BANNED_RE.search(code)
-        if m and "sigprof-safety" not in allowed_rules(lines, i):
-            findings.append(
-                (rel_path, i + 1, "sigprof-safety",
-                 f"'{m.group(0)}' inside the SIGPROF handler (only lock-free "
-                 "atomics are async-signal-safe here)"))
-    if not found:
-        findings.append(
-            (rel_path, 1, "sigprof-safety",
-             "DelexSigprofHandler definition not found — if the handler was "
-             "renamed, update SIGPROF_START_RE so the safety scan still "
-             "covers it"))
-    return findings
-
 
 def lint_file(rel_path, text):
     findings = []
@@ -280,10 +232,6 @@ def lint_file(rel_path, text):
         if (f"#ifndef {guard}" not in text or f"#define {guard}" not in text):
             findings.append((rel_path, 1, "header-guard",
                              f"missing canonical include guard {guard}"))
-
-    # --- async-signal-safety of the profiler's SIGPROF handler ---
-    if rel_path == SIGPROF_FILE:
-        findings.extend(lint_sigprof_region(rel_path, lines))
     return findings
 
 
@@ -434,12 +382,6 @@ SELF_TEST_CASES = {
         "    case xlog::PlanKind::kJoin: return 2;\n"
         "    default: return 1;\n"
         "  }\n"
-        "}\n"),
-    "sigprof-safety": (
-        "src/obs/profiler.cc",
-        "extern \"C\" void DelexSigprofHandler(int) {\n"
-        "  std::string s;  // allocates inside a signal handler\n"
-        "  (void)s;\n"
         "}\n"),
     "header-guard": (
         "src/common/bad2.h",

@@ -8,8 +8,8 @@
 //
 // Honors DELEX_THREADS and DELEX_SHARDS for the engine-backed solutions,
 // and the observability knobs (DELEX_TRACE, DELEX_STATS_JSON,
-// DELEX_PROFILE, DELEX_HISTORY, DELEX_LOG_LEVEL) — the CI traced,
-// profiled, sharded and history smokes drive this binary.
+// DELEX_HISTORY, DELEX_LOG_LEVEL) — the CI traced, resources, sharded and
+// history smokes drive this binary.
 
 #include <cstdio>
 #include <cstdlib>

@@ -16,7 +16,6 @@
 #include "common/stopwatch.h"
 #include "obs/log.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
 
 namespace delex {
 
@@ -74,14 +73,10 @@ class ThreadPool {
     // Saturation: a queue deeper than 4x the workers, beyond what the live
     // TaskGroups' windows allow, means submitters are outrunning the pool
     // and the "never blocks" contract is buffering real memory. WARN once
-    // per run (the flag re-arms when Wait drains the pool), count every
-    // trip.
+    // per run (the flag re-arms when Wait drains the pool).
     const size_t windows = windows_.load(std::memory_order_relaxed);
     if (depth > 4 * threads_.size() + windows &&
         !saturation_warned_.exchange(true, std::memory_order_relaxed)) {
-      static obs::Counter* saturations =
-          obs::MetricsRegistry::Global().GetCounter("pool.saturation_warns");
-      saturations->Increment();
       DELEX_LOG(WARN) << "thread pool saturated: " << depth
                       << " queued tasks > 4x " << threads_.size()
                       << " workers + " << windows << " in TaskGroup windows";

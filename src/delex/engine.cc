@@ -22,40 +22,9 @@
 #include "delex/trial_match.h"
 #include "text/suffix_matcher.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace delex {
-
-namespace {
-
-/// Fast-path demotion counters: each names one reason an identical page
-/// fell back a tier (see DelexEngine::LiftRun). Knowing *where*
-/// reuse is lost is the optimization signal the observability layer
-/// exists to surface; every run report snapshots these.
-obs::Counter* DemoteResultCacheCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "engine.fast_path.demote_result_cache");
-  return counter;
-}
-obs::Counter* DemoteMissingGroupCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "engine.fast_path.demote_missing_group");
-  return counter;
-}
-obs::Counter* DecodeCopyGroupCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "engine.fast_path.decode_copy_groups");
-  return counter;
-}
-obs::Counter* ReuseCorruptDropCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "engine.reuse.corrupt_drops");
-  return counter;
-}
-
-}  // namespace
 
 using xlog::PlanKind;
 using xlog::PlanNode;
@@ -249,18 +218,10 @@ Status DelexEngine::Init() {
   if (ec) {
     return Status::IOError("cannot create work dir " + options_.work_dir);
   }
-  if (!options_.trace_path.empty() &&
-      !obs::TraceRecorder::Global().started()) {
-    Status st = obs::TraceRecorder::Global().Start(options_.trace_path);
-    if (!st.ok()) {
-      DELEX_LOG(WARN) << "trace_path: " << st.ToString();
-    }
-  }
-  // DELEX_TRACE and DELEX_PROFILE work for any engine-embedding binary
-  // (examples, tests) without per-main wiring; each is a no-op if a
-  // session is already running.
+  // DELEX_TRACE works for any engine-embedding binary (examples, tests)
+  // without per-main wiring; it is a no-op if a session is already
+  // running.
   obs::MaybeStartTraceFromEnv();
-  obs::MaybeStartProfilerFromEnv();
   DELEX_LOG(INFO) << "engine initialized: " << analysis_.units.size()
                   << " IE units, work_dir=" << options_.work_dir;
   initialized_ = true;
@@ -310,7 +271,6 @@ void DelexEngine::DropCorruptReader(size_t u, const Status& cause,
   DELEX_LOG(WARN) << "dropping unit " << u
                   << " reuse reader (pages re-extract from scratch): "
                   << cause.ToString();
-  ReuseCorruptDropCounter()->Increment();
   if (stats != nullptr) ++stats->reuse_corrupt_drops;
   reader_ok_[u] = 0;
 }
@@ -398,7 +358,6 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
   // The result cache can be dropped mid-run (corrupt bytes below): every
   // identical page after that demotes.
   if (result_dropped_) {
-    DemoteResultCacheCounter()->Increment();
     ++stats.fast_path_demote_result_cache;
     *demoted = slot->first;
     return Status::OK();
@@ -426,13 +385,11 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
       // identical pages evaluate normally — degrade, never miscompute.
       DELEX_LOG(WARN) << "dropping result cache (corrupt): "
                       << read.ToString();
-      ReuseCorruptDropCounter()->Increment();
       ++stats.reuse_corrupt_drops;
       result_dropped_ = true;
       found = false;
     }
     if (!found) {
-      DemoteResultCacheCounter()->Increment();
       ++stats.fast_path_demote_result_cache;
       DELEX_LOG(DEBUG) << "fast path demoted (result cache miss) did="
                        << current.page(i).did;
@@ -456,7 +413,6 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
         // The old generation has no group for this page (work dir out of
         // step with the corpus). Demote to full evaluation; units whose
         // groups were already lifted for it simply extract from scratch.
-        DemoteMissingGroupCounter()->Increment();
         ++stats.fast_path_demote_missing_group;
         DELEX_LOG(DEBUG) << "fast path demoted (missing reuse group) did="
                          << current.page(i).did << " unit=" << u;
@@ -466,7 +422,6 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
         // validation, so the group can't be trusted for a byte-range copy
         // — but its records decode fine, and an identical page's capture
         // IS its old records. The page ends the run.
-        DecodeCopyGroupCounter()->Increment();
         ++stats.fast_path_decode_copy_groups;
         slot->decode_copied[u] = 1;
         last = true;
@@ -497,7 +452,6 @@ Status DelexEngine::LiftRun(const SnapshotView& current,
       unit_run.pages.pop_back();
       if (!copied.ok()) {
         // Its records do not decode either: the page is evaluated.
-        DemoteMissingGroupCounter()->Increment();
         ++stats.fast_path_demote_missing_group;
         --taken;
         *demoted = slot->first + taken;
@@ -612,10 +566,8 @@ Status DelexEngine::CommitRun(PageSlot* slot, const SnapshotView& current) {
       continue;
     }
     if (framed) {
-      DemoteResultCacheCounter()->Increment();
       ++stats.fast_path_demote_result_cache;
     } else {
-      DemoteMissingGroupCounter()->Increment();
       ++stats.fast_path_demote_missing_group;
     }
     --stats.pages_identical;
@@ -1026,19 +978,15 @@ Result<std::vector<Tuple>> DelexEngine::RunSnapshot(
   // shards) can legitimately sum past the single wall clock; record the
   // overshoot instead of silently clamping it away in OthersUs().
   out_stats->phases.FinalizeDrift();
-  // Bridge the text-layer truncation tally into the metrics registry
-  // (delex_text cannot depend on obs) and WARN at most once per run.
+  // The text layer only counts truncations (delex_text cannot depend on
+  // obs); WARN about them at most once per run.
   {
-    static obs::Counter* truncated_counter =
-        obs::MetricsRegistry::Global().GetCounter(
-            "matcher.suffix.candidates_truncated");
     static std::atomic<int64_t> truncated_seen{0};
     int64_t truncated_total = SuffixCandidatesTruncatedTotal();
     int64_t truncated_delta =
         truncated_total -
         truncated_seen.exchange(truncated_total, std::memory_order_relaxed);
     if (truncated_delta > 0) {
-      truncated_counter->Increment(truncated_delta);
       DELEX_LOG(WARN) << "suffix matcher truncated " << truncated_delta
                       << " candidate list(s) this run; raise "
                          "DELEX_SUFFIX_MAX_CANDIDATES if ST reuse looks thin";
@@ -1257,8 +1205,7 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
               candidates.push_back(&old);
             }
           } else {
-            for (size_t idx : MatchCandidates(
-                     g, old_inputs.size(), options_.max_match_candidates)) {
+            for (size_t idx : MatchCandidates(g, old_inputs.size())) {
               candidates.push_back(&old_inputs[idx]);
             }
           }
@@ -1311,7 +1258,7 @@ Status DelexEngine::EvalUnit(const IEUnit& unit,
            {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
         if (kind == matcher_kind) continue;
         TrialMatch(page.content, region, g, q_page->content, old_regions,
-                   exact_hit, kind, unit, options_.max_match_candidates,
+                   exact_hit, kind, unit,
                    &ustats.trials[static_cast<size_t>(kind)]);
       }
       ustats.trial_us += trial_watch.ElapsedMicros();

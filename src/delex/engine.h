@@ -63,10 +63,6 @@ class DelexEngine {
     /// regardless of which pool ran the page.
     ThreadPool* shared_pool = nullptr;
 
-    /// Maximum old input regions matched per new input region when no
-    /// exact-content candidate exists (ŝ of the cost model).
-    int max_match_candidates = 2;
-
     /// Disable the exact-content fast path (forces the assigned matcher to
     /// run even on unchanged regions; used by ablation benches).
     bool disable_exact_fast_path = false;
@@ -87,14 +83,6 @@ class DelexEngine {
     /// Disable σ/π folding: reuse at bare-blackbox level instead of IE-unit
     /// level (the §4 ablation).
     bool fold_unit_operators = true;
-
-    /// If non-empty, Init() starts the process-wide trace recorder writing
-    /// Chrome-trace/Perfetto JSON here (equivalent to the DELEX_TRACE env
-    /// var; the first session wins — tracing is process-global). Every
-    /// pipeline stage, matcher call, extractor invocation, and reuse-file
-    /// I/O emits DELEX_TRACE_SPAN events; with tracing off each span site
-    /// costs one predicted branch.
-    std::string trace_path;
   };
 
   DelexEngine(xlog::PlanNodePtr plan, Options options);

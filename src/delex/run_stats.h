@@ -204,7 +204,7 @@ struct RunStats {
 
   /// Latency distributions, observability layer 2. Each per-page shard
   /// records into its own histograms (single writer, lock-free); the
-  /// MergeFrom below folds them. Gated on obs::HistogramsEnabled().
+  /// MergeFrom below folds them.
   obs::LocalHistogram page_eval_hist;  ///< one sample per EvalPage call
   /// One sample per Matcher::Match call, indexed by MatcherKind (DN never
   /// calls Match, so its slot stays empty).

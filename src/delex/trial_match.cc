@@ -5,12 +5,11 @@
 
 namespace delex {
 
-std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old,
-                                    int max_candidates) {
+std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old) {
   std::vector<size_t> candidates;
   const int64_t base = static_cast<int64_t>(ordinal);
   for (int64_t offset = 0;
-       static_cast<int>(candidates.size()) < max_candidates &&
+       static_cast<int>(candidates.size()) < kMaxMatchCandidates &&
        offset < static_cast<int64_t>(num_old);
        ++offset) {
     int64_t idx = base + (offset % 2 == 0 ? 1 : -1) * ((offset + 1) / 2);
@@ -24,8 +23,7 @@ std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old,
 void TrialMatch(std::string_view p_content, const TextSpan& region,
                 size_t ordinal, std::string_view q_content,
                 std::span<const TextSpan> q_regions, bool exact,
-                MatcherKind kind, const IEUnit& unit, int max_candidates,
-                MatchTally* tally) {
+                MatcherKind kind, const IEUnit& unit, MatchTally* tally) {
   ++tally->inputs;
   tally->chars += region.length();
   if (exact) {
@@ -35,8 +33,7 @@ void TrialMatch(std::string_view p_content, const TextSpan& region,
   Stopwatch watch;
   std::vector<TaggedSegment> segments;
   if (kind == MatcherKind::kUD || kind == MatcherKind::kST) {
-    for (size_t idx : MatchCandidates(ordinal, q_regions.size(),
-                                      max_candidates)) {
+    for (size_t idx : MatchCandidates(ordinal, q_regions.size())) {
       ++tally->calls;
       for (const MatchSegment& seg :
            GetMatcher(kind).Match(p_content, region, q_content,

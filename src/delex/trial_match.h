@@ -13,13 +13,18 @@
 
 namespace delex {
 
+/// Old input regions a real matcher tries per new input region when no old
+/// region has the same bytes (ŝ of the cost model). One constant for the
+/// engine, its trials and the optimizer's sampler: trial pricing is right
+/// only while they all match the same candidates.
+inline constexpr int kMaxMatchCandidates = 2;
+
 /// \brief The old regions a real matcher (UD or ST) tries for a unit's
 /// `ordinal`-th new input region, among its `num_old` old ones: the one at
 /// the same ordinal, then alternately the previous and the next, until
-/// `max_candidates` are found or `num_old` offsets are tried. The engine's
-/// candidate policy, so also the trials'.
-std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old,
-                                    int max_candidates);
+/// kMaxMatchCandidates are found or `num_old` offsets are tried. The
+/// engine's candidate policy, so also the trials'.
+std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old);
 
 /// \brief Trial-matches one new input region `region` of `p_content` (its
 /// unit's `ordinal`-th) as the engine would under `kind`, and counts the
@@ -39,8 +44,7 @@ std::vector<size_t> MatchCandidates(size_t ordinal, size_t num_old,
 void TrialMatch(std::string_view p_content, const TextSpan& region,
                 size_t ordinal, std::string_view q_content,
                 std::span<const TextSpan> q_regions, bool exact,
-                MatcherKind kind, const IEUnit& unit, int max_candidates,
-                MatchTally* tally);
+                MatcherKind kind, const IEUnit& unit, MatchTally* tally);
 
 }  // namespace delex
 

@@ -528,7 +528,6 @@ Result<SeriesRun> RunSeries(Solution* solution,
     meta.tag = tag;
     meta.snapshot_index = static_cast<int>(i) + 1;
     meta.warmup = i == 0;
-    meta.histograms_enabled = obs::HistogramsEnabled();
     meta.assignment = solution->LastAssignment();
     obs::OptimizerReport optimizer;
     solution->DescribeRun(&meta, &optimizer);

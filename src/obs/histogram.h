@@ -19,17 +19,10 @@
 // RunStats::MergeFrom, so the hot path never touches shared cache lines.
 // Buckets allocate lazily on the first Record — an empty histogram is a
 // null vector. The run report summarizes the merged shards.
-//
-// Recording is gated on HistogramsEnabled() (env DELEX_HISTOGRAMS,
-// default on). Call sites should skip the clock reads entirely when the
-// gate is off — use ScopedLatencyTimer, which compiles to one relaxed
-// load and a predicted branch when disabled.
 
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cmath>
 #include <vector>
 
@@ -71,25 +64,6 @@ inline int64_t BucketUpperBound(int index) {
 }
 
 }  // namespace hist
-
-namespace hist_internal {
-inline bool EnabledFromEnv() {
-  const char* env = std::getenv("DELEX_HISTOGRAMS");
-  return env == nullptr || *env == '\0' || std::atoi(env) != 0;
-}
-inline std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag{EnabledFromEnv()};
-  return flag;
-}
-}  // namespace hist_internal
-
-/// Global histogram gate (DELEX_HISTOGRAMS=0 disables all recording).
-inline bool HistogramsEnabled() {
-  return hist_internal::EnabledFlag().load(std::memory_order_relaxed);
-}
-inline void SetHistogramsEnabled(bool on) {
-  hist_internal::EnabledFlag().store(on, std::memory_order_relaxed);
-}
 
 /// \brief Single-writer histogram shard, merged per run.
 class LocalHistogram {
@@ -163,18 +137,13 @@ class LocalHistogram {
   int64_t max_ = 0;
 };
 
-/// \brief RAII latency sample into a histogram shard. When histograms are
-/// disabled the constructor is one relaxed load and a predicted branch —
-/// no clock reads at all.
+/// \brief RAII latency sample into a histogram shard.
 class ScopedLatencyTimer {
  public:
   explicit ScopedLatencyTimer(LocalHistogram* shard)
-      : shard_(shard), armed_(HistogramsEnabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
+      : shard_(shard), start_(std::chrono::steady_clock::now()) {}
 
   ~ScopedLatencyTimer() {
-    if (!armed_) return;
     shard_->Record(std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::steady_clock::now() - start_)
                        .count());
@@ -185,7 +154,6 @@ class ScopedLatencyTimer {
 
  private:
   LocalHistogram* shard_;
-  bool armed_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -246,20 +246,6 @@ Status HistoryStore::ParseLine(std::string_view line, HistoryRecord* rec) {
       sub.peak_bytes = row.At("peak_bytes").IntOr(0);
       rec->resources.subsystems.push_back(std::move(sub));
     }
-    // The run report nests the profiler rollup; pre-v9 history bodies
-    // kept it flat in the resources block.
-    const bool nested = res.Has("profile");
-    const JsonValue& profile = nested ? res.At("profile") : res;
-    rec->profile_samples =
-        profile.At(nested ? "total_samples" : "profile_samples").IntOr(0);
-    rec->profile_lost =
-        profile.At(nested ? "lost_samples" : "profile_lost").IntOr(0);
-    for (const JsonValue& row : profile.At("top_spans").array) {
-      SpanSelfSample sample;
-      sample.span = row.At("span").StringOr("");
-      sample.self_samples = row.At("self_samples").IntOr(0);
-      rec->top_spans.push_back(std::move(sample));
-    }
   }
   rec->raw = std::string(line);
   return Status::OK();

@@ -8,10 +8,11 @@
 // `work_dir/history.jsonl` at the end of every engine-backed run.
 //
 // The record body is the generation's run-report line (obs/run_report.h,
-// schema v9 and later): RunSeries builds the line once and writes it bare to the
-// stats-JSON file and framed here, so the two never drift apart and
+// schema v9 and later): RunSeries builds the line once and writes it bare
+// to the stats-JSON file and framed here, so the two never drift apart and
 // history carries every run-report block (phases, reader stage, io,
-// per-unit detail, shards, resources, optimizer decisions).
+// per-unit detail, shards, resources, optimizer decisions). Run report →
+// history is the one record of a run's counts and timers.
 //
 // Line framing — every line is an envelope with a fixed-offset header so
 // a checker can validate without parsing JSON first:
@@ -27,12 +28,14 @@
 // prints — from the run-report keys. Bodies written before v9 had a
 // history-only shape; where a run-report key is absent the reader takes
 // the old key instead ("gen", "counters.demote_*",
-// "counters.trace_dropped_events", "resources.profile_samples",
-// "resources.profile_lost", "resources.top_spans"), so stores from
-// earlier builds still load. A decision's "source" (v10) reads empty from
-// an older record. Keys of the learned cost-coefficient layer
-// (before schema v7: "learning", "coeffs", decision "gain"/"bias"/
-// "samples") are ignored.
+// "counters.trace_dropped_events"), so stores from earlier builds still
+// load. A decision's "source" (v10) reads empty from an older record.
+// Keys that no HistoryRecord field reads any more are ignored: the
+// learned cost-coefficient layer's (before schema v7: "learning",
+// "coeffs", decision "gain"/"bias"/"samples"), and the span profiler's,
+// the counter registry's and the histogram gate's (before v11:
+// "resources.profile" and the pre-v9 flat "resources.profile_samples",
+// "profile_lost" and "top_spans"; "counters"; "histograms").
 //
 // Retention: Options::retain_gens > 0 compacts the file on Append to the
 // newest N records (atomic rewrite-and-rename); 0 keeps everything.
@@ -46,7 +49,6 @@
 
 #include "common/status.h"
 #include "obs/mem.h"
-#include "obs/profiler.h"
 #include "obs/run_report.h"
 
 namespace delex {
@@ -118,10 +120,6 @@ struct HistoryRecord {
   /// mem reports them as pre-layer-4.
   bool has_resources = false;
   ResourceUsage resources;
-  /// Span-profiler rollup; top_spans empty when the profiler never ran.
-  int64_t profile_samples = 0;
-  int64_t profile_lost = 0;
-  std::vector<SpanSelfSample> top_spans;
 
   /// The framed line this record was parsed from (no trailing newline).
   /// The compactor re-emits verified lines verbatim from it.

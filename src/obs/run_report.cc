@@ -3,8 +3,6 @@
 #include "obs/histogram.h"
 #include "obs/json_writer.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace delex {
@@ -72,7 +70,6 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
   json.KV("warmup", meta.warmup);
   json.KV("threads", meta.num_threads);
   json.KV("fast_path", meta.fast_path_enabled);
-  json.KV("histograms", meta.histograms_enabled);
   json.KV("num_shards", meta.num_shards);
   if (meta.generation >= 0) json.KV("generation", meta.generation);
   if (!meta.assignment.empty()) json.KV("assignment", meta.assignment);
@@ -132,20 +129,18 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
       .KV("reuse_corrupt_drops", stats.reuse_corrupt_drops)
       .EndObject();
 
-  if (meta.histograms_enabled) {
-    json.Key("latency").BeginObject();
-    WriteLatencySummary("page_eval_us", stats.page_eval_hist, &json);
-    WriteLatencySummary(
-        "match_ud_us",
-        stats.match_hist[static_cast<size_t>(MatcherKind::kUD)], &json);
-    WriteLatencySummary(
-        "match_st_us",
-        stats.match_hist[static_cast<size_t>(MatcherKind::kST)], &json);
-    WriteLatencySummary(
-        "match_ru_us",
-        stats.match_hist[static_cast<size_t>(MatcherKind::kRU)], &json);
-    json.EndObject();
-  }
+  json.Key("latency").BeginObject();
+  WriteLatencySummary("page_eval_us", stats.page_eval_hist, &json);
+  WriteLatencySummary("match_ud_us",
+                      stats.match_hist[static_cast<size_t>(MatcherKind::kUD)],
+                      &json);
+  WriteLatencySummary("match_st_us",
+                      stats.match_hist[static_cast<size_t>(MatcherKind::kST)],
+                      &json);
+  WriteLatencySummary("match_ru_us",
+                      stats.match_hist[static_cast<size_t>(MatcherKind::kRU)],
+                      &json);
+  json.EndObject();
 
   {
     TraceRecorder& recorder = TraceRecorder::Global();
@@ -175,21 +170,6 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
           .EndObject();
     }
     json.EndArray();
-    SpanProfiler& profiler = SpanProfiler::Global();
-    if (profiler.TotalSamples() > 0) {
-      json.Key("profile").BeginObject();
-      json.KV("total_samples", profiler.TotalSamples());
-      json.KV("lost_samples", profiler.LostSamples());
-      json.Key("top_spans").BeginArray();
-      for (const SpanSelfSample& sample : profiler.TopSelfSamples(10)) {
-        json.BeginObject()
-            .KV("span", sample.span)
-            .KV("self_samples", sample.self_samples)
-            .EndObject();
-      }
-      json.EndArray();
-      json.EndObject();
-    }
     json.EndObject();
   }
 
@@ -244,22 +224,14 @@ std::string RunReportLine(const RunReportMeta& meta, const RunStats& stats,
     json.KV("chars_extracted", unit.chars_extracted);
     json.KV("trial_pages", unit.trial_pages);
     json.KV("trial_us", unit.trial_us);
-    if (meta.histograms_enabled) {
-      json.KV("extract_count", unit.extract_hist.count());
-      json.KV("extract_p50_us", unit.extract_hist.Percentile(50));
-      json.KV("extract_p90_us", unit.extract_hist.Percentile(90));
-      json.KV("extract_p99_us", unit.extract_hist.Percentile(99));
-      json.KV("extract_max_us", unit.extract_hist.max());
-    }
+    json.KV("extract_count", unit.extract_hist.count());
+    json.KV("extract_p50_us", unit.extract_hist.Percentile(50));
+    json.KV("extract_p90_us", unit.extract_hist.Percentile(90));
+    json.KV("extract_p99_us", unit.extract_hist.Percentile(99));
+    json.KV("extract_max_us", unit.extract_hist.max());
     json.EndObject();
   }
   json.EndArray();
-
-  json.Key("counters").BeginObject();
-  for (const auto& [name, value] : MetricsRegistry::Global().Snapshot()) {
-    json.KV(name, value);
-  }
-  json.EndObject();
 
   json.EndObject();
   return json.TakeString();

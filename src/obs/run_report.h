@@ -7,7 +7,7 @@
 // IoStats, the optimizer's decisions (chosen matcher per IE unit,
 // predicted cost vs. measured microseconds — the Figure 11/12
 // decomposition from a single file), fast-path hit counters, thread-count
-// metadata, and the process counter registry.
+// metadata, and the process's resource view.
 //
 // Producers: RunSeries (src/harness) builds one line per snapshot run and
 // hands it to two sinks — bare to the --stats-json / DELEX_STATS_JSON
@@ -15,9 +15,9 @@
 // engine's work dir (obs/history.h). Tests build lines directly.
 //
 // Schema line shape (keys stable; additions bump the version):
-//   {"schema_version":9,"solution":"Delex","tag":"fig11-talk",
+//   {"schema_version":11,"solution":"Delex","tag":"fig11-talk",
 //    "snapshot":2,"warmup":false,"threads":4,"fast_path":true,
-//    "histograms":true,"num_shards":1,"generation":2,
+//    "num_shards":1,"generation":2,
 //    "assignment":"ST,RU",                          // v9
 //    "pages":N,"pages_with_previous":N,"pages_identical":N,
 //    "result_tuples":N,"raw_bytes_copied":N,"records_decoded_skipped":N,
@@ -29,12 +29,14 @@
 //          "reuse_write":{"bytes":..,"records":..}},
 //    "fast_path_counters":{"demote_result_cache":N,
 //                          "demote_missing_group":N,
-//                          "decode_copy_groups":N},
+//                          "decode_copy_groups":N,
+//                          "reuse_corrupt_drops":N},
 //    "latency":{"page_eval_us":{"count":..,"mean":..,"p50":..,"p90":..,
 //                               "p99":..,"max":..},
 //               "match_ud_us":{...},"match_st_us":{...},
 //               "match_ru_us":{...}},               // v2: distributions
 //    "trace":{"recording":false,"dropped_events":N},
+//    "resources":{...},                             // v6, see below
 //    "optimizer":{"assignment":"ST,RU","opt_us":..,
 //                 "predicted_total_us":..},        // omitted w/o optimizer
 //    "units":[{"unit":0,"matcher":"ST","predicted_us":..,"actual_us":..,
@@ -44,8 +46,7 @@
 //              "exact_region_hits":..,"chars_extracted":..,
 //              "trial_pages":..,"trial_us":..,          // v10
 //              "extract_count":..,"extract_p50_us":..,"extract_p90_us":..,
-//              "extract_p99_us":..,"extract_max_us":..}],
-//    "counters":{"engine.fast_path.demote_result_cache":0,...}}
+//              "extract_p99_us":..,"extract_max_us":..}]}
 //
 // v1 → v2: added "histograms" meta flag, "fast_path_counters" (per-run
 // demotion/decode-copy tallies), "latency" (page-eval and per-matcher
@@ -91,12 +92,9 @@
 //   {"rss_bytes":..,"vm_bytes":..,"peak_rss_bytes":..,
 //    "tracked_bytes":..,"tracked_peak_bytes":..,
 //    "subsystems":[{"tag":"snapshot","current_bytes":..,"peak_bytes":..},
-//                  ...],                      // one row per MemTag
-//    "profile":{"total_samples":N,"lost_samples":N,
-//               "top_spans":[{"span":"eval_page","self_samples":N},...]}}
-// The "profile" sub-block appears only when the span profiler observed at
-// least one tick (DELEX_PROFILE); top_spans is self-time (innermost open
-// span per tick), largest first, at most 10 rows.
+//                  ...]}                      // one row per MemTag
+// Up to v10 the block could also carry a span-profiler "profile"
+// sub-block (see v11).
 //
 // v6 → v7: the learned cost-coefficient layer is gone. The optimizer block
 // drops "learning" and "coeffs", and decision "inputs" drop "gain",
@@ -123,6 +121,23 @@
 // version), not every page. Each unit gains "trial_pages" and "trial_us",
 // its trial matching of the run (the matchers its plan did not run, on
 // the run's trial pages). Readers print "-" for a pre-v10 "source".
+//
+// v10 → v11: the line is the only record of a run's counts. Three keys
+// are dropped; each fact they carried is still in the line or in a WARN:
+//   - "histograms" (the histogram gate's flag): histograms always record,
+//     so "latency" and the per-unit extract percentiles are always there;
+//   - "counters" (the process-cumulative counter registry):
+//     engine.fast_path.{demote_result_cache,demote_missing_group,
+//     decode_copy_groups} and engine.reuse.corrupt_drops are this run's
+//     "fast_path_counters"; shard.{pages,pages_identical,result_tuples,
+//     reuse_corrupt_drops,total_us}#shard=K are the "shards" rows;
+//     shard.merged.{pages,result_tuples} are "pages" and
+//     "result_tuples"; matcher.suffix.candidates_truncated and
+//     pool.saturation_warns are the WARN lines "suffix matcher truncated
+//     N candidate list(s) this run" and "thread pool saturated";
+//   - "resources.profile" (the span profiler, deleted): DELEX_TRACE spans
+//     time the same spans exactly.
+// Readers ignore the three keys in older lines.
 
 #include <cstdint>
 #include <cstdio>
@@ -137,7 +152,7 @@
 namespace delex {
 namespace obs {
 
-inline constexpr int kRunReportSchemaVersion = 10;
+inline constexpr int kRunReportSchemaVersion = 11;
 
 /// \brief Run identity and execution-environment metadata for one line.
 struct RunReportMeta {
@@ -147,9 +162,6 @@ struct RunReportMeta {
   bool warmup = false;     ///< first snapshot: capture only, no reuse
   int num_threads = 1;     ///< engine worker threads (0 = hardware)
   bool fast_path_enabled = true;
-  /// Whether latency histograms were recording (DELEX_HISTOGRAMS); the
-  /// "latency" block and per-unit percentiles are emitted only when true.
-  bool histograms_enabled = true;
 
   /// Engine shards the run was partitioned into (v4; 1 = unsharded).
   int num_shards = 1;

@@ -8,9 +8,9 @@
 //
 // Disabled (the default), a span costs exactly one relaxed atomic load and
 // one predicted branch — no clock read, no allocation. Enabled
-// (TraceRecorder::Global().Start(path), DelexEngine::Options::trace_path,
-// or the DELEX_TRACE env var via MaybeStartTraceFromEnv), each span takes
-// two steady-clock reads and one append into its thread's ring buffer
+// (TraceRecorder::Global().Start(path), or the DELEX_TRACE env var via
+// MaybeStartTraceFromEnv), each span takes two steady-clock reads and one
+// append into its thread's ring buffer
 // (per-thread mutex, never contended on the hot path; the lock exists so
 // Stop() can drain buffers TSan-clean). Buffers are rings: when a thread
 // records more than kRingCapacity events the oldest are overwritten and
@@ -54,62 +54,6 @@ struct TraceEvent {
   uint32_t tid = 0;
 };
 
-namespace trace_internal {
-// Span hooks bitmask. Bit 0: the trace recorder wants complete events; bit
-// 1: the span-sampling profiler (obs/profiler.h) wants the per-thread open
-// span stack maintained. Namespace-scope inline atomic: the disabled-path
-// check is a single load with no function-local-static guard in front of
-// it, and with both hooks off a span still costs exactly one relaxed load
-// and one predicted branch.
-inline constexpr uint32_t kHookTrace = 1u;
-inline constexpr uint32_t kHookProfile = 2u;
-inline std::atomic<uint32_t> g_span_hooks{0};
-
-inline void SetSpanHook(uint32_t bit, bool on) {
-  if (on) {
-    g_span_hooks.fetch_or(bit, std::memory_order_release);
-  } else {
-    g_span_hooks.fetch_and(~bit, std::memory_order_release);
-  }
-}
-
-/// One thread's stack of currently-open span names, maintained only while
-/// the profile hook is on. The SIGPROF handler reads the *interrupted*
-/// thread's own stack, so cross-thread synchronization is unnecessary; the
-/// relaxed atomics plus signal fences only pin program order against the
-/// same-thread handler. Everything is constant-initialized and trivially
-/// destructible so TLS access never takes an init guard — that is what
-/// makes reading it from a signal handler tolerable.
-inline constexpr int kSpanStackMaxDepth = 48;
-struct SpanStack {
-  std::atomic<const char*> names[kSpanStackMaxDepth] = {};
-  std::atomic<int> depth{0};  // may exceed kSpanStackMaxDepth (truncated)
-};
-
-inline SpanStack& LocalSpanStack() {
-  thread_local SpanStack stack;
-  return stack;
-}
-
-inline void PushSpan(const char* name) {
-  SpanStack& stack = LocalSpanStack();
-  int depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth < kSpanStackMaxDepth) {
-    stack.names[depth].store(name, std::memory_order_relaxed);
-  }
-  // The name must be visible before the new depth: a handler that reads
-  // depth d trusts names[0..d).
-  std::atomic_signal_fence(std::memory_order_release);
-  stack.depth.store(depth + 1, std::memory_order_relaxed);
-}
-
-inline void PopSpan() {
-  SpanStack& stack = LocalSpanStack();
-  stack.depth.store(stack.depth.load(std::memory_order_relaxed) - 1,
-                    std::memory_order_relaxed);
-}
-}  // namespace trace_internal
-
 /// \brief Process-wide trace recorder with per-thread ring buffers.
 class TraceRecorder {
  public:
@@ -122,8 +66,7 @@ class TraceRecorder {
 
   /// True when spans are being recorded (the hot-path gate).
   static bool enabled() {
-    return (trace_internal::g_span_hooks.load(std::memory_order_relaxed) &
-            trace_internal::kHookTrace) != 0;
+    return recording_.load(std::memory_order_relaxed);
   }
 
   /// Begins recording into `path` (written at Stop / process exit). A
@@ -157,7 +100,7 @@ class TraceRecorder {
     // A DELEX_CHECK failure flushes the rings too, so a crashing run
     // still leaves a loadable trace of its final moments.
     RegisterCrashFlushHook([] { (void)TraceRecorder::Global().Stop(); });
-    trace_internal::SetSpanHook(trace_internal::kHookTrace, true);
+    recording_.store(true, std::memory_order_release);
     return Status::OK();
   }
 
@@ -168,7 +111,7 @@ class TraceRecorder {
 
   /// Stops recording and writes the JSON trace. No-op when not recording.
   Status Stop() {
-    trace_internal::SetSpanHook(trace_internal::kHookTrace, false);
+    recording_.store(false, std::memory_order_release);
     MutexLock lock(&mu_);
     if (!started_) return Status::OK();
     started_ = false;
@@ -361,6 +304,10 @@ class TraceRecorder {
     return Status::OK();
   }
 
+  // The hot-path gate. A static member, not a member of Global()'s
+  // function-local static: the disabled-path check is then a single
+  // relaxed load with no initialization guard in front of it.
+  static inline std::atomic<bool> recording_{false};
   mutable Mutex mu_{"obs.trace.recorder"};  // registry + start/stop + path
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_ DELEX_GUARDED_BY(mu_);
   std::atomic<int64_t> t0_ns_{0};
@@ -376,26 +323,17 @@ class ScopedTraceSpan {
  public:
   explicit ScopedTraceSpan(const char* name, int64_t arg = kTraceNoArg,
                            const char* cat = "delex") {
-    uint32_t hooks =
-        trace_internal::g_span_hooks.load(std::memory_order_relaxed);
-    if (hooks == 0) return;
-    if ((hooks & trace_internal::kHookProfile) != 0) {
-      trace_internal::PushSpan(name);
-      pushed_ = true;
-    }
-    if ((hooks & trace_internal::kHookTrace) != 0) {
-      name_ = name;
-      cat_ = cat;
-      arg_ = arg;
-      start_us_ = TraceRecorder::Global().NowUs();
-    }
+    if (!TraceRecorder::enabled()) return;
+    name_ = name;
+    cat_ = cat;
+    arg_ = arg;
+    start_us_ = TraceRecorder::Global().NowUs();
   }
 
   ScopedTraceSpan(const ScopedTraceSpan&) = delete;
   ScopedTraceSpan& operator=(const ScopedTraceSpan&) = delete;
 
   ~ScopedTraceSpan() {
-    if (pushed_) trace_internal::PopSpan();
     if (name_ == nullptr) return;
     // If tracing stopped mid-span the event is dropped — Stop() owns the
     // buffers from that point on.
@@ -410,7 +348,6 @@ class ScopedTraceSpan {
   const char* cat_ = nullptr;
   int64_t arg_ = kTraceNoArg;
   int64_t start_us_ = 0;
-  bool pushed_ = false;
 };
 
 /// Starts tracing if DELEX_TRACE names a path and no session is active.

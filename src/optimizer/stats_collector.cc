@@ -127,13 +127,13 @@ class RecordingHook final : public xlog::IEHook {
   PageObservation* observation_;
 };
 
-Page TruncatePage(const Page& page, int64_t max_bytes) {
+Page TruncatePage(const Page& page) {
   Page out;
   out.did = page.did;
   out.url = page.url;
   out.content = page.content.substr(
       0, static_cast<size_t>(std::min<int64_t>(
-             max_bytes, static_cast<int64_t>(page.content.size()))));
+             kMaxSampleBytes, static_cast<int64_t>(page.content.size()))));
   return out;
 }
 
@@ -145,11 +145,10 @@ Page TruncatePage(const Page& page, int64_t max_bytes) {
 /// are reused.
 Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
                    const Page& p_full, const Page& q_full,
-                   const StatsCollectorOptions& options,
                    std::vector<UnitAccumulator>* accumulators) {
   const size_t num_units = analysis.units.size();
-  Page p = TruncatePage(p_full, options.max_sample_bytes);
-  Page q = TruncatePage(q_full, options.max_sample_bytes);
+  Page p = TruncatePage(p_full);
+  Page q = TruncatePage(q_full);
 
   PageObservation p_obs;
   p_obs.unit_inputs.resize(num_units);
@@ -186,7 +185,7 @@ Status ObservePair(const PlanNode& plan, const UnitAnalysis& analysis,
       for (MatcherKind kind :
            {MatcherKind::kDN, MatcherKind::kUD, MatcherKind::kST}) {
         TrialMatch(p.content, region, i, q.content, q_regions, exact, kind,
-                   analysis.units[u], options.max_match_candidates,
+                   analysis.units[u],
                    &(*accumulators)[u].match[MatcherIndex(kind)]);
       }
     }
@@ -263,7 +262,7 @@ Result<CostModelStats> CollectStats(const xlog::PlanNodePtr& plan,
                          "optimizer");
         return ObservePair(*plan, analysis, current.page(sample[i].first),
                            previous.snapshot().pages()[sample[i].second],
-                           options, &pair_accumulators[i]);
+                           &pair_accumulators[i]);
       });
     }
     DELEX_RETURN_NOT_OK(tasks.Wait());

@@ -25,17 +25,13 @@ struct StatsCollectorOptions {
   /// RunSnapshot's trial_pages), and the pages CollectStats samples on an
   /// engine's first refresh, when there is no run to learn from yet.
   int sample_pages = 6;
-
-  /// Pages are truncated to this many bytes during sampling. The cap must
-  /// stay comparable to real page sizes — aggressive truncation distorts
-  /// the leaf units' region lengths and match selectivities and misleads
-  /// the plan search.
-  int64_t max_sample_bytes = 8192;
-
-  /// Candidate old regions matched per sampled region (mirrors the
-  /// engine's candidate policy).
-  int max_match_candidates = 2;
 };
+
+/// CollectStats truncates sampled pages to this many bytes. The cap must
+/// stay comparable to real page sizes — aggressive truncation distorts the
+/// leaf units' region lengths and match selectivities and misleads the
+/// plan search.
+inline constexpr int64_t kMaxSampleBytes = 8192;
 
 /// \brief m, f and d_blocks of a snapshot pair over the pages the engine
 /// evaluates — every page of `current` but those identical to their

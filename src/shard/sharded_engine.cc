@@ -7,31 +7,10 @@
 #include "common/stopwatch.h"
 #include "common/value.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace delex {
 namespace shard {
-
-namespace {
-
-/// Per-shard counters, named `base#shard=K`. These are resolved per run,
-/// not cached in statics — the names are dynamic and a snapshot run
-/// amortizes one map lookup over thousands of pages.
-void PublishShardStats(int k, const RunStats& stats) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const std::string label = "#shard=" + std::to_string(k);
-  reg.GetCounter("shard.pages" + label)->Increment(stats.pages);
-  reg.GetCounter("shard.pages_identical" + label)
-      ->Increment(stats.pages_identical);
-  reg.GetCounter("shard.result_tuples" + label)
-      ->Increment(stats.result_tuples);
-  reg.GetCounter("shard.reuse_corrupt_drops" + label)
-      ->Increment(stats.reuse_corrupt_drops);
-  reg.GetCounter("shard.total_us" + label)->Increment(stats.phases.total_us);
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(xlog::PlanNodePtr plan, Options options)
     : plan_(std::move(plan)), options_(std::move(options)) {}
@@ -57,7 +36,6 @@ Status ShardedEngine::Init() {
     DelexEngine::Options engine_options;
     engine_options.work_dir = ShardWorkDir(k);
     engine_options.shared_pool = pool_.get();
-    engine_options.max_match_candidates = options_.max_match_candidates;
     engine_options.disable_exact_fast_path = options_.disable_exact_fast_path;
     engine_options.disable_page_fast_path = options_.disable_page_fast_path;
     engine_options.fold_unit_operators = options_.fold_unit_operators;
@@ -211,16 +189,6 @@ Result<std::vector<Tuple>> ShardedEngine::RunSnapshot(
       stats->phases.opt_us += per_shard[k].phases.opt_us;
       stats->phases.capture_us += per_shard[k].phases.capture_us;
     }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    PublishShardStats(static_cast<int>(k), per_shard[k]);
-  }
-  {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("shard.merged.pages")
-        ->Increment(static_cast<int64_t>(current.pages().size()));
-    reg.GetCounter("shard.merged.result_tuples")
-        ->Increment(static_cast<int64_t>(merged_rows.size()));
   }
   if (shard_stats != nullptr) {
     shard_stats->per_shard = std::move(per_shard);

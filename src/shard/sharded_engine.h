@@ -36,9 +36,7 @@ namespace shard {
 /// snapshot page order (exact, not canonicalized: shards emit rows grouped
 /// by page, pages carry global dids, so a cursor per shard reproduces the
 /// unsharded row order byte for byte) and folds per-shard RunStats into
-/// one merged view via RunStats::MergeFrom + histogram folding. Per-shard
-/// stats are also counted in the metrics registry under the shard id
-/// (`shard.pages#shard=K`), which every run report snapshots.
+/// one merged view via RunStats::MergeFrom + histogram folding.
 class ShardedEngine {
  public:
   struct Options {
@@ -54,7 +52,6 @@ class ShardedEngine {
     int num_threads = 1;
 
     // Per-shard engine knobs, passed through to DelexEngine::Options.
-    int max_match_candidates = 2;
     bool disable_exact_fast_path = false;
     bool disable_page_fast_path = false;
     bool fold_unit_operators = true;

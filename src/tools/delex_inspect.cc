@@ -1,5 +1,5 @@
 // delex_inspect — offline reader for a work dir's generation history
-// (obs/history.h). Three questions, answerable from the file alone:
+// (obs/history.h). Four questions, answerable from the file alone:
 //
 //   delex_inspect summary   <history.jsonl>
 //       one row per generation: plan, volume, wall clock, cost drift.
@@ -13,10 +13,6 @@
 //   delex_inspect mem       <history.jsonl> [genA genB]
 //       per-subsystem memory attribution per generation, plus a
 //       gen-over-gen diff of RSS / tracked bytes (default: last two).
-//   delex_inspect profile   <history.jsonl> [genA genB]
-//       top span self-time per generation with a gen-over-gen sample
-//       diff (default: last two). Records written before layer 4 (or
-//       with the profiler off) report as such.
 //
 // Corrupt or out-of-order records are skipped with a note on stderr
 // (the reader's Status::Corruption contract); exit code is 0 on success,
@@ -44,8 +40,7 @@ void PrintUsage() {
                "usage: delex_inspect summary   <history.jsonl>\n"
                "       delex_inspect diff      <history.jsonl> [genA genB]\n"
                "       delex_inspect decisions <history.jsonl> <gen>\n"
-               "       delex_inspect mem       <history.jsonl> [genA genB]\n"
-               "       delex_inspect profile   <history.jsonl> [genA genB]\n");
+               "       delex_inspect mem       <history.jsonl> [genA genB]\n");
 }
 
 int LoadHistory(const char* path, std::vector<HistoryRecord>* records) {
@@ -263,51 +258,6 @@ int RunMem(const HistoryRecord* a, const HistoryRecord* b) {
   return 0;
 }
 
-void PrintProfileRecord(const HistoryRecord& r) {
-  if (!r.has_resources) {
-    std::printf("gen %d: no resources block (pre-layer-4 record)\n", r.gen);
-    return;
-  }
-  if (r.profile_samples <= 0) {
-    std::printf("gen %d: profiler off (no samples)\n", r.gen);
-    return;
-  }
-  std::printf("gen %d: %" PRId64 " samples (%" PRId64 " lost)\n", r.gen,
-              r.profile_samples, r.profile_lost);
-  for (const obs::SpanSelfSample& s : r.top_spans) {
-    std::printf("  %-24s %8" PRId64 "  (%.1f%%)\n", s.span.c_str(),
-                s.self_samples,
-                100.0 * static_cast<double>(s.self_samples) /
-                    static_cast<double>(r.profile_samples));
-  }
-}
-
-int64_t SpanSamples(const HistoryRecord& r, const std::string& span) {
-  for (const obs::SpanSelfSample& s : r.top_spans) {
-    if (s.span == span) return s.self_samples;
-  }
-  return 0;
-}
-
-int RunProfile(const HistoryRecord* a, const HistoryRecord* b) {
-  if (a != b) PrintProfileRecord(*a);
-  PrintProfileRecord(*b);
-  if (a == b || a->profile_samples <= 0 || b->profile_samples <= 0) return 0;
-  std::printf("diff gen %d -> gen %d (self-samples):\n", a->gen, b->gen);
-  // Union of both top lists, newer generation's ordering first.
-  std::vector<std::string> spans;
-  for (const obs::SpanSelfSample& s : b->top_spans) spans.push_back(s.span);
-  for (const obs::SpanSelfSample& s : a->top_spans) {
-    if (std::find(spans.begin(), spans.end(), s.span) == spans.end()) {
-      spans.push_back(s.span);
-    }
-  }
-  for (const std::string& span : spans) {
-    DiffPhase(span.c_str(), SpanSamples(*a, span), SpanSamples(*b, span));
-  }
-  return 0;
-}
-
 int RunDecisions(const HistoryRecord* rec) {
   if (!rec->has_optimizer || rec->decisions.empty()) {
     std::printf("gen %d: no audited decisions (warm-up or forced plan)\n",
@@ -345,7 +295,7 @@ int Main(int argc, char** argv) {
   if (command == "summary") {
     return RunSummary(records);
   }
-  if (command == "diff" || command == "mem" || command == "profile") {
+  if (command == "diff" || command == "mem") {
     const HistoryRecord* a = nullptr;
     const HistoryRecord* b = nullptr;
     if (argc >= 5) {
@@ -360,7 +310,7 @@ int Main(int argc, char** argv) {
       a = &records[records.size() - 2];
       b = &records.back();
     } else if (command != "diff") {
-      // mem/profile degrade to a single-generation report; diff needs two.
+      // mem degrades to a single-generation report; diff needs two.
       a = b = &records.back();
     } else {
       std::fprintf(stderr,
@@ -370,7 +320,6 @@ int Main(int argc, char** argv) {
       return 2;
     }
     if (command == "mem") return RunMem(a, b);
-    if (command == "profile") return RunProfile(a, b);
     return RunDiff(records, a, b);
   }
   if (command == "decisions") {

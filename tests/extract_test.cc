@@ -389,7 +389,9 @@ TEST(CrfExtractor, IllegalTransitionsNeverDecoded) {
   ASSERT_FALSE(labels.empty());
   EXPECT_NE(labels.front(), kLabelI);
   for (size_t i = 1; i < labels.size(); ++i) {
-    if (labels[i] == kLabelI) EXPECT_NE(labels[i - 1], kLabelO);
+    if (labels[i] == kLabelI) {
+      EXPECT_NE(labels[i - 1], kLabelO);
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // back field by field, every corruption path (framing, checksum, JSON,
 // missing gen, torn tail, out-of-order generations) degrading to
 // Status::Corruption drops — never aborts — retention compaction, the env
-// knobs, records of earlier builds (v6 and v8 history bodies) still
+// knobs, records of earlier builds (v6, v8 and v10 history bodies) still
 // loading, delex_inspect's reader-stage diff, and the end-to-end
 // contract: RunSeries appends one record per completed generation across
 // {1,4} shards × {1,8} threads, and each record's body is byte-identical
@@ -512,11 +512,6 @@ TEST(HistoryStoreTest, V6LearnerFieldsAreIgnoredOnLoad) {
   ASSERT_EQ(v6.resources.subsystems.size(), 1u);
   EXPECT_EQ(v6.resources.subsystems[0].tag, "snapshot");
   EXPECT_EQ(v6.resources.subsystems[0].peak_bytes, 200);
-  EXPECT_EQ(v6.profile_samples, 50);
-  EXPECT_EQ(v6.profile_lost, 1);
-  ASSERT_EQ(v6.top_spans.size(), 1u);
-  EXPECT_EQ(v6.top_spans[0].span, "eval_page");
-  EXPECT_EQ(v6.top_spans[0].self_samples, 40);
 
   HistoryRecord v8;
   ASSERT_TRUE(HistoryStore::ParseLine(v8_line, &v8).ok());
@@ -599,6 +594,121 @@ TEST(HistoryStoreTest, V6LearnerFieldsAreIgnoredOnLoad) {
       << old_pair;
   EXPECT_EQ(old_pair.find("reader"), std::string::npos) << old_pair;
   fs::remove_all(old_dir);
+}
+
+TEST(HistoryStoreTest, V10CountersHistogramsAndProfileAreIgnoredOnLoad) {
+  // FullRun(3) as the schema-v10 writer framed it, byte for byte, in a
+  // process whose counter registry and span profiler had run: the line
+  // carries the "histograms" flag, the registry's "counters" block and a
+  // "resources.profile" sub-block, which v11 dropped.
+  const std::string v10_line =
+      R"({"crc":"368fd55a942c0fe9","rec":{"schema_version":10,"solution":"D)"
+      R"(elex","tag":"history-test","snapshot":3,"warmup":false,"threads":4)"
+      R"(,"fast_path":true,"histograms":true,"num_shards":2,"generation":3,)"
+      R"("assignment":"ST,RU","shards":[{"shard":0,"pages":70,"pages_identi)"
+      R"(cal":50,"result_tuples":40,"total_us":2200,"reuse_corrupt_drops":4)"
+      R"(,"assignment":"ST,RU","cost_drift":0.25},{"shard":1,"pages":50,"pa)"
+      R"(ges_identical":30,"result_tuples":24,"total_us":1800,"reuse_corrup)"
+      R"(t_drops":0}],"pages":120,"pages_with_previous":0,"pages_identical")"
+      R"(:80,"result_tuples":64,"raw_bytes_copied":0,"records_decoded_skipp)"
+      R"(ed":0,"identical_runs":6,"reader":{"busy_us":900,"wait_us":100},"p)"
+      R"(hases":{"match_us":1000,"extract_us":2000,"copy_us":300,"opt_us":4)"
+      R"(0,"capture_us":500,"total_us":4000,"others_us":160,"phase_drift_us)"
+      R"(":7},"io":{"reuse_read":{"bytes_read":0,"bytes_written":0,"records)"
+      R"(_read":0,"records_written":0},"reuse_write":{"bytes_read":0,"bytes)"
+      R"(_written":0,"records_read":0,"records_written":0}},"fast_path_coun)"
+      R"(ters":{"demote_result_cache":1,"demote_missing_group":2,"decode_co)"
+      R"(py_groups":3,"reuse_corrupt_drops":4},"latency":{"page_eval_us":{")"
+      R"(count":4,"mean":25,"p50":20,"p90":40,"p99":40,"max":40},"match_ud_)"
+      R"(us":{"count":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0},"match_st)"
+      R"(_us":{"count":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0},"match_r)"
+      R"(u_us":{"count":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0}},"trace)"
+      R"(":{"recording":false,"dropped_events":0},"resources":{"rss_bytes":)"
+      R"(3256320,"vm_bytes":6877184,"peak_rss_bytes":3284992,"tracked_bytes)"
+      R"(":0,"tracked_peak_bytes":0,"subsystems":[{"tag":"snapshot","curren)"
+      R"(t_bytes":0,"peak_bytes":0},{"tag":"reuse_reader","current_bytes":0)"
+      R"(,"peak_bytes":0},{"tag":"result_cache","current_bytes":0,"peak_byt)"
+      R"(es":0},{"tag":"thread_pool","current_bytes":0,"peak_bytes":0},{"ta)"
+      R"(g":"matcher","current_bytes":0,"peak_bytes":0},{"tag":"shard","cur)"
+      R"(rent_bytes":0,"peak_bytes":0},{"tag":"pipeline","current_bytes":0,)"
+      R"("peak_bytes":0}],"profile":{"total_samples":14,"lost_samples":0,"t)"
+      R"(op_spans":[{"span":"eval_page","self_samples":14}]}},"optimizer":{)"
+      R"("assignment":"ST,RU","opt_us":40,"predicted_total_us":3900.5,"cost)"
+      R"(_drift":0.125,"decisions":[{"unit":0,"winner":"ST","runner_up":"RU)"
+      R"(","margin_us":17.5,"candidates":{"DN":900,"UD":410,"ST":180.5,"RU")"
+      R"(:198},"inputs":{"f":0.25,"m":120,"a":1.5,"l":640,"history":3,"sour)"
+      R"(ce":"run"}}]},"units":[{"unit":0,"matcher":"ST","predicted_us":180)"
+      R"(.5,"actual_us":200,"match_us":200,"extract_us":0,"copy_us":0,"capt)"
+      R"(ure_us":0,"input_tuples":0,"output_tuples":0,"copied_tuples":0,"ex)"
+      R"(tracted_tuples":0,"matcher_calls":0,"exact_region_hits":0,"chars_e)"
+      R"(xtracted":0,"trial_pages":0,"trial_us":0,"extract_count":1,"extrac)"
+      R"(t_p50_us":100,"extract_p90_us":100,"extract_p99_us":100,"extract_m)"
+      R"(ax_us":100},{"unit":1,"matcher":"RU","actual_us":350,"match_us":0,)"
+      R"("extract_us":350,"copy_us":0,"capture_us":0,"input_tuples":0,"outp)"
+      R"(ut_tuples":0,"copied_tuples":0,"extracted_tuples":0,"matcher_calls)"
+      R"(":0,"exact_region_hits":0,"chars_extracted":0,"trial_pages":0,"tri)"
+      R"(al_us":0,"extract_count":0,"extract_p50_us":0,"extract_p90_us":0,")"
+      R"(extract_p99_us":0,"extract_max_us":0}],"counters":{"engine.fast_pa)"
+      R"(th.demote_result_cache":1,"engine.reuse.corrupt_drops":4,"shard.me)"
+      R"(rged.pages":120,"shard.merged.result_tuples":64,"shard.pages#shard)"
+      R"(=0":70,"shard.pages#shard=1":50}}})";
+  HistoryRecord v10;
+  ASSERT_TRUE(HistoryStore::ParseLine(v10_line, &v10).ok());
+  EXPECT_EQ(v10.raw, v10_line);
+  HistoryRecord v11;
+  ASSERT_TRUE(
+      HistoryStore::ParseLine(HistoryStore::FrameLine(FullLine(3)), &v11).ok());
+  // Every field a record keeps reads the same from both lines of the run.
+  for (const HistoryRecord* rec : {&v10, &v11}) {
+    EXPECT_EQ(rec->gen, 3);
+    ExpectCommonFields(*rec);
+    EXPECT_EQ(rec->reader_busy_us, 900);
+    EXPECT_EQ(rec->reader_wait_us, 100);
+    EXPECT_EQ(rec->identical_runs, 6);
+    EXPECT_EQ(rec->trace_dropped_events, 0);
+    ASSERT_EQ(rec->decisions.size(), 1u);
+    EXPECT_EQ(rec->decisions[0].source, "run");
+    ASSERT_TRUE(rec->has_resources);
+    ASSERT_EQ(rec->resources.subsystems.size(),
+              static_cast<size_t>(obs::kMemTagCount));
+    for (int t = 0; t < obs::kMemTagCount; ++t) {
+      EXPECT_EQ(rec->resources.subsystems[t].tag,
+                obs::MemTagName(static_cast<obs::MemTag>(t)));
+    }
+  }
+  // The resources block is sampled by the writing process: the v10 line's
+  // own readings come back.
+  EXPECT_EQ(v10.resources.rss_bytes, 3256320);
+  EXPECT_EQ(v10.resources.vm_bytes, 6877184);
+  EXPECT_EQ(v10.resources.peak_rss_bytes, 3284992);
+  EXPECT_EQ(v10.resources.tracked_peak_bytes, 0);
+
+  // A v10 store that v11 records extend loads whole, and the offline
+  // reader answers over it.
+  fs::path dir = FreshDir("v10");
+  const std::string path = (dir / "history.jsonl").string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << v10_line << "\n";
+  }
+  HistoryStore store(path);
+  ASSERT_TRUE(store.Append(FullLine(4)).ok());
+  std::vector<HistoryRecord> records;
+  HistoryLoadInfo info;
+  ASSERT_TRUE(store.Load(&records, &info).ok());
+  EXPECT_EQ(info.corrupt_dropped, 0);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].gen, 3);
+  EXPECT_EQ(records[1].gen, 4);
+  const std::string diff = InspectOutput("diff " + path);
+  EXPECT_NE(diff.find("diff gen 3 -> gen 4"), std::string::npos) << diff;
+  EXPECT_NE(diff.find("  reader.busy_us          900 ->        900"),
+            std::string::npos)
+      << diff;
+  EXPECT_NE(InspectOutput("mem " + path).find("gen 3: rss=3256320"),
+            std::string::npos);
+  EXPECT_NE(InspectOutput("summary " + path).find("ST,RU"), std::string::npos);
+  fs::remove_all(dir);
 }
 
 TEST(HistoryStoreTest, RetentionCompactionDiscardsCorruptLines) {

@@ -1,7 +1,7 @@
 // Observability-layer tests: trace recorder (JSON well-formedness, span
 // pairing/nesting per thread, pipeline span counts, zero-output guarantee
 // when disabled), leveled logger (threshold, sink capture, CHECK routing),
-// the counter registry, latency-histogram bucket/percentile correctness
+// latency-histogram bucket/percentile correctness
 // against a sorted reference, phase-drift accounting, and the versioned
 // run report (schema-v2 latency/trace blocks, per-unit predicted-vs-actual
 // columns, determinism of counters and histogram counts across thread
@@ -28,8 +28,6 @@
 #include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 
@@ -376,33 +374,6 @@ TEST(LogDeathTest, CheckFailureFlushesStartedTraceBeforeAborting) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-TEST(MetricsTest, CountersAccumulateAndSnapshotSorted) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.ResetAll();
-  obs::Counter* b = registry.GetCounter("obs_test.b");
-  obs::Counter* a = registry.GetCounter("obs_test.a");
-  EXPECT_EQ(registry.GetCounter("obs_test.b"), b);  // stable identity
-  a->Increment();
-  b->Increment(41);
-  b->Increment();
-  EXPECT_EQ(a->value(), 1);
-  EXPECT_EQ(b->value(), 42);
-  auto snapshot = registry.Snapshot();
-  std::map<std::string, int64_t> by_name(snapshot.begin(), snapshot.end());
-  EXPECT_EQ(by_name["obs_test.a"], 1);
-  EXPECT_EQ(by_name["obs_test.b"], 42);
-  for (size_t i = 1; i < snapshot.size(); ++i) {
-    EXPECT_LT(snapshot[i - 1].first, snapshot[i].first);
-  }
-  registry.ResetAll();
-  EXPECT_EQ(a->value(), 0);
-  EXPECT_EQ(b->value(), 0);
-}
-
-// ---------------------------------------------------------------------------
 // Latency histograms
 // ---------------------------------------------------------------------------
 
@@ -492,17 +463,6 @@ TEST(HistogramTest, ShardMergeMatchesSequentialRecording) {
   empty.MergeFrom(obs::LocalHistogram());
   EXPECT_EQ(empty.count(), 0);
   EXPECT_TRUE(empty.buckets().empty());
-}
-
-TEST(HistogramTest, DisabledGateSkipsScopedTimerRecording) {
-  ASSERT_TRUE(obs::HistogramsEnabled()) << "tests assume the default gate";
-  obs::LocalHistogram shard;
-  obs::SetHistogramsEnabled(false);
-  { obs::ScopedLatencyTimer timer(&shard); }
-  obs::SetHistogramsEnabled(true);
-  EXPECT_EQ(shard.count(), 0);
-  { obs::ScopedLatencyTimer timer(&shard); }
-  EXPECT_EQ(shard.count(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +669,6 @@ TEST(TraceTest, EvalPageSpanCountMatchesNonIdenticalPages) {
 // ---------------------------------------------------------------------------
 
 TEST(RunReportTest, SchemaV6CarriesResourcesBlock) {
-  obs::MetricsRegistry::Global().ResetAll();
   obs::RunReportMeta meta;
   meta.solution = "Delex";
   RunStats stats;
@@ -729,14 +688,9 @@ TEST(RunReportTest, SchemaV6CarriesResourcesBlock) {
   for (const JsonValue& sub : res.At("subsystems").array) {
     EXPECT_GE(sub.At("peak_bytes").number, sub.At("current_bytes").number);
   }
-  // No profiler ticks in this process -> the profile sub-block is absent.
-  if (obs::SpanProfiler::Global().TotalSamples() == 0) {
-    EXPECT_FALSE(res.Has("profile"));
-  }
 }
 
 TEST(RunReportTest, LineCarriesSchemaPhasesAndOptimizer) {
-  obs::MetricsRegistry::Global().ResetAll();
   obs::RunReportMeta meta;
   meta.solution = "Delex";
   meta.tag = "unit-test";
@@ -766,7 +720,8 @@ TEST(RunReportTest, LineCarriesSchemaPhasesAndOptimizer) {
   optimizer.predicted_total_us = 127.75;
 
   JsonValue line = MustParse(obs::RunReportLine(meta, stats, optimizer));
-  EXPECT_EQ(line.At("schema_version").number, obs::kRunReportSchemaVersion);
+  EXPECT_EQ(obs::kRunReportSchemaVersion, 11);
+  EXPECT_EQ(line.At("schema_version").number, 11);
   EXPECT_EQ(line.At("solution").string, "Delex");
   EXPECT_EQ(line.At("tag").string, "unit-test");
   EXPECT_EQ(line.At("threads").number, 4);
@@ -781,11 +736,16 @@ TEST(RunReportTest, LineCarriesSchemaPhasesAndOptimizer) {
   EXPECT_EQ(unit0.At("matcher").string, "ST");
   EXPECT_EQ(unit0.At("predicted_us").number, 123.5);
   EXPECT_EQ(unit0.At("actual_us").number, 300);
-  EXPECT_TRUE(line.Has("counters"));
+  // v11: the run's counts live in the line's own blocks; the registry's
+  // "counters", the profiler's "profile" and the "histograms" gate are gone.
+  EXPECT_FALSE(line.Has("counters"));
+  EXPECT_FALSE(line.Has("histograms"));
+  ASSERT_TRUE(line.Has("resources"));
+  EXPECT_FALSE(line.At("resources").Has("profile"));
+  EXPECT_TRUE(line.Has("latency"));
 }
 
 TEST(RunReportTest, ShardSummariesEmittedWhenSharded) {
-  obs::MetricsRegistry::Global().ResetAll();
   obs::RunReportMeta meta;
   meta.solution = "Delex";
   meta.snapshot_index = 1;
@@ -864,7 +824,6 @@ std::vector<JsonValue> ReportedSeries(int num_threads, bool fast_path,
   std::string path = TempPath("delex-obs-series-" + tag + ".jsonl");
   std::filesystem::remove(path);
   SetStatsJsonPath(path);
-  obs::MetricsRegistry::Global().ResetAll();
 
   ProgramSpec spec = []() {
     auto spec = MakeProgram("chair");
@@ -959,11 +918,8 @@ TEST(RunReportTest, CountersDeterministicAcrossThreadCounts) {
 }
 
 TEST(RunReportTest, SchemaV2CarriesLatencyFastPathAndTraceBlocks) {
-  obs::MetricsRegistry::Global().ResetAll();
-  ASSERT_TRUE(obs::HistogramsEnabled());
   obs::RunReportMeta meta;
   meta.solution = "Delex";
-  meta.histograms_enabled = true;
 
   RunStats stats;
   stats.pages = 4;
@@ -980,7 +936,6 @@ TEST(RunReportTest, SchemaV2CarriesLatencyFastPathAndTraceBlocks) {
   obs::OptimizerReport no_opt;
   JsonValue line = MustParse(obs::RunReportLine(meta, stats, no_opt));
   EXPECT_EQ(line.At("schema_version").number, obs::kRunReportSchemaVersion);
-  EXPECT_TRUE(line.At("histograms").boolean);
 
   const JsonValue& fast = line.At("fast_path_counters");
   EXPECT_EQ(fast.At("demote_result_cache").number, 2);
@@ -1014,27 +969,7 @@ TEST(RunReportTest, SchemaV2CarriesLatencyFastPathAndTraceBlocks) {
   EXPECT_GE(unit.At("extract_p99_us").number, unit.At("extract_p90_us").number);
 }
 
-TEST(RunReportTest, SchemaV2OmitsLatencyWhenHistogramsDisabled) {
-  obs::MetricsRegistry::Global().ResetAll();
-  obs::RunReportMeta meta;
-  meta.solution = "Delex";
-  meta.histograms_enabled = false;
-  RunStats stats;
-  stats.pages = 2;
-  stats.units.resize(1);
-  obs::OptimizerReport no_opt;
-  JsonValue line = MustParse(obs::RunReportLine(meta, stats, no_opt));
-  EXPECT_FALSE(line.At("histograms").boolean);
-  EXPECT_FALSE(line.Has("latency"));
-  // Counter-style blocks stay: they cost nothing to collect.
-  EXPECT_TRUE(line.Has("fast_path_counters"));
-  EXPECT_TRUE(line.Has("trace"));
-  ASSERT_EQ(line.At("units").array.size(), 1u);
-  EXPECT_FALSE(line.At("units").array[0].Has("extract_count"));
-}
-
 TEST(RunReportTest, LatencyCountsDeterministicAcrossThreadsAndFastPath) {
-  ASSERT_TRUE(obs::HistogramsEnabled());
   for (bool fast_path : {true, false}) {
     const std::string fp_tag = fast_path ? "on" : "off";
     std::vector<std::vector<JsonValue>> runs;

@@ -422,7 +422,7 @@ TEST(StatsCollector, IdenticalPairWalksOnce) {
   for (int draw = 0; draw < options.sample_pages; ++draw) {
     const Page& page = snapshot.pages()[rng.Uniform(snapshot.NumPages())];
     expected_chars += std::min<int64_t>(
-        options.max_sample_bytes, static_cast<int64_t>(page.content.size()));
+        kMaxSampleBytes, static_cast<int64_t>(page.content.size()));
   }
 
   auto paragraph = spec.registry->Lookup("extractParagraph");

@@ -1,10 +1,8 @@
 // Resource-observability tests (layer 4): tagged memory accounting
 // balance across a full engine lifecycle, process readings that are
 // positive with a peak that never falls, the schema-v6 resources block
-// read back from the generation-history store, folded-stack profiler
-// output (parse, positive counts, sorted determinism), span-path
-// stability across thread counts, and the thread pool's one-WARN-per-run
-// saturation counter.
+// read back from the generation-history store, and the thread pool's
+// one-WARN-per-run saturation latch.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,8 +22,6 @@
 #include "obs/history.h"
 #include "obs/log.h"
 #include "obs/mem.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "ring_series.h"
 #include "shard/sharded_engine.h"
@@ -208,8 +203,9 @@ TEST(ResourceUsageTest, ProcessReadingsArePositiveAndPeakNeverFalls) {
 // ---------------------------------------------------------------------------
 
 TEST(HistoryResourcesTest, V6ResourcesBlockRoundTrips) {
-  // A run-report line's resources block with the profiler rollup, as
-  // RunReportLine writes it (values fixed so the read-back is exact).
+  // A run-report line's resources block as schema v9 wrote it, with the
+  // span-profiler rollup that v11 dropped (values fixed so the read-back
+  // is exact): the old sub-block is ignored, the rest reads the same.
   std::string body =
       R"({"schema_version":9,"solution":"Delex","generation":3,)"
       R"("resources":{"rss_bytes":123456789,"vm_bytes":987654321,)"
@@ -245,13 +241,6 @@ TEST(HistoryResourcesTest, V6ResourcesBlockRoundTrips) {
     EXPECT_EQ(parsed.resources.subsystems[t].current_bytes, 10 * (t + 1));
     EXPECT_EQ(parsed.resources.subsystems[t].peak_bytes, 100 * (t + 1));
   }
-  EXPECT_EQ(parsed.profile_samples, 500);
-  EXPECT_EQ(parsed.profile_lost, 3);
-  ASSERT_EQ(parsed.top_spans.size(), 2u);
-  EXPECT_EQ(parsed.top_spans[0].span, "eval_page");
-  EXPECT_EQ(parsed.top_spans[0].self_samples, 300);
-  EXPECT_EQ(parsed.top_spans[1].span, "match_st");
-  EXPECT_EQ(parsed.top_spans[1].self_samples, 150);
 }
 
 TEST(HistoryResourcesTest, PreLayer4RecordsParseWithoutResources) {
@@ -264,132 +253,13 @@ TEST(HistoryResourcesTest, PreLayer4RecordsParseWithoutResources) {
                   .ok());
   EXPECT_EQ(parsed.gen, 1);
   EXPECT_FALSE(parsed.has_resources);
-  EXPECT_EQ(parsed.profile_samples, 0);
-  EXPECT_TRUE(parsed.top_spans.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Span profiler
-// ---------------------------------------------------------------------------
-
-std::atomic<uint64_t> g_burn_sink{0};
-
-/// Burns CPU (not just wall time — ITIMER_PROF ticks on CPU consumption)
-/// for roughly `ms` milliseconds.
-void BurnCpuMs(int ms) {
-  auto end = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  uint64_t x = 0x9e3779b97f4a7c15ull;
-  while (std::chrono::steady_clock::now() < end) {
-    for (int i = 0; i < 4096; ++i) x = x * 6364136223846793005ull + 1442695ull;
-    g_burn_sink.store(x, std::memory_order_relaxed);
-  }
-}
-
-void SpanWorkload(int ms) {
-  DELEX_TRACE_SPAN("res_outer");
-  BurnCpuMs(ms / 2);
-  {
-    DELEX_TRACE_SPAN("res_inner");
-    BurnCpuMs(ms / 2);
-  }
-}
-
-/// Parses folded output: "frame;frame;... N" lines, N > 0, paths strictly
-/// ascending (the sorted order IS the determinism contract).
-std::vector<std::pair<std::string, int64_t>> ParseFolded(
-    const std::string& text) {
-  std::vector<std::pair<std::string, int64_t>> out;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) nl = text.size();
-    std::string line = text.substr(start, nl - start);
-    start = nl + 1;
-    if (line.empty()) continue;
-    size_t space = line.rfind(' ');
-    EXPECT_NE(space, std::string::npos) << "malformed folded line: " << line;
-    out.emplace_back(line.substr(0, space),
-                     std::atoll(line.c_str() + space + 1));
-  }
-  for (size_t i = 1; i < out.size(); ++i) {
-    EXPECT_LT(out[i - 1].first, out[i].first)
-        << "folded output not sorted by path";
-  }
-  return out;
-}
-
-std::set<std::string> RunProfiledWorkload(int num_threads) {
-  obs::SpanProfiler& profiler = obs::SpanProfiler::Global();
-  profiler.ClearForTesting();
-  EXPECT_TRUE(profiler.Start(/*hz=*/997).ok());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([] { SpanWorkload(/*ms=*/160); });
-  }
-  for (std::thread& t : threads) t.join();
-  profiler.Stop();
-  EXPECT_FALSE(profiler.running());
-
-  EXPECT_GT(profiler.TotalSamples(), 0) << "no SIGPROF ticks landed";
-  std::set<std::string> paths;
-  for (const auto& [path, count] : ParseFolded(profiler.FoldedText())) {
-    EXPECT_GT(count, 0) << path;
-    paths.insert(path);
-  }
-  EXPECT_FALSE(paths.empty());
-  return paths;
-}
-
-TEST(SpanProfilerTest, FoldedStacksParseAndPathsAreDeterministic) {
-  // Every observed path must come from the workload's span structure —
-  // at ANY thread count. A torn or interleaved path means the handler
-  // read another thread's stack or a half-written frame.
-  const std::set<std::string> expected = {"res_outer", "res_outer;res_inner",
-                                          "(no_span)"};
-  std::set<std::string> serial = RunProfiledWorkload(1);
-  for (const std::string& path : serial) {
-    EXPECT_TRUE(expected.count(path)) << "unexpected path: " << path;
-  }
-  // The dominant frame (all CPU burns inside res_outer) must be present.
-  EXPECT_TRUE(serial.count("res_outer") ||
-              serial.count("res_outer;res_inner"))
-      << "profiler missed the span the workload burned inside";
-
-  std::set<std::string> parallel = RunProfiledWorkload(8);
-  for (const std::string& path : parallel) {
-    EXPECT_TRUE(expected.count(path)) << "unexpected path: " << path;
-  }
-
-  // Top self-time rollup agrees with the folded view.
-  obs::SpanProfiler& profiler = obs::SpanProfiler::Global();
-  std::vector<obs::SpanSelfSample> top = profiler.TopSelfSamples(10);
-  ASSERT_FALSE(top.empty());
-  EXPECT_GT(top[0].self_samples, 0);
-  for (size_t i = 1; i < top.size(); ++i) {
-    EXPECT_GE(top[i - 1].self_samples, top[i].self_samples);
-  }
-  profiler.ClearForTesting();
-}
-
-TEST(SpanProfilerTest, StartStopIsIdempotentAndRestartable) {
-  obs::SpanProfiler& profiler = obs::SpanProfiler::Global();
-  profiler.ClearForTesting();
-  ASSERT_TRUE(profiler.Start(/*hz=*/97).ok());
-  EXPECT_TRUE(profiler.running());
-  EXPECT_FALSE(profiler.Start(97).ok());  // already running
-  profiler.Stop();
-  profiler.Stop();  // second stop is a no-op
-  EXPECT_FALSE(profiler.running());
-  ASSERT_TRUE(profiler.Start(97).ok());  // restartable after stop
-  profiler.Stop();
-  profiler.ClearForTesting();
 }
 
 // ---------------------------------------------------------------------------
 // Thread-pool saturation
 // ---------------------------------------------------------------------------
 
-/// WARN lines logged while a SaturationLogCapture lives.
+/// WARN lines logged while a WarnCapture lives.
 std::vector<std::string>& CapturedWarnings() {
   static std::vector<std::string> lines;
   return lines;
@@ -399,11 +269,27 @@ void CaptureWarnings(obs::LogLevel level, const std::string& line) {
   if (level == obs::LogLevel::kWARN) CapturedWarnings().push_back(line);
 }
 
-TEST(ThreadPoolObsTest, SaturationWarnOncePerRun) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Counter* saturations = registry.GetCounter("pool.saturation_warns");
-  const int64_t warns_before = saturations->value();
+/// Routes WARN lines into a fresh CapturedWarnings() while it lives.
+struct WarnCapture {
+  WarnCapture() {
+    CapturedWarnings().clear();
+    obs::SetLogSinkForTesting(&CaptureWarnings);
+  }
+  ~WarnCapture() { obs::SetLogSinkForTesting(nullptr); }
+  WarnCapture(const WarnCapture&) = delete;
+  WarnCapture& operator=(const WarnCapture&) = delete;
+};
 
+/// The captured "thread pool saturated" WARN lines.
+int64_t SaturationWarnings() {
+  int64_t count = 0;
+  for (const std::string& line : CapturedWarnings()) {
+    if (line.find("thread pool saturated") != std::string::npos) ++count;
+  }
+  return count;
+}
+
+TEST(ThreadPoolObsTest, SaturationWarnOncePerRun) {
   // Normal sharded operation is not saturation: 4 shards on a 4-wide pool
   // each keep up to a window of 2·4 + 2 pages queued (40 > 4 × 4), and the
   // pool allows for every live TaskGroup's window.
@@ -420,23 +306,19 @@ TEST(ThreadPoolObsTest, SaturationWarnOncePerRun) {
     ASSERT_TRUE(engine.Init().ok());
     const MatcherAssignment st =
         MatcherAssignment::Uniform(engine.NumUnits(), MatcherKind::kST);
-    CapturedWarnings().clear();
-    obs::SetLogSinkForTesting(&CaptureWarnings);
+    WarnCapture capture;
     for (size_t i = 0; i < series.size(); ++i) {
       EXPECT_TRUE(engine
                       .RunSnapshot(series[i], i > 0 ? &series[i - 1] : nullptr,
                                    st, nullptr)
                       .ok());
     }
-    obs::SetLogSinkForTesting(nullptr);
-    EXPECT_EQ(saturations->value(), warns_before);
-    for (const std::string& line : CapturedWarnings()) {
-      EXPECT_EQ(line.find("saturated"), std::string::npos) << line;
-    }
+    EXPECT_EQ(SaturationWarnings(), 0);
   }
 
   obs::MemResetForTesting();
   {
+    WarnCapture capture;
     ThreadPool pool(1);
     // Gate the single worker so submissions pile up past 4x the workers.
     std::atomic<bool> release{false};
@@ -451,9 +333,9 @@ TEST(ThreadPoolObsTest, SaturationWarnOncePerRun) {
     }
     // Queued tasks are on the books while they wait...
     EXPECT_GT(obs::MemCurrent(obs::MemTag::kThreadPool), 0);
-    // ...and the saturation trip fired exactly once despite 12+ deep
+    // ...and the saturation WARN fired exactly once despite 12+ deep
     // submissions past the threshold.
-    EXPECT_EQ(saturations->value(), warns_before + 1);
+    EXPECT_EQ(SaturationWarnings(), 1);
     release.store(true, std::memory_order_release);
     ASSERT_TRUE(pool.Wait().ok());
     EXPECT_EQ(obs::MemCurrent(obs::MemTag::kThreadPool), 0);
@@ -470,7 +352,7 @@ TEST(ThreadPoolObsTest, SaturationWarnOncePerRun) {
     for (int i = 0; i < 16; ++i) {
       pool.Submit([]() { return Status::OK(); });
     }
-    EXPECT_EQ(saturations->value(), warns_before + 2);
+    EXPECT_EQ(SaturationWarnings(), 2);
     release2.store(true, std::memory_order_release);
     ASSERT_TRUE(pool.Wait().ok());
   }

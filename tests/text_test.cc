@@ -100,7 +100,9 @@ TEST_P(IntervalSetProperty, MatchesBitmapModel) {
     const auto& normalized = set.spans();
     for (size_t i = 0; i < normalized.size(); ++i) {
       EXPECT_FALSE(normalized[i].empty());
-      if (i > 0) EXPECT_GT(normalized[i].start, normalized[i - 1].end);
+      if (i > 0) {
+        EXPECT_GT(normalized[i].start, normalized[i - 1].end);
+      }
     }
   }
 }
